@@ -34,7 +34,6 @@ from .dictionary import (
     Dictionary,
     ExtendedDictionary,
     FiniteDictionary,
-    LazyDictionary,
     RunLengthDictionary,
     find_prefix_violation,
     head_extension,

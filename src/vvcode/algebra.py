@@ -17,13 +17,13 @@ report whether enumeration was exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from math import fsum
 from typing import Iterable, Sequence
 
 from .dictionary import (
-    DEAD,
-    INTERNAL,
+    TO_DEAD,
+    TO_WORD,
     WORD,
     Dictionary,
     ExtendedDictionary,
@@ -43,56 +43,41 @@ def uncovered_frontier(
 ):
     """Enumerate T_depth; returns (words, exhaustive).
 
-    Depth-first over the symbol tree, pruning only below member words
-    (dead zones still belong to the frontier). Countable alphabets are
-    scanned for symbols < max_symbol and flagged non-exhaustive.
+    Depth-first over the automaton, pruning only below member words. DEAD
+    is absorbing: a dead prefix's whole subtree belongs to the frontier.
+    Countable alphabets are scanned for symbols < max_symbol and flagged
+    non-exhaustive. Words come out in canonical order, since they share
+    one length and the walk takes symbols in increasing order.
     """
     if depth < 1:
         raise ValueError("frontier depth must be >= 1")
     k = d.alphabet_size
     width = k if k is not None else d._width_for(max_symbol)
-    exhaustive = k is not None
+    trans, defaults = d.transitions, d.defaults
+    symbols = range(width)
+    backwards = symbols[::-1]  # pushed in reverse, popped in increasing order
     out = []
-    prefix = []
-
-    def check_budget():
-        if len(out) > max_words:
+    stack = [((), d.start)]
+    while stack:
+        prefix, state = stack.pop()
+        rest = depth - len(prefix)
+        if rest and state != TO_DEAD:
+            t, default = trans[state], defaults[state]
+            for s in backwards:
+                nxt = t.get(s, default)
+                if nxt != TO_WORD:
+                    stack.append((prefix + (s,), nxt))
+            continue
+        # a length-depth string, or a dead prefix and all its completions
+        if len(out) + width**rest > max_words:
             raise ResourceBudgetError(
                 f"frontier at depth {depth} exceeds max_words={max_words}"
             )
-
-    def rec_trie(node):
-        # fast path: walk trie nodes; None marks a dead zone, whose whole
-        # subtree stays uncovered
-        if len(prefix) == depth:
-            out.append(tuple(prefix))
-            check_budget()
-            return
-        children = node.children if node is not None else {}
-        for s in range(width):
-            child = children.get(s)
-            if child is not None and child.is_word:
-                continue
-            prefix.append(s)
-            rec_trie(child)
-            prefix.pop()
-
-    def rec_classify():
-        if len(prefix) == depth:
-            out.append(tuple(prefix))
-            check_budget()
-            return
-        for s in range(width):
-            prefix.append(s)
-            if d.classify(tuple(prefix)) != WORD:
-                rec_classify()
-            prefix.pop()
-
-    if isinstance(d, FiniteDictionary):
-        rec_trie(d.trie_root)
-    else:
-        rec_classify()
-    return sort_words(out), exhaustive
+        if rest:
+            out.extend(prefix + tail for tail in product(symbols, repeat=rest))
+        else:
+            out.append(prefix)
+    return out, k is not None
 
 
 @dataclass(frozen=True)
@@ -187,8 +172,9 @@ class ConeResult:
 
 
 def _check_cone_hypothesis(d: Dictionary, beta: Word):
-    for ell in range(1, len(beta)):
-        if d.classify(beta[:ell]) == WORD:
+    cur = d.cursor()
+    for ell, s in enumerate(beta[:-1], 1):
+        if cur.step(s) == WORD:
             raise ConeHypothesisError(
                 f"cone prefix {list(beta)} has the shorter dictionary prefix "
                 f"{list(beta[:ell])}; the cone-mass identity does not apply"
@@ -199,17 +185,19 @@ def _open_cone_prefixes(d: Dictionary, beta: Word, depth: int, width: int):
     """Length-`depth` extensions of beta classified INTERNAL (members lie
     beyond them). Walks only internal paths, so stays small."""
     out = []
-    if d.classify(beta) != INTERNAL or depth < len(beta):
+    state = d.entry_after(beta)
+    if state < 0 or depth < len(beta):
         return out
-    stack = [beta]
+    stack = [(beta, state)]
     while stack:
-        prefix = stack.pop()
+        prefix, state = stack.pop()
         if len(prefix) == depth:
             out.append(prefix)
             continue
         for s in range(width):
-            if d.classify(prefix + (s,)) == INTERNAL:
-                stack.append(prefix + (s,))
+            nxt = d.next_entry(state, s)
+            if nxt >= 0:
+                stack.append((prefix + (s,), nxt))
     return out
 
 

@@ -4,8 +4,7 @@ Exit codes: 0 pass/success, 1 property-check fail, 2 usage/input error,
 3 inconclusive. Every report embeds the resolved run configuration and a
 format-version field, so re-running a stored configuration reproduces the
 report bit for bit. Defaults (depth 64, tol 1e-9, seed 42, width 64) are
-centralized here and echoed in every report. The VVCODE_THREADS
-environment variable caps internal parallelism; it never changes results.
+centralized here and echoed in every report.
 """
 
 from __future__ import annotations
@@ -31,21 +30,24 @@ from .errors import (
     VVCodeError,
 )
 from .formats import (
+    MEASURE_CSV_COLUMNS,
+    PHRASE_MEASURE_CSV_COLUMNS,
+    SCAN_CSV_COLUMNS,
+    SIM_CSV_COLUMNS,
     histogram_csv,
     load_codebook,
     load_dictionary,
     load_source,
-    measure_report_csv,
     parse_word_text,
     read_bit_stream,
     read_stream_text,
+    report_csv,
     save_dictionary,
-    sim_report_csv,
     write_bit_stream,
     write_stream_text,
 )
 from .measures import check_conservation, convergence_scan, phrase_measures
-from .simulation import phrase_histogram, simulate
+from .simulation import phrase_histogram, report_from_counts, simulate
 
 FORMAT_VERSION = 1
 DEFAULT_DEPTH = 64
@@ -192,18 +194,7 @@ def _cmd_measure(config: RunConfig) -> int:
         "possibly_divergent": pm.possibly_divergent,
         "note": pm.note,
     }
-    csv_cols = [
-        "h_d_low", "h_d_high", "lbar_low", "lbar_high",
-        "h_p", "frontier_mass", "possibly_divergent",
-    ]
-    csv_text = (
-        ",".join(csv_cols)
-        + "\n"
-        + ",".join(repr(result[c]) if isinstance(result[c], float) else str(result[c])
-                   for c in csv_cols)
-        + "\n"
-    )
-    _emit_report(config, result, csv_text)
+    _emit_report(config, result, report_csv(PHRASE_MEASURE_CSV_COLUMNS, [result]))
     return EXIT_OK
 
 
@@ -211,7 +202,8 @@ def _cmd_verify(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
     report = check_conservation(d, s, config.depth, config.tol, config.width)
-    _emit_report(config, report.as_dict(), measure_report_csv(report))
+    result = report.as_dict()
+    _emit_report(config, result, report_csv(MEASURE_CSV_COLUMNS, [result]))
     if report.verdict == "pass":
         return EXIT_OK
     if report.verdict == "fail":
@@ -226,11 +218,8 @@ def _cmd_scan(config: RunConfig) -> int:
     report = convergence_scan(
         d, s, m_max, config.width if d.alphabet_size is None else None, config.width
     )
-    rows_csv = ["m,h,lbar,identity_residual"]
-    rows_csv.extend(
-        f"{r.m},{r.h!r},{r.lbar!r},{r.identity_residual!r}" for r in report.rows
-    )
-    _emit_report(config, report.as_dict(), "\n".join(rows_csv) + "\n")
+    result = report.as_dict()
+    _emit_report(config, result, report_csv(SCAN_CSV_COLUMNS, result["rows"]))
     if report.h_nondecreasing and report.lbar_nondecreasing:
         return EXIT_OK
     return EXIT_FAIL
@@ -297,15 +286,19 @@ def _cmd_simulate(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
     n = config.n_phrases or 10000
-    report = simulate(d, s, n, config.seed, depth=config.depth, width=config.width)
     if config.histogram:
         hist = phrase_histogram(
             d, s, n, config.seed, depth=config.depth, width=config.width
         )
+        report = report_from_counts(
+            d, s, dict(hist.entries), config.seed, config.depth, config.width
+        )
         result = {"sim": report.as_dict(), "histogram": hist.as_dict()}
         _emit_report(config, result, histogram_csv(hist))
     else:
-        _emit_report(config, report.as_dict(), sim_report_csv(report))
+        report = simulate(d, s, n, config.seed, depth=config.depth, width=config.width)
+        result = report.as_dict()
+        _emit_report(config, result, report_csv(SIM_CSV_COLUMNS, [result]))
     return EXIT_OK
 
 

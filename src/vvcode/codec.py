@@ -46,7 +46,6 @@ class PhraseCodebook:
 
     phrases: tuple
     codewords: tuple
-    frame: str = "count-prefixed-v1"
 
     def __post_init__(self):
         if not self.phrases:

@@ -1,7 +1,7 @@
-"""Prefix-free dictionaries: explicit tries and lazy infinite families.
+"""Prefix-free dictionaries: explicit word sets and lazy infinite families.
 
 A dictionary is a prefix-free set of nonempty words over the source
-alphabet. Finite dictionaries are stored as tries; infinite families
+alphabet. Finite dictionaries are stored as word lists; infinite families
 (run-length, single-word extensions over countable alphabets) answer the
 same queries lazily and carry closed-form mass formulas so tail bounds
 stay certified.
@@ -11,6 +11,15 @@ Classification of an arbitrary prefix against a dictionary:
 * WORD     -- the prefix is a member.
 * INTERNAL -- the prefix is a proper prefix of at least one member.
 * DEAD     -- neither; no extension of the prefix is a member.
+
+Every dictionary compiles one automaton at construction, and all walks
+(classify, cursors, parse, sampling, frontiers, completeness) read it.
+State q has a dict ``transitions[q]`` from symbol to entry and an entry
+``defaults[q]`` for every other symbol. An entry is the next internal
+state (an index >= 0), TO_WORD or TO_DEAD. A default is never an internal
+state, and a negative symbol is DEAD in every state. The per-state default
+is what lets countable alphabets share the representation: "every symbol
+ends a word" needs no table of symbols.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from .source import SourceModel, Word, canon_key, sort_words
 INTERNAL = 0
 WORD = 1
 DEAD = 2
+
+# Automaton entries other than internal states; -entry is the class.
+TO_WORD = -WORD
+TO_DEAD = -DEAD
 
 CERTIFIED_ASC = "certified_asc"
 CERTIFIED_NOT_COMPLETE = "certified_not_complete"
@@ -47,6 +60,19 @@ def find_prefix_violation(words):
         if len(a) < len(b) and b[: len(a)] == a:
             return a, b
     return None
+
+
+def exact_word_measures(words, source: SourceModel):
+    """(mass, lbar, entropy) as exact finite sums over an explicit word set.
+
+    A word probability that underflows to 0.0 adds 0*log2(0) = 0 to the
+    entropy; every other term is summed as is.
+    """
+    probs = [source.word_prob(w) for w in words]
+    mass = math.fsum(probs)
+    lbar = math.fsum(p * len(w) for p, w in zip(probs, words))
+    h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+    return mass, lbar, h
 
 
 @dataclass(frozen=True)
@@ -83,16 +109,38 @@ class TailStats:
 
 
 class Dictionary:
-    """Shared interface; immutable after construction, safe to share."""
+    """Shared interface; immutable after construction, safe to share.
+
+    Subclasses set the automaton (start, transitions, defaults) in their
+    constructor; see the module docstring for its encoding.
+    """
 
     alphabet_size: int | None = None
-    is_lazy = False
+    start = 0
+    transitions: list
+    defaults: list
+
+    def next_entry(self, state: int, sym: int) -> int:
+        """Automaton entry reached from internal `state` on `sym`."""
+        if sym < 0:
+            return TO_DEAD
+        return self.transitions[state].get(sym, self.defaults[state])
+
+    def entry_after(self, word: Word) -> int:
+        """Automaton entry after reading `word` from the start state."""
+        entry = self.start
+        for s in word:
+            if entry < 0:
+                return TO_DEAD
+            entry = self.next_entry(entry, s)
+        return entry
 
     def classify(self, word: Word) -> int:
-        raise NotImplementedError
+        entry = self.entry_after(word)
+        return INTERNAL if entry >= 0 else -entry
 
-    def cursor(self):
-        raise NotImplementedError
+    def cursor(self) -> "Cursor":
+        return Cursor(self)
 
     def member_words(self, max_len: int, max_symbol: int | None = None) -> list:
         """All members of length <= max_len (symbols < max_symbol when the
@@ -144,33 +192,24 @@ class Dictionary:
         return max_symbol
 
 
-class _TrieNode:
-    __slots__ = ("children", "is_word")
+class Cursor:
+    """Incremental classify: step(sym) returns the class of the prefix read
+    so far. Past a WORD or DEAD prefix every step is DEAD."""
 
-    def __init__(self):
-        self.children = {}
-        self.is_word = False
+    __slots__ = ("d", "entry")
 
-
-class _TrieCursor:
-    __slots__ = ("root", "node")
-
-    def __init__(self, root):
-        self.root = root
-        self.node = root
+    def __init__(self, d: Dictionary):
+        self.d = d
+        self.entry = d.start
 
     def reset(self):
-        self.node = self.root
+        self.entry = self.d.start
 
     def step(self, sym: int) -> int:
-        node = self.node
-        if node is None:
-            return DEAD
-        node = node.children.get(sym)
-        self.node = node
-        if node is None:
-            return DEAD
-        return WORD if node.is_word else INTERNAL
+        entry = self.entry
+        entry = self.d.next_entry(entry, sym) if entry >= 0 else TO_DEAD
+        self.entry = entry
+        return INTERNAL if entry >= 0 else -entry
 
 
 class FiniteDictionary(Dictionary):
@@ -201,16 +240,19 @@ class FiniteDictionary(Dictionary):
         self.words = tuple(sort_words(ws))
         self.word_set = frozenset(self.words)
         self._max_len = max(len(w) for w in self.words)
-        self._root = _TrieNode()
+        # trie states; prefix-freeness keeps every path prefix internal
+        trans = [{}]
         for w in self.words:
-            node = self._root
-            for s in w:
-                nxt = node.children.get(s)
+            q = 0
+            for s in w[:-1]:
+                nxt = trans[q].get(s)
                 if nxt is None:
-                    nxt = _TrieNode()
-                    node.children[s] = nxt
-                node = nxt
-            node.is_word = True
+                    nxt = trans[q][s] = len(trans)
+                    trans.append({})
+                q = nxt
+            trans[q][w[-1]] = TO_WORD
+        self.transitions = trans
+        self.defaults = [TO_DEAD] * len(trans)
 
     def __repr__(self):
         return f"FiniteDictionary(k={self.alphabet_size}, words={len(self.words)})"
@@ -224,21 +266,6 @@ class FiniteDictionary(Dictionary):
 
     def __hash__(self):
         return hash((self.alphabet_size, self.words))
-
-    @property
-    def trie_root(self):
-        return self._root
-
-    def classify(self, word: Word) -> int:
-        node = self._root
-        for s in word:
-            node = node.children.get(s)
-            if node is None:
-                return DEAD
-        return WORD if node.is_word else INTERNAL
-
-    def cursor(self):
-        return _TrieCursor(self._root)
 
     def member_words(self, max_len, max_symbol=None):
         return [w for w in self.words if len(w) <= max_len]
@@ -258,24 +285,13 @@ class FiniteDictionary(Dictionary):
         rest = [w for w in self.words if len(w) > depth]
         if not rest:
             return TailStats.zero()
-        probs = [source.word_prob(w) for w in rest]
-        mass = math.fsum(probs)
-        lbar = math.fsum(p * len(w) for p, w in zip(probs, rest))
-        h = -math.fsum(p * math.log2(p) for p in probs)
-        return TailStats.exact(mass, lbar, h)
+        return TailStats.exact(*exact_word_measures(rest, source))
 
     def is_complete(self) -> bool:
-        """Complete iff every internal trie node has full branching."""
+        """Complete iff every internal state has a transition on each of
+        the k symbols (every trie state is reachable)."""
         k = self.alphabet_size
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_word:
-                continue
-            if len(node.children) != k:
-                return False
-            stack.extend(node.children.values())
-        return True
+        return all(len(t) == k for t in self.transitions)
 
     def frontier_envelope(self, source):
         if self.is_complete():
@@ -284,54 +300,26 @@ class FiniteDictionary(Dictionary):
         return None
 
 
-class LazyDictionary(Dictionary):
-    is_lazy = True
-
-    def enumerate_up_to(self, max_len, max_symbol=None):
-        return self.member_words(max_len, max_symbol)
-
-
-class _AlphabetCursor:
-    __slots__ = ("k", "n")
-
-    def __init__(self, k):
-        self.k = k
-        self.n = 0
-
-    def reset(self):
-        self.n = 0
-
-    def step(self, sym):
-        self.n += 1
-        if self.n > 1 or sym < 0:
-            return DEAD
-        if self.k is not None and sym >= self.k:
-            return DEAD
-        return WORD
+def _any_symbol_state(alphabet_size: int | None):
+    """(transitions, default) of a state where every symbol ends a word."""
+    if alphabet_size is None:
+        return {}, TO_WORD
+    return dict.fromkeys(range(alphabet_size), TO_WORD), TO_DEAD
 
 
-class AlphabetDictionary(LazyDictionary):
+class AlphabetDictionary(Dictionary):
     """D = A: every single symbol is a word. Countable when k is None."""
 
     def __init__(self, alphabet_size: int | None = None):
         if alphabet_size is not None and alphabet_size < 1:
             raise ValueError("alphabet size must be >= 1")
         self.alphabet_size = alphabet_size
+        trans, default = _any_symbol_state(alphabet_size)
+        self.transitions = [trans]
+        self.defaults = [default]
 
     def __repr__(self):
         return f"AlphabetDictionary(k={self.alphabet_size})"
-
-    def classify(self, word):
-        if not word:
-            return INTERNAL
-        if len(word) > 1 or word[0] < 0:
-            return DEAD
-        if self.alphabet_size is not None and word[0] >= self.alphabet_size:
-            return DEAD
-        return WORD
-
-    def cursor(self):
-        return _AlphabetCursor(self.alphabet_size)
 
     def member_words(self, max_len, max_symbol=None):
         if max_len < 1:
@@ -360,28 +348,7 @@ class AlphabetDictionary(LazyDictionary):
         return (0.0, 0.5)
 
 
-class _RunLengthCursor:
-    __slots__ = ("state",)
-
-    def __init__(self):
-        self.state = 0  # 0 scanning ones, 1 word emitted, 2 dead
-
-    def reset(self):
-        self.state = 0
-
-    def step(self, sym):
-        if self.state != 0:
-            return DEAD
-        if sym == 1:
-            return INTERNAL
-        if sym == 0:
-            self.state = 1
-            return WORD
-        self.state = 2
-        return DEAD
-
-
-class RunLengthDictionary(LazyDictionary):
+class RunLengthDictionary(Dictionary):
     """Binary family {0, 10, 110, 1110, ...}: a run of ones ended by a zero.
 
     Proper; ASC over any binary source but never complete (the all-one
@@ -390,19 +357,13 @@ class RunLengthDictionary(LazyDictionary):
 
     alphabet_size = 2
 
+    def __init__(self):
+        # one state: a one loops back, a zero ends the word
+        self.transitions = [{1: 0, 0: TO_WORD}]
+        self.defaults = [TO_DEAD]
+
     def __repr__(self):
         return "RunLengthDictionary()"
-
-    def classify(self, word):
-        for i, s in enumerate(word):
-            if s == 0:
-                return WORD if i == len(word) - 1 else DEAD
-            if s != 1:
-                return DEAD
-        return INTERNAL
-
-    def cursor(self):
-        return _RunLengthCursor()
 
     def member_words(self, max_len, max_symbol=None):
         return [(1,) * j + (0,) for j in range(max_len)]
@@ -446,42 +407,7 @@ class RunLengthDictionary(LazyDictionary):
         return (coef + 1e-9, q)
 
 
-class _ExtendedCursor:
-    __slots__ = ("bc", "alpha", "k", "n", "matching", "state")
-
-    def __init__(self, base_cursor, alpha, alphabet_size):
-        self.bc = base_cursor
-        self.alpha = alpha
-        self.k = alphabet_size
-        self.n = 0
-        self.matching = True
-        self.state = 0  # 0 tracking, 1 alpha fully consumed, 2 spent
-
-    def reset(self):
-        self.bc.reset()
-        self.n = 0
-        self.matching = True
-        self.state = 0
-
-    def step(self, sym):
-        if self.state == 2:
-            return DEAD
-        if self.state == 1:
-            self.state = 2
-            ok = sym >= 0 and (self.k is None or sym < self.k)
-            return WORD if ok else DEAD
-        if self.matching and sym == self.alpha[self.n]:
-            self.n += 1
-            r = self.bc.step(sym)
-            if self.n == len(self.alpha):
-                self.state = 1
-                return INTERNAL
-            return r
-        self.matching = False
-        return self.bc.step(sym)
-
-
-class ExtendedDictionary(LazyDictionary):
+class ExtendedDictionary(Dictionary):
     """D[alpha] = (D \\ {alpha}) u alpha*A, materialized lazily.
 
     Used when the base or the alphabet cannot be materialized (infinite
@@ -496,6 +422,25 @@ class ExtendedDictionary(LazyDictionary):
         self.base = base
         self.alpha = alpha
         self.alphabet_size = base.alphabet_size
+        # The base's states, then fresh copies of the states along alpha
+        # that step on alpha's next symbol to the next copy, then a state
+        # where any symbol ends a word. Leaving alpha's path rejoins the
+        # base, so self-loops and nested extensions need no special case.
+        trans = list(base.transitions)
+        defaults = list(base.defaults)
+        q = base.start
+        for s in alpha:
+            t = dict(base.transitions[q])
+            t[s] = len(trans) + 1
+            trans.append(t)
+            defaults.append(base.defaults[q])
+            q = base.next_entry(q, s)
+        t, default = _any_symbol_state(self.alphabet_size)
+        trans.append(t)
+        defaults.append(default)
+        self.start = len(base.transitions)
+        self.transitions = trans
+        self.defaults = defaults
 
     def __repr__(self):
         return f"ExtendedDictionary({self.base!r}, alpha={list(self.alpha)})"
@@ -510,21 +455,6 @@ class ExtendedDictionary(LazyDictionary):
                 )
             return w
         return self.alphabet_size
-
-    def classify(self, word):
-        la = len(self.alpha)
-        if len(word) >= la and tuple(word[:la]) == self.alpha:
-            if len(word) == la:
-                return INTERNAL
-            if len(word) == la + 1:
-                s = word[la]
-                ok = s >= 0 and (self.alphabet_size is None or s < self.alphabet_size)
-                return WORD if ok else DEAD
-            return DEAD
-        return self.base.classify(word)
-
-    def cursor(self):
-        return _ExtendedCursor(self.base.cursor(), self.alpha, self.alphabet_size)
 
     def member_words(self, max_len, max_symbol=None):
         w = self._check_width(max_symbol)
@@ -616,18 +546,21 @@ def parse(d: Dictionary, stream):
     everything from the first position where no member can ever match.
     """
     seq = stream if isinstance(stream, (list, tuple)) else list(stream)
+    trans, defaults, start = d.transitions, d.defaults, d.start
     phrases = []
-    cur = d.cursor()
-    start = 0
+    state = start
+    begin = 0
     for i, sym in enumerate(seq):
-        c = cur.step(sym)
-        if c == WORD:
-            phrases.append(tuple(seq[start : i + 1]))
-            start = i + 1
-            cur.reset()
-        elif c == DEAD:
-            break
-    return phrases, tuple(seq[start:])
+        # inlined next_entry: a default only ever leads to WORD or DEAD,
+        # so the sign test can wait until the walk leaves the states
+        state = trans[state].get(sym, defaults[state])
+        if state < 0:
+            if state == TO_DEAD or sym < 0:
+                break
+            phrases.append(tuple(seq[begin : i + 1]))
+            begin = i + 1
+            state = start
+    return phrases, tuple(seq[begin:])
 
 
 def is_proper(d, depth: int = 32, max_symbol: int | None = None) -> bool:

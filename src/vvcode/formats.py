@@ -17,6 +17,9 @@ CSV column orders (stable for spreadsheet diffing):
     measure report: verdict, residual, h_d_low, h_d_high, lbar_low,
                     lbar_high, h_p, frontier_mass, depth_used, tol,
                     asc_status, possibly_divergent
+    measures:       h_d_low, h_d_high, lbar_low, lbar_high, h_p,
+                    frontier_mass, possibly_divergent
+    scan rows:      m, h, lbar, identity_residual
     sim report:     n_phrases, total_symbols, empirical_lbar, stderr_lbar,
                     empirical_entropy, theory_lbar, theory_hd, z_lbar, seed
     histogram:      word, count
@@ -38,8 +41,7 @@ from .dictionary import (
     head_extension,
 )
 from .errors import InputFormatError, UnsupportedOperationError
-from .measures import MeasureReport
-from .simulation import HistogramReport, SimReport
+from .simulation import HistogramReport
 from .source import SourceModel, Word
 
 LOADER_SUM_TOL = 1e-9
@@ -89,12 +91,6 @@ def load_source(spec) -> SourceModel:
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"bad geometric parameter: {exc}") from exc
     raise InputFormatError(f"unknown source kind {kind!r}")
-
-
-def save_source(s: SourceModel) -> dict:
-    if s.kind == "finite":
-        return {"kind": "finite", "probs": list(s.probs)}
-    return {"kind": "geometric", "p": s.p}
 
 
 def load_dictionary(spec) -> Dictionary:
@@ -251,6 +247,18 @@ MEASURE_CSV_COLUMNS = [
     "possibly_divergent",
 ]
 
+PHRASE_MEASURE_CSV_COLUMNS = [
+    "h_d_low",
+    "h_d_high",
+    "lbar_low",
+    "lbar_high",
+    "h_p",
+    "frontier_mass",
+    "possibly_divergent",
+]
+
+SCAN_CSV_COLUMNS = ["m", "h", "lbar", "identity_residual"]
+
 SIM_CSV_COLUMNS = [
     "n_phrases",
     "total_symbols",
@@ -264,23 +272,18 @@ SIM_CSV_COLUMNS = [
 ]
 
 
-def measure_report_csv(report: MeasureReport) -> str:
-    row = report.as_dict()
-    header = ",".join(MEASURE_CSV_COLUMNS)
-    values = ",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                      for c in MEASURE_CSV_COLUMNS)
-    return f"{header}\n{values}\n"
-
-
-def sim_report_csv(report: SimReport) -> str:
-    row = report.as_dict()
-    header = ",".join(SIM_CSV_COLUMNS)
-    values = ",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                      for c in SIM_CSV_COLUMNS)
-    return f"{header}\n{values}\n"
+def report_csv(columns, rows) -> str:
+    """Header line plus one line per row (a mapping); floats print as repr."""
+    lines = [",".join(columns)]
+    lines.extend(
+        ",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns)
+        for r in rows
+    )
+    return "\n".join(lines) + "\n"
 
 
 def histogram_csv(report: HistogramReport) -> str:
-    lines = ["word,count"]
-    lines.extend(f"{word_to_text(w)},{c}" for w, c in report.entries)
-    return "\n".join(lines) + "\n"
+    return report_csv(
+        ["word", "count"],
+        [{"word": word_to_text(w), "count": c} for w, c in report.entries],
+    )

@@ -23,6 +23,7 @@ from .dictionary import (
     Dictionary,
     FiniteDictionary,
     TailStats,
+    exact_word_measures,
     is_asc,
 )
 from .errors import UnsupportedOperationError
@@ -57,15 +58,6 @@ class Interval:
     def gap_to(self, other: "Interval") -> float:
         """Separation between intervals; 0 when they overlap."""
         return max(other.low - self.high, self.low - other.high, 0.0)
-
-
-def exact_word_measures(words, source: SourceModel):
-    """(mass, lbar, entropy) as exact finite sums over an explicit word set."""
-    probs = [source.word_prob(w) for w in words]
-    mass = math.fsum(probs)
-    lbar = math.fsum(p * len(w) for p, w in zip(probs, words))
-    h = -math.fsum(p * math.log2(p) for p in probs)
-    return mass, lbar, h
 
 
 def _geom_sum(q: float, start: int) -> float:
@@ -351,6 +343,13 @@ class TruncationIdentityReport:
         }
 
 
+def _truncation_series(d, source, m_max, max_symbol):
+    """(m, (mass, lbar, entropy) of D_m) for m = 1..m_max."""
+    for m in range(1, m_max + 1):
+        fs = truncate(d, m, max_symbol, materialize=False)
+        yield m, exact_word_measures(fs.d_n_words, source)
+
+
 def check_truncation_identity(
     d: Dictionary,
     source: SourceModel,
@@ -365,9 +364,7 @@ def check_truncation_identity(
     """
     h_p = source.entropy()
     rows = []
-    for m in range(1, m_max + 1):
-        fs = truncate(d, m, max_symbol, materialize=False)
-        mass, lbar, h = exact_word_measures(fs.d_n_words, source)
+    for m, (mass, lbar, h) in _truncation_series(d, source, m_max, max_symbol):
         residual = abs(h - h_p * lbar)
         rows.append(
             TruncationRow(m=m, h=h, lbar=lbar, mass=mass, residual=residual,
@@ -476,13 +473,10 @@ def convergence_scan(
     the interval midpoints of the full-dictionary measures at depth m_max.
     """
     h_p = source.entropy()
-    rows = []
-    for m in range(1, m_max + 1):
-        fs = truncate(d, m, max_symbol, materialize=False)
-        _, lbar, h = exact_word_measures(fs.d_n_words, source)
-        rows.append(
-            ScanRow(m=m, h=h, lbar=lbar, identity_residual=abs(h - h_p * lbar))
-        )
+    rows = [
+        ScanRow(m=m, h=h, lbar=lbar, identity_residual=abs(h - h_p * lbar))
+        for m, (_, lbar, h) in _truncation_series(d, source, m_max, max_symbol)
+    ]
     eps = 1e-12
     h_mono = all(b.h >= a.h - eps for a, b in zip(rows, rows[1:]))
     l_mono = all(b.lbar >= a.lbar - eps for a, b in zip(rows, rows[1:]))

@@ -2,19 +2,19 @@
 empirical phrase distribution, average length and entropy with theory.
 
 Sampling is chunked: phrases [c*4096, (c+1)*4096) always come from RNG
-sub-stream c of the base seed, so a run is bit-identical regardless of
-thread count or scheduling; chunk results merge in chunk order.
+sub-stream c of the base seed, and chunk counts merge in chunk order, so
+a run is bit-identical for a given seed. Sampling runs on one thread: the
+interpreter lock serialises the pure-Python walk, so threads cannot speed
+it up.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .dictionary import DEAD, WORD, Dictionary, FiniteDictionary
+from .dictionary import TO_DEAD, Dictionary
 from .errors import SimulationAbortError
 from .measures import phrase_measures
 from .rng import XorShift64Star, stream_seed
@@ -24,54 +24,16 @@ CHUNK_PHRASES = 4096
 DEFAULT_STEP_CAP = 10**6
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("VVCODE_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap):
-    """Counts and length moments for one chunk's worth of phrases."""
-    rng = XorShift64Star(stream_seed(seed, chunk_id))
-    draw = source.make_sampler(rng)
-    counts = Counter()
-    total = 0
-    total_sq = 0
-    if isinstance(d, FiniteDictionary):
-        root = d.trie_root
-        for _ in range(n_phrases):
-            node = root
-            syms = []
-            while True:
-                if len(syms) >= step_cap:
-                    raise SimulationAbortError(
-                        f"phrase exceeded {step_cap} symbols; stuck prefix "
-                        f"starts {syms[:16]}"
-                    )
-                s = draw()
-                syms.append(s)
-                node = node.children.get(s)
-                if node is None:
-                    raise SimulationAbortError(
-                        f"sampled prefix {syms[:16]} can never complete a "
-                        "phrase (dictionary is not ASC for this source)"
-                    )
-                if node.is_word:
-                    break
-            counts[tuple(syms)] += 1
-            n = len(syms)
-            total += n
-            total_sq += n * n
-        return counts, total, total_sq
-    cur = d.cursor()
+def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts):
+    """Add one chunk's worth of phrases to counts."""
+    draw = source.make_sampler(XorShift64Star(stream_seed(seed, chunk_id)))
+    trans, defaults, start = d.transitions, d.defaults, d.start
     for _ in range(n_phrases):
-        cur.reset()
+        state = start
         syms = []
-        while True:
+        # sampled symbols are never negative, so next_entry inlines to a
+        # plain lookup
+        while state >= 0:
             if len(syms) >= step_cap:
                 raise SimulationAbortError(
                     f"phrase exceeded {step_cap} symbols; stuck prefix "
@@ -79,52 +41,21 @@ def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap):
                 )
             s = draw()
             syms.append(s)
-            c = cur.step(s)
-            if c == WORD:
-                break
-            if c == DEAD:
-                raise SimulationAbortError(
-                    f"sampled prefix {syms[:16]} can never complete a "
-                    "phrase (dictionary is not ASC for this source)"
-                )
-        counts[tuple(syms)] += 1
-        n = len(syms)
-        total += n
-        total_sq += n * n
-    return counts, total, total_sq
-
-
-def _sample_phrases(d, source, n_phrases, seed, step_cap, threads):
-    chunks = []
-    start = 0
-    cid = 0
-    while start < n_phrases:
-        size = min(CHUNK_PHRASES, n_phrases - start)
-        chunks.append((cid, size))
-        start += size
-        cid += 1
-    workers = _resolve_threads(threads)
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _sample_chunk(d, source, c[1], seed, c[0], step_cap),
-                    chunks,
-                )
+            state = trans[state].get(s, defaults[state])
+        if state == TO_DEAD:
+            raise SimulationAbortError(
+                f"sampled prefix {syms[:16]} can never complete a "
+                "phrase (dictionary is not ASC for this source)"
             )
-    else:
-        results = [
-            _sample_chunk(d, source, size, seed, cid, step_cap)
-            for cid, size in chunks
-        ]
+        counts[tuple(syms)] += 1
+
+
+def _sample_phrases(d, source, n_phrases, seed, step_cap):
     counts = Counter()
-    total = 0
-    total_sq = 0
-    for c, t, tsq in results:
-        counts.update(c)
-        total += t
-        total_sq += tsq
-    return counts, total, total_sq
+    for cid, begin in enumerate(range(0, n_phrases, CHUNK_PHRASES)):
+        size = min(CHUNK_PHRASES, n_phrases - begin)
+        _sample_chunk(d, source, size, seed, cid, step_cap, counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -182,16 +113,33 @@ def simulate(
 ) -> SimReport:
     """Draw n_phrases complete phrases and report empirical vs theory.
 
-    Deterministic given (dictionary, source, n_phrases, seed). The step
-    cap guards the measure-zero non-terminating path; hitting it (or a
-    dead prefix) raises with the stuck prefix named.
+    Deterministic given (dictionary, source, n_phrases, seed); `threads`
+    is accepted for compatibility and changes nothing. The step cap guards
+    the measure-zero non-terminating path; hitting it (or a dead prefix)
+    raises with the stuck prefix named.
     """
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
-    counts, total, total_sq = _sample_phrases(
-        d, source, n_phrases, seed, step_cap, threads
-    )
-    n = n_phrases
+    counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
+    return report_from_counts(d, source, counts, seed, depth, width)
+
+
+def report_from_counts(
+    d: Dictionary,
+    source: SourceModel,
+    counts,
+    seed: int,
+    depth: int = 64,
+    width: int = 64,
+) -> SimReport:
+    """The SimReport of sampled phrase counts (a word -> count mapping).
+
+    The counts fix the symbol total and the squared-length sum exactly, so
+    a histogram's entries give the same report as the run that drew them.
+    """
+    n = sum(counts.values())
+    total = sum(len(w) * c for w, c in counts.items())
+    total_sq = sum(len(w) ** 2 * c for w, c in counts.items())
     lbar = total / n
     var = (total_sq - n * lbar * lbar) / (n - 1) if n > 1 else 0.0
     stderr = math.sqrt(max(var, 0.0) / n)
@@ -256,11 +204,12 @@ def phrase_histogram(
     """Phrase counts plus a chi-square goodness-of-fit against P(alpha).
 
     Bins are dictionary words with expected count >= 5; everything else
-    (including the unenumerated tail) pools into one bin.
+    (including the unenumerated tail) pools into one bin. The phrases are
+    those simulate draws for the same arguments; `threads` changes nothing.
     """
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
-    counts, _, _ = _sample_phrases(d, source, n_phrases, seed, step_cap, threads)
+    counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     n = n_phrases
     eff_width = width
     if d.alphabet_size is None and source.alphabet_size is not None:

@@ -87,9 +87,6 @@ class SourceModel:
             return self.probs[i]
         return self.p * (1.0 - self.p) ** i
 
-    def max_symbol_prob(self) -> float:
-        return max(self.probs) if self.kind == FINITE else self.p
-
     def entropy(self) -> float:
         """H(P) in bits per symbol.
 

@@ -81,6 +81,12 @@ def test_truncate_matches_brute_force(corpus):
             assert list(truncate(d, m).t_n) == brute_frontier(d, m)
 
 
+def test_truncate_deeper_than_the_recursion_limit(run_length):
+    fs = truncate(run_length, 1500, materialize=False)
+    assert fs.t_n == ((1,) * 1500,)
+    assert len(fs.d_n_words) == 1501
+
+
 def test_extend_examples(complete_dict):
     ext = extend(complete_dict, (0,))
     assert ext.words == ((0, 0), (0, 1), (1, 0), (1, 1))

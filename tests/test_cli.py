@@ -267,6 +267,32 @@ def test_simulate_command(files, capsys):
     assert out.splitlines()[0] == "word,count"
 
 
+def test_simulate_histogram_sim_block_equals_simulate(files, capsys):
+    base = ["simulate", "--dict", files["rl"], "--source", files["biased"],
+            "-n", "6000", "--seed", "11"]
+    code, plain = run_json(capsys, base)
+    assert code == 0
+    code, both = run_json(capsys, base + ["--histogram"])
+    assert code == 0
+    assert both["result"]["sim"] == plain["result"]
+    counts = {tuple(e["word"]): e["count"] for e in both["result"]["histogram"]["entries"]}
+    assert sum(counts.values()) == 6000
+    assert sum(len(w) * c for w, c in counts.items()) == plain["result"]["total_symbols"]
+
+
+def test_verify_underflowing_word_probabilities(files, capsys):
+    # P(b) = p * (1e-6)^b underflows to 0.0 from b = 54, inside the default
+    # width 64; 0 * log2(0) counts as 0, not as a domain error
+    skewed = files["tmp"] / "skewed.json"
+    skewed.write_text(json.dumps({"kind": "geometric", "p": 0.999999}))
+    code, rep = run_json(
+        capsys, ["verify", "--dict", files["he"], "--source", str(skewed)]
+    )
+    assert code == 0
+    assert rep["result"]["verdict"] == "pass"
+    assert rep["result"]["residual"] < 1e-15
+
+
 def test_simulate_dead_dictionary_fails(files, capsys):
     code = cli.main(
         ["simulate", "--dict", files["zero"], "--source", files["fair"], "-n", "10"]

@@ -268,3 +268,13 @@ def test_monotone_sandwich_truncations(fair, run_length):
         )
         assert partial <= row.h + 1e-12
         assert row.h <= full.entropy.high + 1e-12
+
+
+def test_underflowing_tail_words_add_no_entropy(fair):
+    # {1, 01, 001, ..., 0^1099 1, 0^1100}: the longest words have
+    # probability 2^-1100, which underflows to 0.0
+    comb = FiniteDictionary(2, [(0,) * j + (1,) for j in range(1100)] + [(0,) * 1100])
+    pm = phrase_measures(comb, fair, depth=64)
+    assert pm.tails_exact
+    assert pm.length.low == pytest.approx(2.0, rel=1e-12)
+    assert pm.entropy.low == pytest.approx(2.0, rel=1e-12)
