@@ -12,6 +12,17 @@ Bitstream layout (bit-exact):
 
 The remainder carries the trailing suffix the parser could not complete,
 so every finite stream round-trips exactly.
+
+Bits move as '0'/'1' strings, never one call per bit. encode joins the
+fields and the phrases' codewords into one string and packs it with a
+single int conversion. decode unpacks the input into one string, reads
+each phrase by looking up the slices at the codebook's distinct codeword
+lengths, shortest first (a prefix-free code matches at most one), and
+reads varints and remainder symbols as slices. Decode work is bounded by
+the input length: a phrase count above the bits left, a remainder wider
+than the bits left, or (over a unary alphabet, at 0 bits per symbol) a
+remainder as long as the one dictionary word raises CorruptBitstreamError
+before any symbol is produced.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from .errors import CorruptBitstreamError, UnsupportedOperationError
 from .source import SourceModel, Word, canon_key, sort_words
 
 MAGIC = 0x56
+_MAGIC_BITS = format(MAGIC, "08b")
 
 PROB_SUM_TOL = 1e-9
 
@@ -195,71 +207,43 @@ def symbol_bit_width(alphabet_size: int) -> int:
     return (alphabet_size - 1).bit_length()
 
 
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write_uint(self, value: int, width: int):
-        for shift in range(width - 1, -1, -1):
-            self.acc = (self.acc << 1) | ((value >> shift) & 1)
-            self.nbits += 1
-            if self.nbits == 8:
-                self.buf.append(self.acc)
-                self.acc = 0
-                self.nbits = 0
-
-    def write_code(self, code: str):
-        for b in code:
-            self.write_uint(b == "1", 1)
-
-    def write_varint(self, value: int):
-        while value >= 0x80:
-            self.write_uint((value & 0x7F) | 0x80, 8)
-            value >>= 7
-        self.write_uint(value, 8)
-
-    def getvalue(self) -> bytes:
-        if self.nbits:
-            self.buf.append(self.acc << (8 - self.nbits))
-            self.acc = 0
-            self.nbits = 0
-        return bytes(self.buf)
+def bytes_to_bits(data: bytes) -> str:
+    """The bytes as a '0'/'1' string, MSB first, 8 characters per byte."""
+    if not data:
+        return ""
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
 
 
-class _BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.total = 8 * len(data)
+def bits_to_bytes(bits: str) -> bytes:
+    """Pack a '0'/'1' string MSB first, zero-padded to whole bytes."""
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
 
-    def read_uint(self, width: int) -> int:
-        if self.pos + width > self.total:
-            raise CorruptBitstreamError("unexpected end of stream", self.pos)
-        value = 0
-        pos = self.pos
-        data = self.data
-        for _ in range(width):
-            value = (value << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self.pos = pos
-        return value
 
-    def read_varint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            byte = self.read_uint(8)
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise CorruptBitstreamError("varint too long", self.pos)
+def _varint_bits(value: int) -> str:
+    out = []
+    while value >= 0x80:
+        out.append(format((value & 0x7F) | 0x80, "08b"))
+        value >>= 7
+    out.append(format(value, "08b"))
+    return "".join(out)
 
-    def remaining(self) -> int:
-        return self.total - self.pos
+
+def _read_varint(bits: str, pos: int) -> tuple:
+    """LEB128 value starting at bit pos; returns (value, next pos)."""
+    value = 0
+    shift = 0
+    while True:
+        if pos + 8 > len(bits):
+            raise CorruptBitstreamError("unexpected end of stream", pos)
+        byte = int(bits[pos : pos + 8], 2)
+        pos += 8
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise CorruptBitstreamError("varint too long", pos)
 
 
 def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
@@ -272,63 +256,79 @@ def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
         raise ValueError("codebook phrases do not match the dictionary words")
     seq = list(stream)
     k = d.alphabet_size
-    for s in seq:
-        if not (0 <= s < k):
-            raise ValueError(f"stream symbol {s} outside alphabet of size {k}")
+    if seq and not (0 <= min(seq) and max(seq) < k):
+        bad = next(s for s in seq if not (0 <= s < k))
+        raise ValueError(f"stream symbol {bad} outside alphabet of size {k}")
     phrases, remainder = parse(d, seq)
-    enc = cb._encode_map()
-    w = _BitWriter()
-    w.write_uint(MAGIC, 8)
-    w.write_varint(len(phrases))
-    for ph in phrases:
-        w.write_code(enc[ph])
-    w.write_varint(len(remainder))
     width = symbol_bit_width(k)
-    for s in remainder:
-        w.write_uint(s, width)
-    return w.getvalue()
+    bits = "".join((
+        _MAGIC_BITS,
+        _varint_bits(len(phrases)),
+        "".join(map(cb._encode_map().__getitem__, phrases)),
+        _varint_bits(len(remainder)),
+        "".join(format(s, f"0{width}b") for s in remainder) if width else "",
+    ))
+    return bits_to_bytes(bits)
 
 
 def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
     """Exact inverse of encode for the same (dictionary, codebook)."""
     if set(cb.phrases) != d.word_set:
         raise ValueError("codebook phrases do not match the dictionary words")
-    r = _BitReader(data)
-    if r.read_uint(8) != MAGIC:
+    bits = bytes_to_bits(data)
+    total = len(bits)
+    if total < 8:
+        raise CorruptBitstreamError("unexpected end of stream", 0)
+    if bits[:8] != _MAGIC_BITS:
         raise CorruptBitstreamError("bad magic byte", 0)
-    n_phrases = r.read_varint()
+    n_phrases, pos = _read_varint(bits, 8)
+    if n_phrases > total - pos:
+        # every codeword is at least one bit long
+        raise CorruptBitstreamError(
+            f"phrase count {n_phrases} exceeds the {total - pos} bits left", pos
+        )
 
-    table = {}
-    for ph, code in zip(cb.phrases, cb.codewords):
-        node = table
-        for b in code[:-1]:
-            node = node.setdefault(b, {})
-            if not isinstance(node, dict):
-                raise CorruptBitstreamError("codebook trie corrupted", r.pos)
-        node[code[-1]] = ph
-
+    # prefix-freeness leaves at most one codeword that starts at pos
+    phrase_of = dict(zip(cb.codewords, cb.phrases))
+    lengths = sorted({len(c) for c in cb.codewords})
     out = []
     for _ in range(n_phrases):
-        node = table
-        while True:
-            bit = "1" if r.read_uint(1) else "0"
-            nxt = node.get(bit)
-            if nxt is None:
-                raise CorruptBitstreamError("bits match no codeword", r.pos)
-            if isinstance(nxt, dict):
-                node = nxt
-                continue
-            out.extend(nxt)
-            break
-    rem_len = r.read_varint()
-    width = symbol_bit_width(d.alphabet_size)
-    for _ in range(rem_len):
-        s = r.read_uint(width)
-        if s >= d.alphabet_size:
-            raise CorruptBitstreamError(f"remainder symbol {s} out of range", r.pos)
-        out.append(s)
-    if r.remaining() >= 8:
-        raise CorruptBitstreamError("dangling bytes after padding", r.pos)
-    if r.remaining() and r.read_uint(r.remaining()) != 0:
-        raise CorruptBitstreamError("nonzero padding bits", r.pos)
+        for n in lengths:
+            ph = phrase_of.get(bits[pos : pos + n])
+            if ph is not None:
+                break
+        else:
+            if total - pos < lengths[-1]:
+                raise CorruptBitstreamError("unexpected end of stream", pos)
+            raise CorruptBitstreamError("bits match no codeword", pos)
+        out.extend(ph)
+        pos += n
+
+    rem_len, pos = _read_varint(bits, pos)
+    k = d.alphabet_size
+    width = symbol_bit_width(k)
+    end = pos + rem_len * width
+    if end > total:
+        raise CorruptBitstreamError("unexpected end of stream", pos)
+    if width:
+        syms = [int(bits[i : i + width], 2) for i in range(pos, end, width)]
+        if syms and max(syms) >= k:
+            i = next(i for i, s in enumerate(syms) if s >= k)
+            raise CorruptBitstreamError(
+                f"remainder symbol {syms[i]} out of range", pos + (i + 1) * width
+            )
+        out.extend(syms)
+    elif rem_len >= d.max_word_length():
+        # over a unary alphabet the dictionary is one word and the
+        # remainder a proper prefix of it
+        raise CorruptBitstreamError(
+            f"remainder length {rem_len} reaches the dictionary word length", pos
+        )
+    else:
+        out.extend([0] * rem_len)
+    pos = end
+    if total - pos >= 8:
+        raise CorruptBitstreamError("dangling bytes after padding", pos)
+    if "1" in bits[pos:]:
+        raise CorruptBitstreamError("nonzero padding bits", pos)
     return out

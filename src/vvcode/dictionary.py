@@ -503,7 +503,8 @@ class ExtendedDictionary(Dictionary):
         self._check_width(width)
         la = len(self.alpha)
         pa = source.word_prob(self.alpha)
-        surprisal_a = -math.log2(pa)
+        # an underflowed P(alpha) weighs its surprisal by 0: 0 * log 0 = 0
+        surprisal_a = -math.log2(pa) if pa > 0.0 else 0.0
         if la > depth:
             bt = bt.shifted(-pa, -pa * la, -pa * surprisal_a)
         if la + 1 > depth:

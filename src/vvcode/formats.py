@@ -31,7 +31,7 @@ import json
 import math
 import os
 
-from .codec import PhraseCodebook
+from .codec import PhraseCodebook, bits_to_bytes, bytes_to_bits
 from .dictionary import (
     AlphabetDictionary,
     Dictionary,
@@ -202,12 +202,7 @@ def write_stream_text(path, symbols):
 def read_bit_stream(path) -> list:
     """Raw bit file: every byte unpacks to 8 symbols, MSB first."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    out = []
-    for byte in data:
-        for shift in range(7, -1, -1):
-            out.append((byte >> shift) & 1)
-    return out
+        return list(map(int, bytes_to_bits(fh.read())))
 
 
 def write_bit_stream(path, symbols):
@@ -216,20 +211,8 @@ def write_bit_stream(path, symbols):
         raise InputFormatError(
             f"raw bit output needs binary symbols; saw {bad[0]}"
         )
-    buf = bytearray()
-    acc = 0
-    nbits = 0
-    for s in symbols:
-        acc = (acc << 1) | s
-        nbits += 1
-        if nbits == 8:
-            buf.append(acc)
-            acc = 0
-            nbits = 0
-    if nbits:
-        buf.append(acc << (8 - nbits))
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(bits_to_bytes("".join(map("01".__getitem__, symbols))))
 
 
 MEASURE_CSV_COLUMNS = [

@@ -293,6 +293,21 @@ def test_verify_underflowing_word_probabilities(files, capsys):
     assert rep["result"]["residual"] < 1e-15
 
 
+def test_verify_extension_of_underflowing_word(files, capsys):
+    # head_extension(60): P(60) underflows to 0.0 under p = 0.999999
+    skewed = files["tmp"] / "skewed.json"
+    skewed.write_text(json.dumps({"kind": "geometric", "p": 0.999999}))
+    he60 = files["tmp"] / "he60.json"
+    he60.write_text(
+        json.dumps({"kind": "lazy", "family": "head_extension", "head": 60})
+    )
+    code, rep = run_json(
+        capsys, ["verify", "--dict", str(he60), "--source", str(skewed)]
+    )
+    assert code == 0
+    assert rep["result"]["verdict"] == "pass"
+
+
 def test_simulate_dead_dictionary_fails(files, capsys):
     code = cli.main(
         ["simulate", "--dict", files["zero"], "--source", files["fair"], "-n", "10"]

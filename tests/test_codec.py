@@ -25,6 +25,84 @@ from vvcode import (
 from vvcode.errors import CorruptBitstreamError, UnsupportedOperationError
 
 
+def spec_encode(d, cb, stream) -> bytes:
+    """The bitstream layout, written out from the codec module docstring.
+
+    Greedy parse by prefix lookup, then every field appended to one big
+    integer: magic byte, LEB128 phrase count, codewords, LEB128 remainder
+    length, remainder symbols at ceil(log2 k) bits each, zero padding.
+    """
+    code_of = dict(zip(cb.phrases, cb.codewords))
+    prefixes = {w[:i] for w in code_of for i in range(1, len(w))}
+    codes, cur, start = [], (), 0
+    for i, s in enumerate(stream):
+        cur += (s,)
+        if cur in code_of:
+            codes.append(code_of[cur])
+            cur, start = (), i + 1
+        elif cur not in prefixes:
+            break
+    remainder = stream[start:]
+
+    acc, nbits = 0, 0
+
+    def put(value, width):
+        nonlocal acc, nbits
+        acc = (acc << width) | value
+        nbits += width
+
+    def put_varint(value):
+        while True:
+            low, value = value & 0x7F, value >> 7
+            put(low | (0x80 if value else 0), 8)
+            if not value:
+                return
+
+    put(0x56, 8)
+    put_varint(len(codes))
+    for c in codes:
+        put(int(c, 2), len(c))
+    put_varint(len(remainder))
+    width = (d.alphabet_size - 1).bit_length()
+    for s in remainder:
+        put(s, width)
+    pad = -nbits % 8
+    return (acc << pad).to_bytes((nbits + pad) // 8, "big")
+
+
+def _huffman_case(source, size):
+    d = tunstall_build(source, size)
+    return d, huffman_build([(w, source.word_prob(w)) for w in d.words]), source
+
+
+def _fixed_case(source, size):
+    d = tunstall_build(source, size)
+    return d, fixed_codebook(d.words), source
+
+
+def _incomplete_case():
+    d = FiniteDictionary(2, [(0,), (1, 0)])  # 11 is dead
+    return d, fixed_codebook(d.words), SourceModel.fair_bit()
+
+
+UNARY = FiniteDictionary(1, [(0, 0, 0)])
+
+
+def _unary_case():
+    return UNARY, fixed_codebook(UNARY.words), SourceModel.finite([1.0])
+
+
+LAYOUT_CASES = {
+    "huffman_biased_16": lambda: _huffman_case(SourceModel.finite([0.9, 0.1]), 16),
+    "huffman_biased_256": lambda: _huffman_case(SourceModel.finite([0.9, 0.1]), 256),
+    "fixed_biased_64": lambda: _fixed_case(SourceModel.finite([0.9, 0.1]), 64),
+    "huffman_ternary": lambda: _huffman_case(SourceModel.finite([0.5, 0.3, 0.2]), 9),
+    "fixed_ternary": lambda: _fixed_case(SourceModel.finite([0.5, 0.3, 0.2]), 27),
+    "incomplete": _incomplete_case,
+    "unary": _unary_case,
+}
+
+
 def dyadic_codebook():
     return PhraseCodebook.from_pairs(
         [((0,), "0"), ((1, 0), "10"), ((1, 1), "11")]
@@ -212,3 +290,83 @@ def test_measured_rate_near_entropy(biased):
     rate = bits / symbols
     h_p = biased.entropy()
     assert h_p - 0.02 < rate < h_p + 0.2
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_encode_matches_spec_encoder(case):
+    d, cb, source = LAYOUT_CASES[case]()
+    rng = make_rng(7)
+    for length in [0, 1, 2, 3, 5, 8, 13, 64, 1000, 5000]:
+        stream = source.sample_stream(rng.next_u64(), length)
+        data = encode(d, cb, stream)
+        assert data == spec_encode(d, cb, stream), (case, length)
+        assert decode(d, cb, data) == stream
+
+
+def test_spec_encoder_pins_worked_example(complete_dict):
+    # 0|11 parses to codewords 0, 11: magic, varint 2, bits 011, varint 0
+    assert spec_encode(complete_dict, dyadic_codebook(), [0, 1, 1]) == bytes(
+        [0x56, 0x02, 0b01100000, 0b00000000]
+    )
+
+
+def test_decode_unary_remainder_is_bounded():
+    # varint remainder length 300000 at 0 bits per symbol: the only word
+    # is 000, so a real remainder is shorter than 3 symbols
+    cb = fixed_codebook(UNARY.words)
+    with pytest.raises(CorruptBitstreamError):
+        decode(UNARY, cb, bytes.fromhex("5600e0a712"))
+
+
+def test_decode_huge_unary_remainder_fails_fast():
+    # varint 2^40: a decoder that trusts it would never finish
+    cb = fixed_codebook(UNARY.words)
+    with pytest.raises(CorruptBitstreamError):
+        decode(UNARY, cb, bytes.fromhex("56008080808080" "20"))
+    assert decode(UNARY, cb, bytes.fromhex("560002")) == [0, 0]
+
+
+def test_decode_counts_are_checked_against_the_input_length(complete_dict):
+    cb = dyadic_codebook()
+    # phrase count 2^40 with 8 bits left: rejected right after the varint
+    with pytest.raises(CorruptBitstreamError) as exc:
+        decode(complete_dict, cb, bytes.fromhex("56" "8080808080" "20" "00"))
+    assert exc.value.bit_offset == 56
+    # remainder length 2^40 at 1 bit per symbol: rejected after its varint
+    with pytest.raises(CorruptBitstreamError) as exc:
+        decode(complete_dict, cb, bytes.fromhex("5600" "8080808080" "20"))
+    assert exc.value.bit_offset == 64
+
+
+FUZZ_CASES = ["huffman_biased_16", "fixed_ternary", "incomplete", "unary"]
+
+
+def _decodes_or_reports_corruption(d, cb, data):
+    try:
+        out = decode(d, cb, data)
+    except CorruptBitstreamError:
+        return
+    assert isinstance(out, list)
+
+
+@pytest.mark.parametrize("case", FUZZ_CASES)
+@given(data=st.binary(max_size=64))
+@settings(max_examples=150, deadline=None)
+def test_decode_fuzz_arbitrary_bytes(case, data):
+    d, cb, _ = LAYOUT_CASES[case]()
+    _decodes_or_reports_corruption(d, cb, data)
+    _decodes_or_reports_corruption(d, cb, b"\x56" + data)
+
+
+@pytest.mark.parametrize("case", FUZZ_CASES)
+@given(seed=st.integers(0, 2**32), length=st.integers(0, 300),
+       flip=st.integers(0, 2**16), cut=st.integers(0, 2**16),
+       tail=st.binary(min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_decode_fuzz_damaged_streams(case, seed, length, flip, cut, tail):
+    d, cb, source = LAYOUT_CASES[case]()
+    good = encode(d, cb, source.sample_stream(seed, length))
+    flipped = bytearray(good)
+    flipped[(flip >> 3) % len(good)] ^= 1 << (flip & 7)
+    for data in (bytes(flipped), good[: cut % len(good)], good + tail):
+        _decodes_or_reports_corruption(d, cb, data)

@@ -278,3 +278,13 @@ def test_underflowing_tail_words_add_no_entropy(fair):
     assert pm.tails_exact
     assert pm.length.low == pytest.approx(2.0, rel=1e-12)
     assert pm.entropy.low == pytest.approx(2.0, rel=1e-12)
+
+
+def test_extension_of_underflowing_word_adds_no_surprisal():
+    # P(60) = p * (1e-6)^60 underflows to 0.0, so -log2 P(alpha) is taken
+    # as weighed by 0 (0 * log 0 = 0) rather than as a domain error
+    skewed = SourceModel.geometric(0.999999)
+    assert skewed.word_prob((60,)) == 0.0
+    report = check_conservation(head_extension(60), skewed)
+    assert report.verdict == "pass"
+    assert report.residual < 1e-15
