@@ -547,6 +547,18 @@ def parse(d: Dictionary, stream):
     everything from the first position where no member can ever match.
     """
     seq = stream if isinstance(stream, (list, tuple)) else list(stream)
+    phrases, begin, _ = walk(d, seq)
+    return phrases, tuple(seq[begin:])
+
+
+def walk(d: Dictionary, seq):
+    """The automaton walk behind parse and the sampler: (phrases, begin, dead).
+
+    phrases are the words read greedily from the list or tuple seq, begin
+    is where the pending phrase starts, and dead is the index of the symbol
+    that made it DEAD (the walk stops there), or -1 if the walk read all of
+    seq.
+    """
     trans, defaults, start = d.transitions, d.defaults, d.start
     phrases = []
     state = start
@@ -557,11 +569,11 @@ def parse(d: Dictionary, stream):
         state = trans[state].get(sym, defaults[state])
         if state < 0:
             if state == TO_DEAD or sym < 0:
-                break
+                return phrases, begin, i
             phrases.append(tuple(seq[begin : i + 1]))
             begin = i + 1
             state = start
-    return phrases, tuple(seq[begin:])
+    return phrases, begin, -1
 
 
 def is_proper(d, depth: int = 32, max_symbol: int | None = None) -> bool:

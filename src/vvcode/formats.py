@@ -12,6 +12,11 @@ Codebook spec:    {"phrases": [[...], ...], "codewords": ["0101", ...]}.
 Stream text:      whitespace-separated symbol indices; raw bit files unpack
                   each byte MSB-first (binary alphabets only).
 
+A vvcode report whose "result" is one of these specs (the output of
+`tunstall`, `extend` or `codebook`) loads as that spec. A spec that fails
+validation raises InputFormatError, or ImproperDictionaryError for a word
+set that is not prefix-free.
+
 CSV column orders (stable for spreadsheet diffing):
 
     measure report: verdict, residual, h_d_low, h_d_high, lbar_low,
@@ -30,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain
 
 from .codec import PhraseCodebook, bits_to_bytes, bytes_to_bits
 from .dictionary import (
@@ -40,7 +46,11 @@ from .dictionary import (
     RunLengthDictionary,
     head_extension,
 )
-from .errors import InputFormatError, UnsupportedOperationError
+from .errors import (
+    ImproperDictionaryError,
+    InputFormatError,
+    UnsupportedOperationError,
+)
 from .simulation import HistogramReport
 from .source import SourceModel, Word
 
@@ -51,14 +61,49 @@ def load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _as_obj(spec):
-    if isinstance(spec, (str, os.PathLike)):
-        return load_json_file(spec)
-    return spec
+    """The spec object of a path or an object, out of its report envelope."""
+    obj = load_json_file(spec) if isinstance(spec, (str, os.PathLike)) else spec
+    if (
+        isinstance(obj, dict)
+        and obj.get("tool") == "vvcode"
+        and isinstance(obj.get("result"), dict)
+    ):
+        return obj["result"]
+    return obj
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _as_float(x, what):
+    """A JSON number or decimal string as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise InputFormatError(f"bad {what} {x!r}: not a number")
+    try:
+        return float(x)
+    except (ValueError, OverflowError) as exc:
+        raise InputFormatError(f"bad {what} {x!r}: {exc}") from exc
+
+
+def _as_words(words, what):
+    """The words of a list as tuples; each must be a list of integers."""
+
+    def symbols_ok(ws):  # type() sets run at C speed; bools are not ints
+        return set(map(type, chain.from_iterable(ws))) <= {int}
+
+    if set(map(type, words)) <= {list, tuple} and symbols_ok(words):
+        return [tuple(w) for w in words]
+    bad = next(
+        w for w in words if type(w) not in (list, tuple) or not symbols_ok([w])
+    )
+    raise InputFormatError(f"{what} {bad!r} is not a list of integer symbols")
 
 
 def load_source(spec) -> SourceModel:
@@ -71,12 +116,12 @@ def load_source(spec) -> SourceModel:
         raw = obj.get("probs")
         if not isinstance(raw, list) or not raw:
             raise InputFormatError("finite source needs a nonempty 'probs' list")
+        probs = [_as_float(x, "probability value") for x in raw]
         try:
-            probs = [float(x) for x in raw]
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"bad probability value: {exc}") from exc
-        total = math.fsum(probs)
-        if abs(total - 1.0) > LOADER_SUM_TOL:
+            total = math.fsum(probs)
+        except (OverflowError, ValueError) as exc:
+            raise InputFormatError(f"probabilities do not sum: {exc}") from exc
+        if not abs(total - 1.0) <= LOADER_SUM_TOL:  # NaN fails too
             raise InputFormatError(
                 f"probabilities sum to {total!r}; |sum-1| exceeds {LOADER_SUM_TOL}"
             )
@@ -86,9 +131,10 @@ def load_source(spec) -> SourceModel:
         except ValueError as exc:
             raise InputFormatError(str(exc)) from exc
     if kind == "geometric":
+        p = _as_float(obj.get("p"), "geometric parameter")
         try:
-            return SourceModel.geometric(float(obj.get("p")))
-        except (TypeError, ValueError) as exc:
+            return SourceModel.geometric(p)
+        except ValueError as exc:
             raise InputFormatError(f"bad geometric parameter: {exc}") from exc
     raise InputFormatError(f"unknown source kind {kind!r}")
 
@@ -107,20 +153,23 @@ def load_dictionary(spec) -> Dictionary:
     if kind == "finite":
         k = obj.get("alphabet_size")
         words = obj.get("words")
-        if not isinstance(k, int) or not isinstance(words, list):
+        if not _is_int(k) or not isinstance(words, list):
             raise InputFormatError(
                 "finite dictionary needs integer 'alphabet_size' and a 'words' list"
             )
+        words = _as_words(words, "word")
         try:
-            return FiniteDictionary(k, [tuple(w) for w in words])
-        except TypeError as exc:
-            raise InputFormatError(f"bad word list: {exc}") from exc
+            return FiniteDictionary(k, words)
+        except ImproperDictionaryError:
+            raise
+        except ValueError as exc:
+            raise InputFormatError(f"bad dictionary: {exc}") from exc
     if kind == "lazy":
         if family == "run_length":
             return RunLengthDictionary()
         if family == "head_extension":
             head = obj.get("head", 0)
-            if not isinstance(head, int) or head < 0:
+            if not _is_int(head) or head < 0:
                 raise InputFormatError("head_extension needs a non-negative 'head'")
             return head_extension(head)
         raise InputFormatError(f"unknown lazy family {family!r}")
@@ -156,11 +205,12 @@ def load_codebook(spec) -> PhraseCodebook:
         raise InputFormatError("codebook needs 'phrases' and 'codewords' lists")
     if len(obj["phrases"]) != len(obj["codewords"]):
         raise InputFormatError("codebook phrase/codeword counts differ")
+    phrases = _as_words(obj["phrases"], "phrase")
+    if not set(map(type, obj["codewords"])) <= {str}:
+        raise InputFormatError("codewords must be strings of 0s and 1s")
     try:
-        return PhraseCodebook.from_pairs(zip(
-            (tuple(w) for w in obj["phrases"]), obj["codewords"]
-        ))
-    except (TypeError, ValueError) as exc:
+        return PhraseCodebook.from_pairs(zip(phrases, obj["codewords"]))
+    except ValueError as exc:
         raise InputFormatError(f"bad codebook: {exc}") from exc
 
 

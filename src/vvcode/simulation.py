@@ -1,11 +1,14 @@
-"""Monte Carlo validation: sample phrase-by-phrase and compare the
-empirical phrase distribution, average length and entropy with theory.
+"""Monte Carlo validation: sample phrases and compare the empirical phrase
+distribution, average length and entropy with theory.
 
 Sampling is chunked: phrases [c*4096, (c+1)*4096) always come from RNG
 sub-stream c of the base seed, and chunk counts merge in chunk order, so
-a run is bit-identical for a given seed. Sampling runs on one thread: the
-interpreter lock serialises the pure-Python walk, so threads cannot speed
-it up.
+a run is bit-identical for a given seed. A chunk's phrases are the first
+ones of parse(d, sample_stream(stream_seed(seed, c), ...)): symbols are
+drawn in numpy blocks (``SourceModel.sample_block``) and segmented by the
+automaton walk that ``parse`` runs (``dictionary.walk``). Sampling runs on
+one thread: the interpreter lock serialises the walk, so threads cannot
+speed it up.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .dictionary import TO_DEAD, Dictionary
+from .dictionary import Dictionary, walk
 from .errors import SimulationAbortError
 from .measures import phrase_measures
 from .rng import XorShift64Star, stream_seed
@@ -24,37 +27,71 @@ CHUNK_PHRASES = 4096
 DEFAULT_STEP_CAP = 10**6
 
 
-def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts):
-    """Add one chunk's worth of phrases to counts."""
-    draw = source.make_sampler(XorShift64Star(stream_seed(seed, chunk_id)))
-    trans, defaults, start = d.transitions, d.defaults, d.start
-    for _ in range(n_phrases):
-        state = start
-        syms = []
-        # sampled symbols are never negative, so next_entry inlines to a
-        # plain lookup
-        while state >= 0:
-            if len(syms) >= step_cap:
-                raise SimulationAbortError(
-                    f"phrase exceeded {step_cap} symbols; stuck prefix "
-                    f"starts {syms[:16]}"
-                )
-            s = draw()
-            syms.append(s)
-            state = trans[state].get(s, defaults[state])
-        if state == TO_DEAD:
+def _step_cap_error(step_cap, prefix):
+    """The abort of a phrase-by-phrase draw, which stops a phrase before
+    drawing symbol step_cap + 1 and names up to 16 of the step_cap drawn."""
+    shown = prefix[: min(16, max(step_cap, 0))]
+    return SimulationAbortError(
+        f"phrase exceeded {step_cap} symbols; stuck prefix starts {shown}"
+    )
+
+
+def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts, per):
+    """Add one chunk's worth of phrases to counts; return the symbols per
+    phrase seen, which sizes the next chunk's first block.
+
+    The phrases are the first n_phrases of walk(d, sample_stream(chunk
+    seed, ...)): blocks of symbols are drawn and walked, and the pending
+    phrase's symbols are walked again at the front of the next block. The
+    aborts are those of a phrase-by-phrase draw: a phrase that needs more
+    than step_cap symbols, or a DEAD prefix, whichever the stream reaches
+    first.
+    """
+    state = XorShift64Star(stream_seed(seed, chunk_id)).state
+    need = n_phrases
+    pending = []
+    while True:
+        if per is None:
+            size = need  # a phrase has at least one symbol
+        else:
+            # the phrases still needed, plus a margin of four standard
+            # deviations of a Poisson count, so one block usually suffices
+            size = int(need * per + 4 * math.sqrt(need * per)) + 1
+        # no block shorter than the pending phrase, so walking it again
+        # costs no more than the blocks do
+        block, state = source.sample_block(state, max(size, len(pending)))
+        seq = pending + block
+        phrases, begin, dead = walk(d, seq)
+        if phrases:
+            per = begin / len(phrases)
+        del phrases[need:]
+        if len(seq) > step_cap:
+            for phrase in phrases:
+                if len(phrase) > step_cap:
+                    raise _step_cap_error(step_cap, list(phrase))
+        counts.update(phrases)
+        need -= len(phrases)
+        if not need:
+            return per
+        pending = seq[begin:]
+        if dead >= 0:
+            prefix = seq[begin : dead + 1]
+            if len(prefix) > step_cap:
+                raise _step_cap_error(step_cap, prefix)
             raise SimulationAbortError(
-                f"sampled prefix {syms[:16]} can never complete a "
+                f"sampled prefix {prefix[:16]} can never complete a "
                 "phrase (dictionary is not ASC for this source)"
             )
-        counts[tuple(syms)] += 1
+        if len(pending) >= step_cap:
+            raise _step_cap_error(step_cap, pending)
 
 
 def _sample_phrases(d, source, n_phrases, seed, step_cap):
     counts = Counter()
+    per = None
     for cid, begin in enumerate(range(0, n_phrases, CHUNK_PHRASES)):
         size = min(CHUNK_PHRASES, n_phrases - begin)
-        _sample_chunk(d, source, size, seed, cid, step_cap, counts)
+        per = _sample_chunk(d, source, size, seed, cid, step_cap, counts, per)
     return counts
 
 

@@ -8,11 +8,11 @@ word and has probability 1. All logs are base 2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Tuple
 
-from .rng import XorShift64Star
+from .rng import XorShift64Star, float_block
 
 Word = Tuple[int, ...]
 
@@ -148,37 +148,22 @@ class SourceModel:
         """
         if n < 0:
             raise ValueError("sample count must be >= 0")
-        rng = XorShift64Star(seed)
-        draw = self.make_sampler(rng)
-        return [draw() for _ in range(n)]
+        return self.sample_block(XorShift64Star(seed).state, n)[0]
 
-    def make_sampler(self, rng: XorShift64Star) -> Callable[[], int]:
-        """Bind an incremental symbol sampler to ``rng`` (one draw per call)."""
-        nf = rng.next_float
+    def sample_block(self, state: int, n: int):
+        """(symbols, state): the next n draws of sample_stream's rule from an
+        XorShift64Star at ``state``, and the generator state after them."""
+        import numpy as np
+
+        u, state = float_block(state, n)
         if self.kind == GEOMETRIC:
+            # math.log1p: np.log1p differs from it in the last bit on some u
             log_q = math.log1p(-self.p)
-
-            def draw_geometric() -> int:
-                return int(math.log1p(-nf()) / log_q)
-
-            return draw_geometric
+            return [int(math.log1p(-x) / log_q) for x in u.tolist()], state
         if len(self.probs) == 2:
-            p0 = self.probs[0]
-
-            def draw_bit() -> int:
-                return 0 if nf() < p0 else 1
-
-            return draw_bit
-        cum = []
-        acc = 0.0
-        for q in self.probs:
-            acc += q
-            cum.append(acc)
+            return (u >= self.probs[0]).view(np.uint8).tolist(), state
+        cum = list(itertools.accumulate(self.probs))
         cum[-1] = 1.0
-        top = len(cum) - 1
-
-        def draw_finite() -> int:
-            i = bisect_right(cum, nf())
-            return i if i <= top else top
-
-        return draw_finite
+        # side="right" is bisect_right; u < 1 = cum[-1], so no index passes
+        # the last symbol and needs no clip
+        return np.searchsorted(cum, u, side="right").tolist(), state

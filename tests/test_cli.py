@@ -1,8 +1,12 @@
 """CLI surface: exit codes, report envelopes, file formats, round-trips."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vvcode import cli
 from vvcode.formats import (
@@ -17,7 +21,7 @@ from vvcode.formats import (
     write_bit_stream,
     write_stream_text,
 )
-from vvcode.errors import ImproperDictionaryError, InputFormatError
+from vvcode.errors import ImproperDictionaryError, InputFormatError, VVCodeError
 
 
 @pytest.fixture
@@ -419,3 +423,156 @@ def test_shipped_fixtures_load_and_verify(capsys):
     )
     capsys.readouterr()
     assert code == 0
+
+
+# -- typed loader errors and report envelopes --------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "finite", "alphabet_size": 2, "words": [[0, 5]]},
+    {"kind": "finite", "alphabet_size": 2, "words": [[0], [0]]},
+    {"kind": "finite", "alphabet_size": 2, "words": [[]]},
+    {"kind": "finite", "alphabet_size": 2, "words": []},
+    {"kind": "finite", "alphabet_size": -1, "words": [[0]]},
+    {"kind": "finite", "alphabet_size": True, "words": [[0]]},
+    {"kind": "finite", "alphabet_size": 2, "words": [[0.5]]},
+    {"kind": "finite", "alphabet_size": 2, "words": [[True], [False]]},
+    {"kind": "finite", "alphabet_size": 2, "words": ["01"]},
+    {"kind": "lazy", "family": "head_extension", "head": True},
+], ids=["out-of-range", "duplicate", "empty-word", "no-words", "negative-k",
+        "bool-k", "float-symbol", "bool-symbols", "string-word", "bool-head"])
+def test_dictionary_loader_rejects_with_input_format_error(spec):
+    with pytest.raises(InputFormatError):
+        load_dictionary(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "finite", "probs": [1e308, 1e308]},
+    {"kind": "finite", "probs": ["inf", "-inf"]},
+    {"kind": "finite", "probs": ["nan", "nan"]},
+    {"kind": "finite", "probs": [10**400]},
+    {"kind": "finite", "probs": [True]},
+    {"kind": "finite", "probs": [[0.5], [0.5]]},
+    {"kind": "geometric", "p": 10**400},
+    {"kind": "geometric", "p": None},
+    {"kind": "geometric", "p": True},
+], ids=["overflow-sum", "inf-minus-inf", "nan", "huge-int", "bool", "nested",
+        "huge-p", "missing-p", "bool-p"])
+def test_source_loader_rejects_with_input_format_error(spec):
+    with pytest.raises(InputFormatError):
+        load_source(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"phrases": [[0.5]], "codewords": ["0"]},
+    {"phrases": [[0], [1]], "codewords": [0, 1]},
+    {"phrases": [{"a": 1}], "codewords": ["0"]},
+    {"phrases": [[0], [1]], "codewords": ["0", "0"]},
+])
+def test_codebook_loader_rejects_with_input_format_error(spec):
+    with pytest.raises(InputFormatError):
+        load_codebook(spec)
+
+
+def test_measure_of_overflowing_source_is_usage_error(files, capsys):
+    path = files["tmp"] / "huge.json"
+    path.write_text('{"kind": "finite", "probs": [1e308, 1e308]}')
+    code = cli.main(["measure", "--dict", files["complete"], "--source", str(path)])
+    assert code == 2
+    assert "vvcode:" in capsys.readouterr().err
+
+
+def test_invalid_utf8_json_is_input_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(InputFormatError):
+        load_source(str(path))
+
+
+def test_loaders_unwrap_report_envelopes(complete_dict):
+    def envelope(result):
+        return {"format_version": 1, "tool": "vvcode", "config": {}, "result": result}
+
+    d = load_dictionary(envelope(save_dictionary(complete_dict)))
+    assert d.words == complete_dict.words
+    cb = load_codebook(envelope({"phrases": [[0], [1]], "codewords": ["0", "1"]}))
+    assert cb.codeword_for((1,)) == "1"
+    s = load_source(envelope({"kind": "geometric", "p": 0.25}))
+    assert s.p == 0.25
+    with pytest.raises(InputFormatError):
+        load_dictionary(envelope([1, 2]))
+
+
+def test_report_files_chain_through_the_codec(files, tmp_path, capsys):
+    paths = {name: str(tmp_path / name) for name in
+             ("d.json", "cb.json", "s.vv", "back.txt")}
+    stream = tmp_path / "stream.txt"
+    write_stream_text(stream, [0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1])
+    steps = [
+        ["tunstall", "--source", files["biased"], "--size", "8",
+         "--out", paths["d.json"]],
+        ["codebook", "--dict", paths["d.json"], "--source", files["biased"],
+         "--out", paths["cb.json"]],
+        ["encode", "--dict", paths["d.json"], "--codebook", paths["cb.json"],
+         "--in", str(stream), "--out", paths["s.vv"]],
+        ["decode", "--dict", paths["d.json"], "--codebook", paths["cb.json"],
+         "--in", paths["s.vv"], "--out", paths["back.txt"]],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+    assert json.loads(open(paths["d.json"]).read())["tool"] == "vvcode"
+    assert read_stream_text(paths["back.txt"]) == read_stream_text(stream)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+SYMBOLS = st.integers(-2, 5) | st.booleans() | st.floats(-1, 5)
+WORD_LISTS = st.lists(st.lists(SYMBOLS, max_size=4) | JSON_VALUES, max_size=5)
+# spec-shaped objects, so that the fuzz reaches past the first key checks
+SPECS = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["finite", "geometric", "lazy"]) | JSON_VALUES,
+    "probs": st.lists(st.floats() | st.integers() | st.text(max_size=6)
+                      | st.booleans(), max_size=4) | JSON_VALUES,
+    "p": st.floats() | st.integers() | JSON_VALUES,
+    "alphabet_size": st.integers(-2, 4) | JSON_VALUES,
+    "words": WORD_LISTS,
+    "phrases": WORD_LISTS,
+    "codewords": st.lists(st.text(alphabet="01x", max_size=4) | JSON_VALUES,
+                          max_size=5) | JSON_VALUES,
+    "family": st.sampled_from(["run_length", "head_extension"]) | JSON_VALUES,
+    "head": st.integers(-2, 10**20) | JSON_VALUES,
+    "tool": st.just("vvcode"),
+    "result": JSON_VALUES,
+})
+
+
+@given(spec=SPECS | JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+@settings(max_examples=200, deadline=None)
+def test_loaders_fuzz_raise_only_typed_errors(spec):
+    # a string spec names a file, so strings are fuzzed through the
+    # JSON file test below
+    for load in (load_source, load_dictionary, load_codebook):
+        try:
+            load(spec)
+        except VVCodeError:
+            pass
+
+
+@given(value=JSON_VALUES | SPECS)
+@settings(max_examples=60, deadline=None)
+def test_loaders_fuzz_json_files(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
+        for load in (load_source, load_dictionary, load_codebook):
+            try:
+                load(path)
+            except VVCodeError:
+                pass

@@ -1,15 +1,27 @@
 """Monte Carlo phrase sampling: determinism, accounting, goodness of fit."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
 
+import vvcode
 from vvcode import (
     FiniteDictionary,
     RunLengthDictionary,
     SourceModel,
+    head_extension,
+    parse,
     phrase_histogram,
     simulate,
+    tunstall_build,
 )
 from vvcode.errors import SimulationAbortError
+from vvcode.rng import stream_seed
+
+TERNARY = SourceModel.finite([0.5, 0.3, 0.2])
 
 
 def test_alphabet_dictionary_all_length_one(fair):
@@ -119,3 +131,112 @@ def test_simulate_head_extension_countable(geometric_half):
     rep = simulate(head_extension(0), geometric_half, 5_000, seed=4)
     assert rep.theory_lbar == pytest.approx(1.5, abs=1e-9)
     assert abs(rep.empirical_lbar - 1.5) <= 4 * rep.stderr_lbar
+
+
+# -- the block sampler against a chunk-by-chunk reference --------------------
+
+CHUNK = 4096  # phrases per RNG sub-stream
+
+
+def chunk_reference(d, source, n, seed):
+    """Chunk c's phrases are the first ones of parse(sample_stream(...))."""
+    counts = Counter()
+    for c in range(-(-n // CHUNK)):
+        size = min(CHUNK, n - c * CHUNK)
+        length = 2 * size
+        while True:
+            phrases, _ = parse(d, source.sample_stream(stream_seed(seed, c), length))
+            if len(phrases) >= size:
+                break
+            length *= 2
+        counts.update(phrases[:size])
+    return counts
+
+
+REFERENCE_CASES = {
+    "tunstall9-ternary": (lambda: tunstall_build(TERNARY, 9), TERNARY),
+    "run-length-fair": (RunLengthDictionary, SourceModel.fair_bit()),
+    "head-extension-geometric": (lambda: head_extension(0), SourceModel.geometric(0.1)),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+def test_counts_match_chunk_reference(case, n):
+    make, source = REFERENCE_CASES[case]
+    d = make()
+    want = chunk_reference(d, source, n, 42)
+    hist = phrase_histogram(d, source, n, seed=42)
+    canonical = sorted(want.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    assert list(hist.entries) == canonical
+    rep = simulate(d, source, n, seed=42)
+    assert rep.total_symbols == sum(len(w) * c for w, c in want.items())
+    top = sorted(want.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))[:5]
+    assert [(w, c) for w, c, _ in rep.top_phrases] == top
+
+
+def first_phrases(d, source, seed, length):
+    """Chunk 0's stream walked by hand: (complete phrases, pending prefix)."""
+    stream = source.sample_stream(stream_seed(seed, 0), length)
+    phrases, rest = parse(d, stream)
+    return phrases, list(rest)
+
+
+def test_dead_prefix_message(fair):
+    d = FiniteDictionary(2, [(0,), (1, 0, 0), (1, 1)])
+    phrases, rest = first_phrases(d, fair, 3, 200)
+    dead = rest[:3]  # 1, 0, 1 is the first string no word extends
+    assert dead == [1, 0, 1]
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(d, fair, 10_000, seed=3)
+    assert str(exc.value) == (
+        f"sampled prefix {dead} can never complete a phrase "
+        "(dictionary is not ASC for this source)"
+    )
+
+
+def test_step_cap_message(fair, run_length):
+    phrases, _ = first_phrases(run_length, fair, 1, 200)
+    stuck = next(p for p in phrases if len(p) > 2)
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(run_length, fair, 2000, seed=1, step_cap=2)
+    assert str(exc.value) == (
+        f"phrase exceeded 2 symbols; stuck prefix starts {list(stuck[:2])}"
+    )
+
+
+def test_step_cap_names_sixteen_symbols():
+    mostly_ones = SourceModel.finite([0.05, 0.95])
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(RunLengthDictionary(), mostly_ones, 100, seed=5, step_cap=20)
+    assert str(exc.value) == (
+        f"phrase exceeded 20 symbols; stuck prefix starts {[1] * 16}"
+    )
+
+
+def test_step_cap_fires_before_a_longer_dead_prefix(fair):
+    # 1,1,1 is dead, but a phrase-by-phrase draw stops at the cap first
+    d = FiniteDictionary(2, [(0,), (1, 0), (1, 1, 0)])
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(d, fair, 10_000, seed=1, step_cap=2)
+    assert str(exc.value) == "phrase exceeded 2 symbols; stuck prefix starts [1, 1]"
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(d, fair, 10_000, seed=1, step_cap=3)
+    assert str(exc.value).startswith("sampled prefix [1, 1, 1] can never complete")
+
+
+def test_phrase_of_exactly_step_cap_symbols_is_kept(fair, complete_dict):
+    rep = simulate(complete_dict, fair, 5000, seed=2, step_cap=2)
+    assert rep.n_phrases == 5000
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(complete_dict, fair, 5000, seed=2, step_cap=1)
+    assert str(exc.value) == "phrase exceeded 1 symbols; stuck prefix starts [1]"
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(vvcode.__file__))
+    code = "import sys, vvcode, vvcode.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

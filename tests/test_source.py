@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vvcode import SourceModel
+from vvcode import rng
 from vvcode.rng import XorShift64Star, mix64, stream_seed
 
 
@@ -151,3 +152,94 @@ def test_stream_split_independence(fair):
     a = XorShift64Star(stream_seed(9, 0)).next_u64()
     b = XorShift64Star(stream_seed(9, 1)).next_u64()
     assert a != b
+
+
+# -- block generator and block sampling -------------------------------------
+
+# mix64(ZERO_SEED) == 0, so the constructor remaps its state to the gamma
+ZERO_SEED = (1 << 64) - 0x9E3779B97F4A7C15
+ROUND = rng.LANES * rng.STRIDE  # draws in one round of float_block
+BLOCK_SIZES = [0, 1, rng.STRIDE - 1, rng.STRIDE + 1, rng.LANES - 1, rng.LANES + 1,
+               ROUND - 1, ROUND + 1, 3 * ROUND + 5, 10**5]
+
+
+def scalar_floats(gen, n):
+    return [gen.next_float() for _ in range(n)]
+
+
+def test_zero_seed_is_remapped():
+    assert mix64(ZERO_SEED) == 0
+    assert XorShift64Star(ZERO_SEED).state == 0x9E3779B97F4A7C15
+
+
+@given(seed=st.integers(0, 2**64 - 1) | st.just(ZERO_SEED),
+       n=st.sampled_from(BLOCK_SIZES))
+@settings(max_examples=40, deadline=None)
+def test_float_block_equals_scalar_draws(seed, n):
+    gen = XorShift64Star(seed)
+    u, state = rng.float_block(gen.state, n)
+    assert u.tolist() == scalar_floats(gen, n)
+    assert state == gen.state
+
+
+@given(state=st.integers(1, 2**64 - 1), n=st.integers(0, 3 * ROUND))
+@settings(max_examples=25, deadline=None)
+def test_float_block_from_any_state(state, n):
+    gen = XorShift64Star(0)
+    gen.state = state
+    u, after = rng.float_block(state, n)
+    assert u.tolist() == scalar_floats(gen, n)
+    assert after == gen.state
+
+
+def test_float_blocks_chain():
+    # consecutive blocks continue one stream
+    gen = XorShift64Star(5)
+    state = gen.state
+    drawn = []
+    for n in (3, 0, rng.STRIDE, 1000, ROUND + 7):
+        u, state = rng.float_block(state, n)
+        drawn.extend(u.tolist())
+    assert drawn == scalar_floats(gen, len(drawn))
+    assert state == gen.state
+
+
+def scalar_stream(source, seed, n):
+    """sample_stream's rule written out from its docstring, one draw at a time."""
+    gen = XorShift64Star(seed)
+    out = []
+    for _ in range(n):
+        u = gen.next_float()
+        if source.kind == "geometric":
+            out.append(int(math.log1p(-u) / math.log1p(-source.p)))
+        else:
+            acc = 0.0
+            for s, q in enumerate(source.probs):
+                acc += q
+                if u < acc or s == len(source.probs) - 1:
+                    out.append(s)
+                    break
+    return out
+
+
+@pytest.mark.parametrize("source", [
+    SourceModel.fair_bit(),
+    SourceModel.finite([0.9, 0.1]),
+    SourceModel.finite([0.2, 0.3, 0.5]),
+    SourceModel.finite([1.0]),
+    SourceModel.geometric(0.5),
+    SourceModel.geometric(0.1),
+], ids=["fair", "biased", "ternary", "unary", "geometric-0.5", "geometric-0.1"])
+@pytest.mark.parametrize("seed", [0, 42, ZERO_SEED])
+def test_sample_stream_matches_scalar_reference(source, seed):
+    n = ROUND + 100
+    assert source.sample_stream(seed, n) == scalar_stream(source, seed, n)
+
+
+def test_sample_block_continues_the_stream(biased):
+    gen = XorShift64Star(8)
+    first, state = biased.sample_block(gen.state, 700)
+    second, state = biased.sample_block(state, 300)
+    assert first + second == biased.sample_stream(8, 1000)
+    scalar_floats(gen, 1000)
+    assert state == gen.state
