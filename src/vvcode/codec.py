@@ -33,8 +33,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dictionary import FiniteDictionary, parse
-from .errors import CorruptBitstreamError, UnsupportedOperationError
+from .dictionary import FiniteDictionary, phrase_key, walk
+from .errors import (
+    CodebookMismatchError,
+    CorruptBitstreamError,
+    StreamSymbolError,
+    UnsupportedOperationError,
+)
 from .source import SourceModel, Word, canon_key, sort_words
 
 MAGIC = 0x56
@@ -90,9 +95,16 @@ class PhraseCodebook:
         return self._encode_map()[phrase]
 
     def _encode_map(self):
+        """Codeword by phrase tuple and by phrase key, built once.
+
+        dictionary.walk lists a phrase by its key: its text, or a tuple
+        once the stream holds a symbol with no text (such as 1.0, which
+        the automaton reads as 1).
+        """
         m = getattr(self, "_map", None)
         if m is None:
             m = dict(zip(self.phrases, self.codewords))
+            m.update(zip(map(phrase_key, self.phrases), self.codewords))
             object.__setattr__(self, "_map", m)
         return m
 
@@ -249,17 +261,22 @@ def _read_varint(bits: str, pos: int) -> tuple:
 def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
     """Parse the stream with d and emit the framed bitstream.
 
-    Requires the codebook to cover exactly the dictionary words; symbols
-    outside the alphabet are rejected.
+    Requires the codebook to cover exactly the dictionary words
+    (CodebookMismatchError otherwise); a symbol outside the alphabet raises
+    StreamSymbolError naming the first one. dictionary.walk reads the
+    phrases, in C once d has walked enough symbols, and each phrase key
+    looks its codeword up. Every symbol the walk consumes has a transition
+    and so lies in the alphabet; only the remainder needs the range check.
     """
     if set(cb.phrases) != d.word_set:
-        raise ValueError("codebook phrases do not match the dictionary words")
-    seq = list(stream)
+        raise CodebookMismatchError("codebook phrases do not match the dictionary words")
+    seq = stream if isinstance(stream, (list, tuple)) else list(stream)
+    phrases, begin, _ = walk(d, seq)
+    remainder = seq[begin:]
     k = d.alphabet_size
-    if seq and not (0 <= min(seq) and max(seq) < k):
-        bad = next(s for s in seq if not (0 <= s < k))
-        raise ValueError(f"stream symbol {bad} outside alphabet of size {k}")
-    phrases, remainder = parse(d, seq)
+    if remainder and not (0 <= min(remainder) and max(remainder) < k):
+        bad = next(s for s in remainder if not (0 <= s < k))
+        raise StreamSymbolError(f"stream symbol {bad} outside alphabet of size {k}")
     width = symbol_bit_width(k)
     bits = "".join((
         _MAGIC_BITS,
@@ -274,7 +291,7 @@ def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
 def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
     """Exact inverse of encode for the same (dictionary, codebook)."""
     if set(cb.phrases) != d.word_set:
-        raise ValueError("codebook phrases do not match the dictionary words")
+        raise CodebookMismatchError("codebook phrases do not match the dictionary words")
     bits = bytes_to_bits(data)
     total = len(bits)
     if total < 8:

@@ -13,18 +13,34 @@ Classification of an arbitrary prefix against a dictionary:
 * DEAD     -- neither; no extension of the prefix is a member.
 
 Every dictionary compiles one automaton at construction, and all walks
-(classify, cursors, parse, sampling, frontiers, completeness) read it.
-State q has a dict ``transitions[q]`` from symbol to entry and an entry
+(classify, cursors, parse, encode, sampling, frontiers, completeness) read
+it. State q has a dict ``transitions[q]`` from symbol to entry and an entry
 ``defaults[q]`` for every other symbol. An entry is the next internal
 state (an index >= 0), TO_WORD or TO_DEAD. A default is never an internal
 state, and a negative symbol is DEAD in every state. The per-state default
 is what lets countable alphabets share the representation: "every symbol
 ends a word" needs no table of symbols.
+
+``walk`` segments a stream in C once a dictionary has walked enough
+symbols: the automaton becomes one regular expression over the stream's
+text (symbol s is the character chr(s); Kleene's theorem), and
+``re.findall`` returns the greedy phrases. The pattern is compiled once
+the symbols walked with the dictionary reach COMPILE_SYMBOLS_PER_STATE per
+automaton state, and cached on the instance. The automaton loop still
+walks the pending tail after the last phrase, finds the DEAD index, walks
+every symbol from the first one that is not a code point on, and walks
+everything for an automaton that nests deeper than MAX_PATTERN_DEPTH (re's
+parser recurses once per group). The walk's result does not depend on
+which path ran, so a dictionary stays safe to share: two callers racing on
+the symbol count or the cache at worst compile late or twice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -47,6 +63,10 @@ CERTIFIED_NOT_COMPLETE = "certified_not_complete"
 UNDETERMINED = "undetermined"
 
 DEFAULT_WIDTH = 64  # symbol budget for countable-alphabet enumerations
+
+COMPILE_SYMBOLS_PER_STATE = 256  # symbols walked per state before compiling
+MAX_PATTERN_DEPTH = 200  # deepest group nesting that walk compiles
+MAX_CODE_POINT = 0x10FFFF
 
 
 def find_prefix_violation(words):
@@ -109,16 +129,22 @@ class TailStats:
 
 
 class Dictionary:
-    """Shared interface; immutable after construction, safe to share.
+    """Shared interface; the automaton is immutable after construction,
+    and the dictionary is safe to share.
 
     Subclasses set the automaton (start, transitions, defaults) in their
-    constructor; see the module docstring for its encoding.
+    constructor; see the module docstring for its encoding. The only state
+    that changes later is walk's count of symbols walked and its cached
+    pattern, which never change a result.
     """
 
     alphabet_size: int | None = None
     start = 0
     transitions: list
     defaults: list
+    # walk's pattern cache: None until compiled, False if too deep
+    _pattern = None
+    _walked = 0
 
     def next_entry(self, state: int, sym: int) -> int:
         """Automaton entry reached from internal `state` on `sym`."""
@@ -545,35 +571,172 @@ def parse(d: Dictionary, stream):
     Returns (phrases, remainder): properness makes each match unique; the
     remainder is the trailing suffix that matches no word, and absorbs
     everything from the first position where no member can ever match.
+    Phrases and remainder are tuples of the stream's own symbols.
     """
     seq = stream if isinstance(stream, (list, tuple)) else list(stream)
     phrases, begin, _ = walk(d, seq)
-    return phrases, tuple(seq[begin:])
+    ends = list(itertools.accumulate(map(len, phrases), initial=0))
+    return [tuple(seq[i:j]) for i, j in zip(ends, ends[1:])], tuple(seq[begin:])
 
 
 def walk(d: Dictionary, seq):
-    """The automaton walk behind parse and the sampler: (phrases, begin, dead).
+    """The automaton walk behind parse, encode and the sampler:
+    (phrases, begin, dead).
 
-    phrases are the words read greedily from the list or tuple seq, begin
-    is where the pending phrase starts, and dead is the index of the symbol
-    that made it DEAD (the walk stops there), or -1 if the walk read all of
-    seq.
+    phrases are the words read greedily from seq (a list or tuple of ints,
+    or a 1-D numpy integer array), each as its phrase_key; begin is where
+    the pending phrase starts, and dead is the index of the symbol that
+    made it DEAD (the walk stops there), or -1 if the walk read all of
+    seq. Once d has a compiled pattern, re.findall reads the phrases of
+    seq's text and the loop below walks only what follows them (see the
+    module docstring).
     """
+    text = symbol_text(seq)
+    pattern = _word_pattern(d, len(seq))
+    phrases = pattern.findall(text) if pattern else []
+    # the last match is a word or the text from which no word matches;
+    # the loop walks it again either way
+    first = begin = len(text) - len(phrases.pop()) if phrases else 0
+    rest = seq[first:]
+    if not isinstance(rest, (list, tuple)):
+        rest = rest.tolist()
     trans, defaults, start = d.transitions, d.defaults, d.start
-    phrases = []
+    n_text = len(text)
     state = start
-    begin = 0
-    for i, sym in enumerate(seq):
+    for i, sym in enumerate(rest, first):
         # inlined next_entry: a default only ever leads to WORD or DEAD,
         # so the sign test can wait until the walk leaves the states
         state = trans[state].get(sym, defaults[state])
         if state < 0:
             if state == TO_DEAD or sym < 0:
                 return phrases, begin, i
-            phrases.append(tuple(seq[begin : i + 1]))
-            begin = i + 1
+            end = i + 1
+            if end <= n_text:
+                phrases.append(text[begin:end])
+            else:
+                phrases.append(phrase_key(rest[begin - first : end - first]))
+            begin = end
             state = start
     return phrases, begin, -1
+
+
+def phrase_key(word):
+    """How walk lists a word: its text (chr of each symbol), or the word as
+    a tuple when a symbol is not a code point. Each word has one key."""
+    try:
+        return "".join(map(chr, word))
+    except (TypeError, ValueError, OverflowError):
+        return tuple(word)
+
+
+def phrase_word(key) -> Word:
+    """The word, as a tuple of ints, that phrase_key maps to key."""
+    return tuple(map(ord, key)) if isinstance(key, str) else key
+
+
+def symbol_text(seq) -> str:
+    """The text of seq's longest prefix of code points: chr(s) per symbol.
+
+    seq is a list or tuple, or a 1-D numpy array. The text stops before
+    the first symbol that is negative, above MAX_CODE_POINT or not an int.
+    Symbols below 256 go through a bytearray, larger ones through UTF-32,
+    and surrogate code points are kept.
+    """
+    if hasattr(seq, "dtype"):
+        if seq.dtype.kind not in "iu":
+            return symbol_text(seq.tolist())
+        if seq.dtype != "u1" and len(seq):
+            bad = (seq < 0) | (seq > MAX_CODE_POINT)
+            if bad.any():
+                seq = seq[: bad.argmax()]
+            if len(seq) and seq.max() > 255:
+                return seq.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+            seq = seq.astype("u1")
+        return seq.tobytes().decode("latin-1")
+    try:
+        return bytearray(seq).decode("latin-1")  # faster than bytes on a list
+    except (TypeError, ValueError):
+        pass
+    try:
+        return array("I", seq).tobytes().decode("utf-32-le", "surrogatepass")
+    except (TypeError, ValueError, OverflowError):
+        pass
+    n = 0
+    for sym in seq:
+        try:
+            chr(sym)
+        except (TypeError, ValueError, OverflowError):
+            break
+        n += 1
+    return "".join(map(chr, seq[:n]))
+
+
+def _word_pattern(d: Dictionary, n: int):
+    """walk's compiled pattern for d, or None while the loop walks alone.
+
+    n is the length of the stream being walked; it counts towards the
+    COMPILE_SYMBOLS_PER_STATE threshold before anything is compiled.
+    """
+    pattern = d._pattern
+    if pattern is None:
+        d._walked += n
+        if d._walked < COMPILE_SYMBOLS_PER_STATE * len(d.transitions):
+            return None
+        source = pattern_source(d)
+        # where no word matches, the second branch takes the rest of the
+        # text, so findall skips nothing
+        pattern = False if source is None else re.compile(source + r"|[\s\S]+")
+        d._pattern = pattern
+    return pattern or None
+
+
+def pattern_source(d: Dictionary) -> str | None:
+    """A regular expression that matches exactly d's words, or None if its
+    groups would nest deeper than MAX_PATTERN_DEPTH.
+
+    State q becomes a group that alternates over its transitions: chr(s)
+    alone for one that ends a word, chr(s) followed by the next state's
+    group for one that leads on, and a class of every symbol q does not
+    list when q's default ends a word. Symbols that loop back to q become a
+    [S]* prefix of the group. Self-loops are the only cycles the families
+    build; any other cycle would expand past the depth bound. Symbols that
+    are not code points never occur in a text and are left out.
+    """
+    out = []
+    todo = [d.start]
+    depth = 0
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            if item == ")":
+                depth -= 1
+            out.append(item)
+            continue
+        depth += 1
+        if depth > MAX_PATTERN_DEPTH:
+            return None
+        trans = d.transitions[item]
+        chars = {s: re.escape(chr(s)) for s in trans if s <= MAX_CODE_POINT}
+        loop = "".join(c for s, c in chars.items() if trans[s] == item)
+        alts = []
+        for s, c in chars.items():
+            entry = trans[s]
+            if entry == TO_WORD:
+                alts.append([c])
+            elif entry >= 0 and entry != item:
+                alts.append([c, entry])
+        if d.defaults[item] == TO_WORD:
+            listed = "".join(chars.values())
+            alts.append([f"[^{listed}]" if listed else r"[\s\S]"])
+        out.append(f"[{loop}]*(?:" if loop else "(?:")
+        todo.append(")")
+        if not alts:
+            todo.append("(?!)")
+        for k, alt in enumerate(reversed(alts)):
+            if k:
+                todo.append("|")
+            todo.extend(reversed(alt))
+    return "".join(out)
 
 
 def is_proper(d, depth: int = 32, max_symbol: int | None = None) -> bool:

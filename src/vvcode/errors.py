@@ -37,6 +37,14 @@ class CorruptBitstreamError(VVCodeError, ValueError):
         super().__init__(f"{message} (bit offset {bit_offset})")
 
 
+class CodebookMismatchError(VVCodeError, ValueError):
+    """A codebook's phrases are not the words of the dictionary it codes."""
+
+
+class StreamSymbolError(VVCodeError, ValueError):
+    """A stream to encode holds a symbol outside the dictionary's alphabet."""
+
+
 class SimulationAbortError(VVCodeError, RuntimeError):
     """Phrase sampling could not complete; names the stuck prefix."""
 

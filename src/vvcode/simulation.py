@@ -5,10 +5,13 @@ Sampling is chunked: phrases [c*4096, (c+1)*4096) always come from RNG
 sub-stream c of the base seed, and chunk counts merge in chunk order, so
 a run is bit-identical for a given seed. A chunk's phrases are the first
 ones of parse(d, sample_stream(stream_seed(seed, c), ...)): symbols are
-drawn in numpy blocks (``SourceModel.sample_block``) and segmented by the
-automaton walk that ``parse`` runs (``dictionary.walk``). Sampling runs on
-one thread: the interpreter lock serialises the walk, so threads cannot
-speed it up.
+drawn in numpy blocks (``rng.float_block``, ``SourceModel.symbols_for``)
+and segmented by the walk that ``parse`` runs (``dictionary.walk``),
+which turns a block into text and, once the dictionary has walked enough
+symbols, finds its phrases with one compiled regular expression. A
+Counter counts the phrase keys (texts) the walk returns; they become word
+tuples once per run. Sampling runs on one thread: the interpreter lock
+serialises the walk, so threads cannot speed it up.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .dictionary import Dictionary, walk
+from .dictionary import Dictionary, phrase_word, walk
 from .errors import SimulationAbortError
 from .measures import phrase_measures
-from .rng import XorShift64Star, stream_seed
+from .rng import XorShift64Star, float_block, stream_seed
 from .source import SourceModel, Word, canon_key
 
 CHUNK_PHRASES = 4096
@@ -37,8 +40,8 @@ def _step_cap_error(step_cap, prefix):
 
 
 def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts, per):
-    """Add one chunk's worth of phrases to counts; return the symbols per
-    phrase seen, which sizes the next chunk's first block.
+    """Add one chunk's worth of phrase keys to counts; return the symbols
+    per phrase seen, which sizes the next chunk's first block.
 
     The phrases are the first n_phrases of walk(d, sample_stream(chunk
     seed, ...)): blocks of symbols are drawn and walked, and the pending
@@ -47,9 +50,11 @@ def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts, per):
     than step_cap symbols, or a DEAD prefix, whichever the stream reaches
     first.
     """
+    import numpy as np
+
     state = XorShift64Star(stream_seed(seed, chunk_id)).state
     need = n_phrases
-    pending = []
+    pending = ()
     while True:
         if per is None:
             size = need  # a phrase has at least one symbol
@@ -59,8 +64,10 @@ def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts, per):
             size = int(need * per + 4 * math.sqrt(need * per)) + 1
         # no block shorter than the pending phrase, so walking it again
         # costs no more than the blocks do
-        block, state = source.sample_block(state, max(size, len(pending)))
-        seq = pending + block
+        u, state = float_block(state, max(size, len(pending)))
+        seq = source.symbols_for(u)
+        if len(pending):
+            seq = np.concatenate((pending, seq))
         phrases, begin, dead = walk(d, seq)
         if phrases:
             per = begin / len(phrases)
@@ -68,14 +75,14 @@ def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts, per):
         if len(seq) > step_cap:
             for phrase in phrases:
                 if len(phrase) > step_cap:
-                    raise _step_cap_error(step_cap, list(phrase))
+                    raise _step_cap_error(step_cap, list(phrase_word(phrase)))
         counts.update(phrases)
         need -= len(phrases)
         if not need:
             return per
         pending = seq[begin:]
         if dead >= 0:
-            prefix = seq[begin : dead + 1]
+            prefix = seq[begin : dead + 1].tolist()
             if len(prefix) > step_cap:
                 raise _step_cap_error(step_cap, prefix)
             raise SimulationAbortError(
@@ -83,16 +90,18 @@ def _sample_chunk(d, source, n_phrases, seed, chunk_id, step_cap, counts, per):
                 "phrase (dictionary is not ASC for this source)"
             )
         if len(pending) >= step_cap:
-            raise _step_cap_error(step_cap, pending)
+            raise _step_cap_error(step_cap, pending.tolist())
 
 
 def _sample_phrases(d, source, n_phrases, seed, step_cap):
+    """Counter of the sampled words (tuples)."""
     counts = Counter()
     per = None
     for cid, begin in enumerate(range(0, n_phrases, CHUNK_PHRASES)):
         size = min(CHUNK_PHRASES, n_phrases - begin)
         per = _sample_chunk(d, source, size, seed, cid, step_cap, counts, per)
-    return counts
+    # phrase_key gives each word one key, so no two keys meet here
+    return Counter({phrase_word(key): c for key, c in counts.items()})
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ class SourceModel:
         seeded with ``seed`` (see rng module for the exact generator).
         Finite kind maps the uniform through the inverse CDF (smallest
         symbol s with u < P(0)+...+P(s)); geometric kind uses
-        floor(log(1-u)/log(1-p)).
+        int(math.log1p(-u) / math.log1p(-p)).
         """
         if n < 0:
             raise ValueError("sample count must be >= 0")
@@ -152,18 +152,47 @@ class SourceModel:
 
     def sample_block(self, state: int, n: int):
         """(symbols, state): the next n draws of sample_stream's rule from an
-        XorShift64Star at ``state``, and the generator state after them."""
+        XorShift64Star at ``state`` as a list, and the generator state after
+        them."""
+        u, state = float_block(state, n)
+        return self.symbols_for(u).tolist(), state
+
+    def symbols_for(self, u):
+        """sample_stream's symbols for the numpy array of uniforms u.
+
+        They come as a numpy integer array that dictionary.walk turns into
+        text without a Python list: uint8 for two symbols, the searchsorted
+        index type for more, int64 for the geometric kind (an object array
+        of ints should a draw reach 2^63).
+        """
         import numpy as np
 
-        u, state = float_block(state, n)
         if self.kind == GEOMETRIC:
-            # math.log1p: np.log1p differs from it in the last bit on some u
-            log_q = math.log1p(-self.p)
-            return [int(math.log1p(-x) / log_q) for x in u.tolist()], state
+            return _geometric_symbols(u, self.p)
         if len(self.probs) == 2:
-            return (u >= self.probs[0]).view(np.uint8).tolist(), state
+            return (u >= self.probs[0]).view(np.uint8)
         cum = list(itertools.accumulate(self.probs))
         cum[-1] = 1.0
         # side="right" is bisect_right; u < 1 = cum[-1], so no index passes
         # the last symbol and needs no clip
-        return np.searchsorted(cum, u, side="right").tolist(), state
+        return np.searchsorted(cum, u, side="right")
+
+
+def _geometric_symbols(u, p: float):
+    """int(math.log1p(-x) / math.log1p(-p)) for each x in u, bit for bit.
+
+    np.log1p may differ from math.log1p in the last bit, which moves the
+    quotient by a few ulps at most. Only a quotient that close to an
+    integer can truncate differently, so the ones within 2^-30*max(1, x) of
+    an integer (and any that is not finite) are recomputed with math.log1p.
+    """
+    import numpy as np
+
+    log_q = math.log1p(-p)
+    x = np.log1p(-u) / log_q
+    near = np.flatnonzero(~(np.abs(x - np.rint(x)) > 2.0**-30 * np.maximum(1.0, x)))
+    if near.size:
+        x[near] = [math.log1p(-v) / log_q for v in u[near].tolist()]
+    if x.size and not x.max() < 2.0**63:
+        return np.array([int(v) for v in x.tolist()], dtype=object)
+    return x.astype(np.int64)

@@ -230,6 +230,24 @@ def test_encode_decode_round_trip(files, tmp_path, capsys):
     assert read_stream_text(decoded) == [0, 1, 1, 1, 0, 0]
 
 
+def test_encode_with_a_foreign_codebook_or_symbol_exits_2(files, tmp_path, capsys):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("0 1 1 1 0 0")
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps({"phrases": [[], [-1]], "codewords": ["0", "1"]}))
+    out = str(tmp_path / "s.vv")
+    args = ["--dict", files["complete"], "--codebook", str(foreign), "--out", out]
+    assert cli.main(["encode", *args, "--in", str(stream)]) == 2
+    assert "codebook phrases do not match" in capsys.readouterr().err
+    stream.write_text("0 1 0 2 0")
+    cb = tmp_path / "cb.json"
+    cb.write_text(json.dumps({"phrases": [[0], [1, 0], [1, 1]],
+                              "codewords": ["0", "10", "11"]}))
+    assert cli.main(["encode", "--dict", files["complete"], "--codebook", str(cb),
+                     "--in", str(stream), "--out", out]) == 2
+    assert "stream symbol 2 outside alphabet of size 2" in capsys.readouterr().err
+
+
 def test_encode_decode_bits_round_trip(files, tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes([0b01110010, 0b10000001]))

@@ -22,7 +22,15 @@ from vvcode import (
     parse,
     tunstall_build,
 )
-from vvcode.errors import CorruptBitstreamError, UnsupportedOperationError
+from vvcode.dictionary import COMPILE_SYMBOLS_PER_STATE, pattern_source
+from vvcode.errors import (
+    CodebookMismatchError,
+    CorruptBitstreamError,
+    StreamSymbolError,
+    UnsupportedOperationError,
+    VVCodeError,
+)
+from vvcode.formats import load_codebook
 
 
 def spec_encode(d, cb, stream) -> bytes:
@@ -301,6 +309,78 @@ def test_encode_matches_spec_encoder(case):
         data = encode(d, cb, stream)
         assert data == spec_encode(d, cb, stream), (case, length)
         assert decode(d, cb, data) == stream
+
+
+@pytest.mark.parametrize("case", ["huffman_biased_256", "fixed_ternary", "incomplete"])
+def test_encode_matches_spec_encoder_across_the_compile_point(case):
+    d, cb, source = LAYOUT_CASES[case]()
+    threshold = COMPILE_SYMBOLS_PER_STATE * len(d.transitions)
+    stream = source.sample_stream(5, threshold // 2 + 1)
+    for _ in range(3):  # the loop, then the call that compiles, then the pattern
+        data = encode(d, cb, stream)
+        assert data == spec_encode(d, cb, stream), case
+        assert decode(d, cb, data) == stream
+    assert d._pattern
+
+
+def test_round_trip_deep_tunstall_against_the_spec_encoder():
+    # Tunstall-4096 over [0.999, 0.001] is the chain 0^j 1 (j < 4095) plus
+    # 0^4095: deeper than the pattern bound, so the loop walks every stream
+    s = SourceModel.finite([0.999, 0.001])
+    d, cb, _ = _huffman_case(s, 4096)
+    assert pattern_source(d) is None
+    # spec_encode lists every prefix of every word, about 10^10 symbols
+    # here, so it gets the words of up to 100 symbols: they hold every
+    # phrase of the streams below and every prefix their parse visits
+    short = PhraseCodebook.from_pairs(
+        (w, c) for w, c in zip(cb.phrases, cb.codewords) if len(w) <= 100
+    )
+    fair = SourceModel.fair_bit()
+    for seed, length in [(1, 0), (2, 1), (3, 4095), (4, 30_000)]:
+        for tail in ([], [0] * 90 + [1], [0] * 90 + [1] + [0] * 99):
+            stream = fair.sample_stream(seed, length) + tail
+            data = encode(d, cb, stream)
+            assert data == spec_encode(d, short, stream), (seed, length, len(tail))
+            assert decode(d, cb, data) == stream
+    # phrases up to 4095 symbols long: the round trip alone
+    for seed in (5, 6):
+        stream = s.sample_stream(seed, 30_000) + [0] * 5000
+        assert decode(d, cb, encode(d, cb, stream)) == stream
+
+
+def test_encode_reads_symbols_equal_to_ints():
+    # the automaton reads 1.0 as 1; the text stops before it
+    d = FiniteDictionary(2, [(0,), (1, 0), (1, 1)])
+    cb = fixed_codebook(d.words)
+    stream = [0, 1, 1, 1.0, 0.0, 0, True, False]
+    assert encode(d, cb, stream) == encode(d, cb, [0, 1, 1, 1, 0, 0, 1, 0])
+
+
+def test_mismatched_codebook_is_a_typed_error():
+    # load_codebook accepts this codebook; it fits no dictionary
+    cb = load_codebook({"phrases": [[], [-1]], "codewords": ["0", "1"]})
+    d = FiniteDictionary(2, [(0,), (1,)])
+    for call in (lambda: encode(d, cb, [0, 1]), lambda: decode(d, cb, b"\x56\x00\x00")):
+        with pytest.raises(CodebookMismatchError) as exc:
+            call()
+        assert isinstance(exc.value, VVCodeError) and isinstance(exc.value, ValueError)
+        assert str(exc.value) == "codebook phrases do not match the dictionary words"
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_foreign_symbol_is_a_typed_error_naming_the_first_one(compiled):
+    d = FiniteDictionary(2, [(0,), (1, 0)])  # 1, 1 is dead
+    cb = fixed_codebook(d.words)
+    if compiled:
+        encode(d, cb, [0] * (COMPILE_SYMBOLS_PER_STATE * len(d.transitions)))
+        assert d._pattern
+    # in a phrase-free tail, after a dead zone, and right away
+    for stream, bad in [([0, 1, 0, 0, 2, 0], 2), ([0, 1, 1, 0, 5, -7], 5),
+                        ([-1, 0, 9], -1), ([0, 0x110000, 3], 0x110000)]:
+        with pytest.raises(StreamSymbolError) as exc:
+            encode(d, cb, stream)
+        assert isinstance(exc.value, VVCodeError) and isinstance(exc.value, ValueError)
+        assert str(exc.value) == f"stream symbol {bad} outside alphabet of size 2"
 
 
 def test_spec_encoder_pins_worked_example(complete_dict):

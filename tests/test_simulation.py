@@ -175,6 +175,29 @@ def test_counts_match_chunk_reference(case, n):
     assert [(w, c) for w, c, _ in rep.top_phrases] == top
 
 
+def test_counts_match_chunk_reference_across_the_compile_point(biased):
+    # Tunstall-256 compiles its pattern after 256 * 255 walked symbols,
+    # about 4000 phrases in: chunk 0 starts on the loop
+    d = tunstall_build(biased, 256)
+    n = 3 * CHUNK + 1
+    want = chunk_reference(tunstall_build(biased, 256), biased, n, 42)
+    assert d._pattern is None
+    hist = phrase_histogram(d, biased, n, seed=42)
+    assert d._pattern
+    assert list(hist.entries) == sorted(want.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def test_counts_match_chunk_reference_past_the_code_points():
+    # geometric(1e-6) draws symbols up to about 3.7e7, most of them above
+    # 0x10FFFF, where a block's text stops and the loop walks the rest
+    d, source = head_extension(0), SourceModel.geometric(1e-6)
+    want = chunk_reference(head_extension(0), source, 5000, 9)
+    assert any(max(w) > 0x10FFFF for w in want)
+    assert list(phrase_histogram(d, source, 5000, seed=9).entries) == sorted(
+        want.items(), key=lambda kv: (len(kv[0]), kv[0])
+    )
+
+
 def first_phrases(d, source, seed, length):
     """Chunk 0's stream walked by hand: (complete phrases, pending prefix)."""
     stream = source.sample_stream(stream_seed(seed, 0), length)

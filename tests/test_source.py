@@ -243,3 +243,55 @@ def test_sample_block_continues_the_stream(biased):
     assert first + second == biased.sample_stream(8, 1000)
     scalar_floats(gen, 1000)
     assert state == gen.state
+
+
+# -- the vectorised geometric map against the scalar one ---------------------
+
+GEOMETRIC_PS = [0.5, 0.3, 0.1, 1e-6, 0.999999]
+
+
+def scalar_geometric(u, p):
+    log_q = math.log1p(-p)
+    return [int(math.log1p(-x) / log_q) for x in u]
+
+
+def boundary_uniforms(p):
+    """Uniforms within six ulps of each u_k = 1 - (1-p)^k, where the
+    quotient log1p(-u)/log1p(-p) crosses the integer k."""
+    log_q = math.log1p(-p)
+    top = 37.0 / -log_q  # 1 - u >= 2^-53 keeps the quotient below this
+    ks = list(range(60)) + [int(60 * (top / 60) ** (i / 199)) for i in range(200)]
+    us = []
+    for k in ks:
+        x = -math.expm1(k * log_q)
+        for _ in range(6):
+            x = math.nextafter(x, 0.0)
+        for _ in range(13):
+            if 0.0 <= x < 1.0:
+                us.append(x)
+            x = math.nextafter(x, 1.0)
+    return us
+
+
+@pytest.mark.parametrize("p", GEOMETRIC_PS)
+def test_geometric_symbols_match_the_scalar_map(p):
+    import numpy as np
+
+    source = SourceModel.geometric(p)
+    # np.log1p and math.log1p truncate differently at some of these
+    us = boundary_uniforms(p) + [0.0, 1.0 - 2.0**-53]
+    assert source.symbols_for(np.array(us)).tolist() == scalar_geometric(us, p)
+    u, _ = rng.float_block(XorShift64Star(int(1 / p)).state, 200_000)
+    got = source.symbols_for(u)
+    assert got.dtype == np.int64
+    assert got.tolist() == scalar_geometric(u.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [1e-20, 1e-300])
+def test_geometric_symbols_past_int64_stay_exact(p):
+    source = SourceModel.geometric(p)
+    u, _ = rng.float_block(XorShift64Star(3).state, 3000)
+    got = source.symbols_for(u)
+    assert got.dtype == object
+    assert got.tolist() == scalar_geometric(u.tolist(), p)
+    assert source.sample_stream(3, 3000) == got.tolist()
