@@ -30,7 +30,9 @@ automaton state, and cached on the instance. The automaton loop still
 walks the pending tail after the last phrase, finds the DEAD index, walks
 every symbol from the first one that is not a code point on, and walks
 everything for an automaton that nests deeper than MAX_PATTERN_DEPTH (re's
-parser recurses once per group). The walk's result does not depend on
+parser recurses once per group) or whose pattern runs out of stack in
+re.compile anyway, as it can for a caller that is deep in the stack or has
+lowered the recursion limit. The walk's result does not depend on
 which path ran, so a dictionary stays safe to share: two callers racing on
 the symbol count or the cache at worst compile late or twice.
 """
@@ -40,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -639,27 +640,20 @@ def symbol_text(seq) -> str:
 
     seq is a list or tuple, or a 1-D numpy array. The text stops before
     the first symbol that is negative, above MAX_CODE_POINT or not an int.
-    Symbols below 256 go through a bytearray, larger ones through UTF-32,
-    and surrogate code points are kept.
+    Symbols below 256 go through a bytearray (a uint8 array for numpy),
+    larger ones through chr one at a time, and surrogate code points are
+    kept.
     """
     if hasattr(seq, "dtype"):
-        if seq.dtype.kind not in "iu":
+        small = seq.dtype == "u1" or (
+            seq.dtype.kind in "iu" and (not len(seq) or (seq.min() >= 0 and seq.max() <= 255))
+        )
+        if not small:
             return symbol_text(seq.tolist())
-        if seq.dtype != "u1" and len(seq):
-            bad = (seq < 0) | (seq > MAX_CODE_POINT)
-            if bad.any():
-                seq = seq[: bad.argmax()]
-            if len(seq) and seq.max() > 255:
-                return seq.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
-            seq = seq.astype("u1")
-        return seq.tobytes().decode("latin-1")
+        return seq.astype("u1", copy=False).tobytes().decode("latin-1")
     try:
         return bytearray(seq).decode("latin-1")  # faster than bytes on a list
     except (TypeError, ValueError):
-        pass
-    try:
-        return array("I", seq).tobytes().decode("utf-32-le", "surrogatepass")
-    except (TypeError, ValueError, OverflowError):
         pass
     n = 0
     for sym in seq:
@@ -685,7 +679,10 @@ def _word_pattern(d: Dictionary, n: int):
         source = pattern_source(d)
         # where no word matches, the second branch takes the rest of the
         # text, so findall skips nothing
-        pattern = False if source is None else re.compile(source + r"|[\s\S]+")
+        try:
+            pattern = source is not None and re.compile(source + r"|[\s\S]+")
+        except RecursionError:  # re's parser ran out of stack below the bound
+            pattern = False
         d._pattern = pattern
     return pattern or None
 

@@ -5,6 +5,7 @@ loop, against a greedy walk written from classify."""
 
 import itertools
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,27 @@ def test_pattern_depth_bound():
     too_deep = compiled(chain_trie(MAX_PATTERN_DEPTH + 1))
     assert too_deep._pattern is False
     check_walk(too_deep, seq)
+
+
+def test_pattern_that_overflows_the_stack_keeps_the_loop():
+    # a caller deep in the stack can run re's parser out of stack below
+    # the depth bound; the walk then keeps the loop for good
+    d = chain_trie(MAX_PATTERN_DEPTH)
+    seq = [1] * MAX_PATTERN_DEPTH + [0] * COMPILE_SYMBOLS_PER_STATE * len(d.transitions)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    re.purge()  # a cached pattern would skip the parser
+    sys.setrecursionlimit(depth + 50)
+    try:
+        got = walk(d, seq)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d._pattern is False
+    assert ([phrase_word(p) for p in got[0]], *got[1:]) == reference_walk(d, seq)
+    check_walk(d, seq[:500])
 
 
 def test_pattern_of_a_deep_tunstall_dictionary_is_never_built():
