@@ -28,6 +28,7 @@ from .dictionary import (
     Dictionary,
     ExtendedDictionary,
     FiniteDictionary,
+    frontier_budget_error,
 )
 from .errors import ConeHypothesisError, ResourceBudgetError
 from .source import SourceModel, Word, sort_words
@@ -70,9 +71,7 @@ def uncovered_frontier(
             continue
         # a length-depth string, or a dead prefix and all its completions
         if len(out) + width**rest > max_words:
-            raise ResourceBudgetError(
-                f"frontier at depth {depth} exceeds max_words={max_words}"
-            )
+            raise frontier_budget_error(depth, max_words)
         if rest:
             out.extend(prefix + tail for tail in product(symbols, repeat=rest))
         else:

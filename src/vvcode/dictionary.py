@@ -1,10 +1,10 @@
 """Prefix-free dictionaries: explicit word sets and lazy infinite families.
 
 A dictionary is a prefix-free set of nonempty words over the source
-alphabet. Finite dictionaries are stored as word lists; infinite families
-(run-length, single-word extensions over countable alphabets) answer the
-same queries lazily and carry closed-form mass formulas so tail bounds
-stay certified.
+alphabet. A finite dictionary keeps its words in canonical order and
+compiles them into a trie; infinite families (run-length, single-word
+extensions over countable alphabets) answer the same queries lazily and
+carry closed-form mass formulas so tail bounds stay certified.
 
 Classification of an arbitrary prefix against a dictionary:
 
@@ -35,6 +35,16 @@ re.compile anyway, as it can for a caller that is deep in the stack or has
 lowered the recursion limit. The walk's result does not depend on
 which path ran, so a dictionary stays safe to share: two callers racing on
 the symbol count or the cache at worst compile late or twice.
+
+The measure sums read the automaton too. ``word_levels`` walks it one
+length at a time and prices each edge with one multiply, P(prefix)*p_s,
+starting from 1.0 at the start state. SourceModel.word_prob multiplies a
+word's symbol probabilities in the same order from the same 1.0, so every
+P(w) the walk reaches is bit-identical to word_prob(w). ``level_measures``
+then adds the same terms as exact_word_measures (P, P*|w| and P*log2 P)
+with math.fsum, which rounds the exact sum correctly and so does not
+depend on the order of its terms: the sums keep every bit of a word-by-word
+evaluation, at one multiply per edge instead of |w| per word.
 """
 
 from __future__ import annotations
@@ -83,6 +93,12 @@ def find_prefix_violation(words):
     return None
 
 
+def frontier_budget_error(depth: int, max_words: int) -> ResourceBudgetError:
+    return ResourceBudgetError(
+        f"frontier at depth {depth} exceeds max_words={max_words}"
+    )
+
+
 def exact_word_measures(words, source: SourceModel):
     """(mass, lbar, entropy) as exact finite sums over an explicit word set.
 
@@ -92,6 +108,124 @@ def exact_word_measures(words, source: SourceModel):
     probs = [source.word_prob(w) for w in words]
     mass = math.fsum(probs)
     lbar = math.fsum(p * len(w) for p, w in zip(probs, words))
+    h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+    return mass, lbar, h
+
+
+class _SymbolProbs(dict):
+    """P(s) by symbol, looked up the first time the walk takes an edge on s.
+
+    A symbol outside a finite source's alphabet gets NaN, so every word
+    through it gets a NaN probability, and a sum raises for it only if the
+    word is one of its terms.
+    """
+
+    def __init__(self, source: SourceModel):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, s):
+        try:
+            p = self.source.symbol_prob(s)
+        except ValueError:
+            p = math.nan
+        self[s] = p
+        return p
+
+
+def word_levels(
+    d: "Dictionary",
+    source: SourceModel,
+    width: int,
+    frontier: int | None = None,
+):
+    """Walk d's automaton one length at a time: yield (j, words, rest) for
+    j = 1, 2, ... until no prefix of length j leads on.
+
+    A node is (P(prefix), entry, parent node, last symbol), and a child's P
+    is its parent's P times the symbol's probability (see the module
+    docstring). words are the nodes of the members of length j, rest those
+    of the length-j prefixes that lead on: the live ones and, when a
+    frontier budget is given, the dead ones too, whose completions the next
+    length expands. rest is then T_j, and a T_j larger than the budget
+    raises ResourceBudgetError before it is built. Symbols run over
+    range(width).
+    """
+    sp = _SymbolProbs(source)
+    trans, defaults = d.transitions, d.defaults
+    symbols = range(width)
+    # A member walk over a finite alphabet takes a state's listed edges
+    # where its default is TO_DEAD (they are all below width). Other states
+    # enumerate the symbols once: their edges are cached in found, and how
+    # many of them do not end a word in n_rest.
+    listed = frontier is None and d.alphabet_size is not None
+    found, n_rest = {}, {}
+
+    def edges(q):
+        if q == TO_DEAD:
+            pairs = [(s, TO_DEAD) for s in symbols]
+        else:
+            t, default = trans[q], defaults[q]
+            pairs = [(s, t.get(s, default)) for s in symbols]
+            if frontier is None:
+                pairs = [(s, e) for s, e in pairs if e != TO_DEAD]
+        found[q] = pairs
+        n_rest[q] = sum(e != TO_WORD for _, e in pairs)
+        return pairs
+
+    rest = [(1.0, d.start, None, None)]
+    j = 0
+    while rest:
+        j += 1
+        if frontier is not None:
+            for n in rest:
+                if n[1] not in found:
+                    edges(n[1])
+            if sum(n_rest[n[1]] for n in rest) > frontier:
+                raise frontier_budget_error(j, frontier)
+        words, nxt = [], []
+        for node in rest:
+            p, q = node[0], node[1]
+            pairs = found.get(q)
+            if pairs is None:
+                listed_here = listed and defaults[q] == TO_DEAD
+                pairs = trans[q].items() if listed_here else edges(q)
+            for s, e in pairs:
+                (words if e == TO_WORD else nxt).append((p * sp[s], e, node, s))
+        yield j, words, nxt
+        rest = nxt
+
+
+def node_word(node) -> Word:
+    """The word that a word_levels node stands for."""
+    syms = []
+    while node[2] is not None:
+        syms.append(node[3])
+        node = node[2]
+    return tuple(reversed(syms))
+
+
+def check_priced(nodes, source: SourceModel):
+    """Raise word_prob's error for the least word of nodes (one length)
+    whose probability is NaN, if there is one."""
+    unpriced = [node_word(n) for n in nodes if n[0] != n[0]]
+    if unpriced:
+        source.check_word(min(unpriced))
+
+
+def level_measures(levels, source: SourceModel):
+    """(mass, lbar, entropy) of the words in levels, a list of word_levels'
+    (j, words, rest): exact_word_measures' sums, term for term.
+
+    A word the source cannot price raises word_prob's error for the first
+    such word in canonical order, as exact_word_measures would.
+    """
+    probs = [n[0] for _, words, _ in levels for n in words]
+    mass = math.fsum(probs)
+    if mass != mass:
+        for _, words, _ in levels:
+            check_priced(words, source)
+    lbar = math.fsum(n[0] * j for j, words, _ in levels for n in words)
     h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
     return mass, lbar, h
 
@@ -185,6 +319,12 @@ class Dictionary:
         """Exact sum of P(alpha) over members with |alpha| <= depth."""
         raise NotImplementedError
 
+    def member_measures(self, depth: int, width, source: SourceModel):
+        """exact_word_measures of member_words(depth, width), summed from
+        the automaton walk (see the module docstring)."""
+        levels = word_levels(self, source, self.member_width(width))
+        return level_measures(list(itertools.islice(levels, max(depth, 0))), source)
+
     def boundary_mass(self, depth: int, source: SourceModel) -> float:
         """P(T_depth): mass of length-`depth` strings with no member prefix.
 
@@ -208,6 +348,11 @@ class Dictionary:
         Certified up to float rounding of exactly-zero residual terms.
         """
         return None
+
+    def member_width(self, max_symbol: int | None) -> int:
+        """The symbols member_words(..., max_symbol) runs over: range of the
+        result. Raises ResourceBudgetError where member_words would."""
+        return self._width_for(max_symbol)
 
     def _width_for(self, max_symbol: int | None) -> int:
         if self.alphabet_size is not None:
@@ -304,15 +449,14 @@ class FiniteDictionary(Dictionary):
         return self._max_len
 
     def covered_mass(self, depth, source):
-        return math.fsum(
-            source.word_prob(w) for w in self.words if len(w) <= depth
-        )
+        return self.member_measures(depth, None, source)[0]
 
     def tail_stats(self, depth, width, source):
-        rest = [w for w in self.words if len(w) > depth]
-        if not rest:
+        levels = word_levels(self, source, self.alphabet_size)
+        levels = list(itertools.islice(levels, max(depth, 0), None))
+        if not any(words for _, words, _ in levels):
             return TailStats.zero()
-        return TailStats.exact(*exact_word_measures(rest, source))
+        return TailStats.exact(*level_measures(levels, source))
 
     def is_complete(self) -> bool:
         """Complete iff every internal state has a transition on each of
@@ -472,19 +616,18 @@ class ExtendedDictionary(Dictionary):
     def __repr__(self):
         return f"ExtendedDictionary({self.base!r}, alpha={list(self.alpha)})"
 
-    def _check_width(self, max_symbol):
-        if self.alphabet_size is None:
-            w = self._width_for(max_symbol)
-            if max(self.alpha) >= w:
-                raise ResourceBudgetError(
-                    f"width budget {w} does not cover extension word "
-                    f"{list(self.alpha)}"
-                )
-            return w
-        return self.alphabet_size
+    def member_width(self, max_symbol):
+        w = self._width_for(max_symbol)
+        if self.alphabet_size is None and max(self.alpha) >= w:
+            raise ResourceBudgetError(
+                f"width budget {w} does not cover extension word "
+                f"{list(self.alpha)}"
+            )
+        self.base.member_width(max_symbol)  # a nested extension's word
+        return w
 
     def member_words(self, max_len, max_symbol=None):
-        w = self._check_width(max_symbol)
+        w = self.member_width(max_symbol)
         out = [
             x
             for x in self.base.member_words(max_len, max_symbol)
@@ -527,7 +670,7 @@ class ExtendedDictionary(Dictionary):
         bt = self.base.tail_stats(depth, width, source)
         if bt is None:
             return None
-        self._check_width(width)
+        self.member_width(width)
         la = len(self.alpha)
         pa = source.word_prob(self.alpha)
         # an underflowed P(alpha) weighs its surprisal by 0: 0 * log 0 = 0

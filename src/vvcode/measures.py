@@ -10,21 +10,33 @@ The conservation check compares H(D) against H(P)*lbar(D) and only issues
 pass/fail when the dictionary is ASC-certified at the working depth; the
 truncation identity H(D_n) = H(P)*lbar(D_n) is exact at every finite stage
 and needs properness only.
+
+Every finite sum here is formed from the automaton by
+dictionary.word_levels: the partial sums walk it to the depth budget (and
+within the width budget on countable alphabets), and the truncation series
+walks it once to m_max, expanding dead prefixes into their completions.
+Each word probability is the walk's product P(prefix)*p_s, bit-identical
+to SourceModel.word_prob, and each sum is a math.fsum, which rounds the
+exact sum and so does not depend on the order of its terms. So the reports
+keep every bit of a word-by-word evaluation over member_words and truncate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .algebra import truncate
+from .algebra import MAX_FRONTIER_WORDS
 from .dictionary import (
     DEFAULT_WIDTH,
     Dictionary,
     FiniteDictionary,
     TailStats,
+    check_priced,
     exact_word_measures,
     is_asc,
+    word_levels,
 )
 from .errors import UnsupportedOperationError
 from .source import SourceModel, Word
@@ -149,8 +161,7 @@ def phrase_measures(
         eff_width = min(width, source.alphabet_size)
     else:
         eff_width = width
-    words = d.member_words(depth, eff_width)
-    partial_mass, partial_lbar, partial_h = exact_word_measures(words, source)
+    partial_mass, partial_lbar, partial_h = d.member_measures(depth, eff_width, source)
     frontier_mass = d.boundary_mass(depth, source)
 
     note = ""
@@ -344,10 +355,32 @@ class TruncationIdentityReport:
 
 
 def _truncation_series(d, source, m_max, max_symbol):
-    """(m, (mass, lbar, entropy) of D_m) for m = 1..m_max."""
+    """(m, (mass, lbar, entropy) of D_m) for m = 1..m_max.
+
+    D_m is the members of length <= m and T_m. One walk to depth m_max
+    yields each length's members and T_m (truncate's sets), and row m sums
+    the members so far with T_m, the terms exact_word_measures would take.
+    """
+    if m_max < 1:
+        return
+    levels = word_levels(d, source, d.member_width(max_symbol), MAX_FRONTIER_WORDS)
+    mass, lbar, h = [], [], []  # the terms of the members so far
     for m in range(1, m_max + 1):
-        fs = truncate(d, m, max_symbol, materialize=False)
-        yield m, exact_word_measures(fs.d_n_words, source)
+        _, words, rest = next(levels, (m, (), ()))
+        probs = [n[0] for n in words]
+        mass += probs
+        lbar += [p * m for p in probs]
+        h += [p * math.log2(p) for p in probs if p > 0.0]
+        t_m = [n[0] for n in rest]
+        row_mass = math.fsum(itertools.chain(mass, t_m))
+        if row_mass != row_mass:
+            check_priced(words + rest, source)
+        t_h = [p * math.log2(p) for p in t_m if p > 0.0]
+        yield m, (
+            row_mass,
+            math.fsum(itertools.chain(lbar, [p * m for p in t_m])),
+            -math.fsum(itertools.chain(h, t_h)),
+        )
 
 
 def check_truncation_identity(

@@ -98,16 +98,24 @@ class SourceModel:
         p, q = self.p, 1.0 - self.p
         return (-q * math.log2(q) - p * math.log2(p)) / p
 
+    def check_word(self, word: Word) -> None:
+        """Raise ValueError if word has a symbol outside a finite alphabet."""
+        if self.kind == FINITE and word and (
+            min(word) < 0 or max(word) >= len(self.probs)
+        ):
+            raise ValueError(
+                f"word {list(word)} has symbols outside alphabet size "
+                f"{len(self.probs)}"
+            )
+
     def word_prob(self, word: Word) -> float:
-        """Product-measure probability P(word); empty word -> 1."""
+        """Product-measure probability P(word); empty word -> 1.
+
+        The symbol probabilities are multiplied left to right from 1.0,
+        the order dictionary.word_levels also uses.
+        """
         if self.kind == FINITE:
-            if not word:
-                return 1.0
-            if min(word) < 0 or max(word) >= len(self.probs):
-                raise ValueError(
-                    f"word {list(word)} has symbols outside alphabet size "
-                    f"{len(self.probs)}"
-                )
+            self.check_word(word)
             return math.prod(map(self.probs.__getitem__, word), start=1.0)
         prob = 1.0
         for sym in word:

@@ -1,6 +1,8 @@
 """Tunstall construction, Huffman codebooks, and bitstream round-trips."""
 
+import bisect
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -41,15 +43,19 @@ def spec_encode(d, cb, stream) -> bytes:
     length, remainder symbols at ceil(log2 k) bits each, zero padding.
     """
     code_of = dict(zip(cb.phrases, cb.codewords))
-    prefixes = {w[:i] for w in code_of for i in range(1, len(w))}
-    codes, cur, start = [], (), 0
+    # phrases[lo:hi] are the phrases that extend the pending prefix; sorted,
+    # they are ordered by the symbol after it, so each symbol bisects
+    phrases = sorted(code_of)
+    codes, start, lo, hi = [], 0, 0, len(phrases)
     for i, s in enumerate(stream):
-        cur += (s,)
-        if cur in code_of:
-            codes.append(code_of[cur])
-            cur, start = (), i + 1
-        elif cur not in prefixes:
+        at = operator.itemgetter(i - start)
+        lo = bisect.bisect_left(phrases, s, lo, hi, key=at)
+        hi = bisect.bisect_right(phrases, s, lo, hi, key=at)
+        if lo == hi:  # no phrase starts with the pending prefix
             break
+        if len(phrases[lo]) == i - start + 1:  # the prefix is a phrase
+            codes.append(code_of[phrases[lo]])
+            start, lo, hi = i + 1, 0, len(phrases)
     remainder = stream[start:]
 
     acc, nbits = 0, 0
@@ -329,23 +335,18 @@ def test_round_trip_deep_tunstall_against_the_spec_encoder():
     s = SourceModel.finite([0.999, 0.001])
     d, cb, _ = _huffman_case(s, 4096)
     assert pattern_source(d) is None
-    # spec_encode lists every prefix of every word, about 10^10 symbols
-    # here, so it gets the words of up to 100 symbols: they hold every
-    # phrase of the streams below and every prefix their parse visits
-    short = PhraseCodebook.from_pairs(
-        (w, c) for w, c in zip(cb.phrases, cb.codewords) if len(w) <= 100
-    )
     fair = SourceModel.fair_bit()
-    for seed, length in [(1, 0), (2, 1), (3, 4095), (4, 30_000)]:
-        for tail in ([], [0] * 90 + [1], [0] * 90 + [1] + [0] * 99):
-            stream = fair.sample_stream(seed, length) + tail
-            data = encode(d, cb, stream)
-            assert data == spec_encode(d, short, stream), (seed, length, len(tail))
-            assert decode(d, cb, data) == stream
-    # phrases up to 4095 symbols long: the round trip alone
-    for seed in (5, 6):
-        stream = s.sample_stream(seed, 30_000) + [0] * 5000
-        assert decode(d, cb, encode(d, cb, stream)) == stream
+    streams = [
+        fair.sample_stream(seed, length) + tail
+        for seed, length in [(1, 0), (2, 1), (3, 4095), (4, 30_000)]
+        for tail in ([], [0] * 90 + [1], [0] * 90 + [1] + [0] * 99)
+    ]
+    # phrases up to 4095 symbols long
+    streams += [s.sample_stream(seed, 30_000) + [0] * 5000 for seed in (5, 6)]
+    for stream in streams:
+        data = encode(d, cb, stream)
+        assert data == spec_encode(d, cb, stream), len(stream)
+        assert decode(d, cb, data) == stream
 
 
 def test_encode_reads_symbols_equal_to_ints():
