@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .dictionary import FiniteDictionary, phrase_key, walk
+from .dictionary import TO_WORD, FiniteDictionary, phrase_key, walk
 from .errors import (
     CodebookMismatchError,
     CorruptBitstreamError,
@@ -71,16 +71,27 @@ class PhraseCodebook:
             raise ValueError("phrase/codeword count mismatch")
         if len(set(self.phrases)) != len(self.phrases):
             raise ValueError("duplicate phrases in codebook")
-        if len(set(self.codewords)) != len(self.codewords):
+        cs = self.codewords
+        if len(set(cs)) != len(cs):
             raise ValueError("duplicate codewords in codebook")
-        for c in self.codewords:
-            if not c or any(b not in "01" for b in c):
-                raise ValueError(f"codeword {c!r} is not a nonempty binary string")
-        cs = sorted(self.codewords)
-        for a, b in zip(cs, cs[1:]):
-            if b.startswith(a):
-                raise ValueError(f"codewords not prefix-free: {a!r} prefixes {b!r}")
-        if kraft_sum(self.codewords) > 1:
+        # checked in C; only a failure walks the codewords to name one
+        try:
+            binary = all(cs) and set("".join(cs)) <= {"0", "1"}
+        except TypeError:
+            binary = False
+        if not binary:
+            for c in cs:
+                if not c or any(b not in "01" for b in c):
+                    raise ValueError(f"codeword {c!r} is not a nonempty binary string")
+        cs = sorted(cs)
+        if not binary or any(map(str.startswith, cs[1:], cs)):
+            for a, b in zip(cs, cs[1:]):
+                if b.startswith(a):
+                    raise ValueError(f"codewords not prefix-free: {a!r} prefixes {b!r}")
+        # Kraft in integers: sum of 2^(top - len) against 2^top
+        lengths = Counter(map(len, cs))
+        top = max(lengths)
+        if sum(count << (top - n) for n, count in lengths.items()) > 1 << top:
             raise ValueError("codewords violate the Kraft inequality")
 
     @classmethod
@@ -126,7 +137,14 @@ def tunstall_build(source: SourceModel, target_size: int) -> FiniteDictionary:
     """Greedy variable-to-fixed dictionary: start from D = A and repeatedly
     extend the most probable word until another extension would exceed
     target_size. Ties break in canonical word order, so builds are
-    deterministic. The result is proper and complete by construction."""
+    deterministic.
+
+    The build grows the dictionary's trie as it goes: the words wait in a
+    heap keyed (-P, length, word) beside the state they end at, and
+    extending a word turns its edge into a fresh state whose k edges all
+    end words. The result is proper and complete by construction, so the
+    trie and the words left in the heap, sorted once, make the dictionary
+    without FiniteDictionary's checks."""
     k = source.alphabet_size
     if k is None:
         raise UnsupportedOperationError(
@@ -137,17 +155,23 @@ def tunstall_build(source: SourceModel, target_size: int) -> FiniteDictionary:
         raise ValueError("Tunstall construction needs alphabet size >= 2")
     if target_size < k:
         raise ValueError(f"target size {target_size} below alphabet size {k}")
-    heap = [(-source.probs[i], 1, (i,)) for i in range(k)]
+    probs = source.probs
+    symbols = range(k)
+    trans = [dict.fromkeys(symbols, TO_WORD)]
+    # words are distinct, so the heap never compares the states
+    heap = [(-probs[i], 1, (i,), 0) for i in symbols]
     heapq.heapify(heap)
     count = k
     while count + (k - 1) <= target_size:
-        neg_p, _, w = heapq.heappop(heap)
-        for b in range(k):
-            child = w + (b,)
-            heapq.heappush(heap, (neg_p * source.probs[b], len(child), child))
+        neg_p, n, w, q = heapq.heappop(heap)
+        state = len(trans)
+        trans[q][w[-1]] = state
+        trans.append(dict.fromkeys(symbols, TO_WORD))
+        for b in symbols:
+            heapq.heappush(heap, (neg_p * probs[b], n + 1, w + (b,), state))
         count += k - 1
-    words = [w for _, _, w in heap]
-    return FiniteDictionary(k, words)
+    words = tuple(sort_words(w for _, _, w, _ in heap))
+    return FiniteDictionary._from_trie(k, words, trans)
 
 
 def huffman_build(phrase_probs) -> PhraseCodebook:
@@ -158,6 +182,12 @@ def huffman_build(phrase_probs) -> PhraseCodebook:
     merge pops the two cheapest fronts, preferring the leaf queue on equal
     weight, and the first pop takes branch bit 0. A single phrase gets the
     degenerate codeword "0".
+
+    A node is a (weight, index) pair: leaf i is the i-th phrase in
+    canonical order, and merged node n + i lists its two children in
+    kids[i]. A stable sort by probability alone then gives the leaf queue
+    its (probability, canonical) order, and codewords run from the root,
+    the last node, down.
     """
     items = [(tuple(w), float(p)) for w, p in phrase_probs]
     if not items:
@@ -170,34 +200,31 @@ def huffman_build(phrase_probs) -> PhraseCodebook:
     if len(items) == 1:
         return PhraseCodebook.from_pairs([(items[0][0], "0")])
 
-    leaves = deque(
-        {"w": p, "phrase": w, "kids": None}
-        for w, p in sorted(items, key=lambda t: (t[1], canon_key(t[0])))
-    )
+    items.sort(key=lambda t: canon_key(t[0]))
+    probs = [p for _, p in items]
+    n = len(items)
+    leaves = deque((probs[i], i) for i in sorted(range(n), key=probs.__getitem__))
     merged = deque()
+    kids = []
 
     def pop_min():
-        if leaves and merged:
-            return leaves.popleft() if leaves[0]["w"] <= merged[0]["w"] else merged.popleft()
-        return leaves.popleft() if leaves else merged.popleft()
+        if leaves and (not merged or leaves[0][0] <= merged[0][0]):
+            return leaves.popleft()
+        return merged.popleft()
 
     while len(leaves) + len(merged) > 1:
-        a = pop_min()
-        b = pop_min()
-        merged.append({"w": a["w"] + b["w"], "phrase": None, "kids": (a, b)})
+        wa, a = pop_min()
+        wb, b = pop_min()
+        merged.append((wa + wb, n + len(kids)))
+        kids.append((a, b))
 
-    root = merged.popleft()
-    pairs = []
-    stack = [(root, "")]
-    while stack:
-        node, code = stack.pop()
-        if node["kids"] is None:
-            pairs.append((node["phrase"], code))
-        else:
-            a, b = node["kids"]
-            stack.append((a, code + "0"))
-            stack.append((b, code + "1"))
-    return PhraseCodebook.from_pairs(pairs)
+    codes = [""] * (n + len(kids))
+    for i in range(len(kids) - 1, -1, -1):
+        a, b = kids[i]
+        code = codes[n + i]
+        codes[a] = code + "0"
+        codes[b] = code + "1"
+    return PhraseCodebook(tuple(w for w, _ in items), tuple(codes[:n]))
 
 
 def fixed_codebook(phrases) -> PhraseCodebook:

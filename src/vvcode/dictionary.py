@@ -1,10 +1,12 @@
 """Prefix-free dictionaries: explicit word sets and lazy infinite families.
 
 A dictionary is a prefix-free set of nonempty words over the source
-alphabet. A finite dictionary keeps its words in canonical order and
-compiles them into a trie; infinite families (run-length, single-word
-extensions over countable alphabets) answer the same queries lazily and
-carry closed-form mass formulas so tail bounds stay certified.
+alphabet. A finite dictionary is a trie, with its words kept beside it in
+canonical order: the constructor checks the words while it inserts them,
+and codec.tunstall_build grows the trie itself and hands it over
+unchecked. Infinite families (run-length, single-word extensions over
+countable alphabets) answer the same queries lazily and carry closed-form
+mass formulas so tail bounds stay certified.
 
 Classification of an arbitrary prefix against a dictionary:
 
@@ -91,6 +93,22 @@ def find_prefix_violation(words):
         if len(a) < len(b) and b[: len(a)] == a:
             return a, b
     return None
+
+
+def _check_words(alphabet_size: int, ws) -> None:
+    """Raise ValueError for the first empty, out-of-range or duplicate word."""
+    seen = set()
+    for w in ws:
+        if not w:
+            raise ValueError("empty word is not a valid dictionary member")
+        for s in w:
+            if not (0 <= s < alphabet_size):
+                raise ValueError(
+                    f"symbol {s} out of range for alphabet size {alphabet_size}"
+                )
+        if w in seen:
+            raise ValueError(f"duplicate word {list(w)}")
+        seen.add(w)
 
 
 def frontier_budget_error(depth: int, max_words: int) -> ResourceBudgetError:
@@ -393,36 +411,53 @@ class FiniteDictionary(Dictionary):
         ws = [tuple(w) for w in words]
         if not ws:
             raise ValueError("dictionary needs at least one word")
-        seen = set()
-        for w in ws:
-            if not w:
-                raise ValueError("empty word is not a valid dictionary member")
-            for s in w:
-                if not (0 <= s < alphabet_size):
-                    raise ValueError(
-                        f"symbol {s} out of range for alphabet size {alphabet_size}"
-                    )
-            if w in seen:
-                raise ValueError(f"duplicate word {list(w)}")
-            seen.add(w)
-        violation = find_prefix_violation(ws)
-        if violation is not None:
-            raise ImproperDictionaryError(*violation)
-        self.alphabet_size = alphabet_size
-        self.words = tuple(sort_words(ws))
-        self.word_set = frozenset(self.words)
-        self._max_len = max(len(w) for w in self.words)
-        # trie states; prefix-freeness keeps every path prefix internal
+        # Empty, out-of-range and duplicate words are caught in C; only a
+        # failed check walks the words in Python, to name the first culprit.
+        try:
+            word_set = frozenset(ws)
+            symbols = set().union(*ws)
+            valid = (
+                all(ws)
+                and len(word_set) == len(ws)
+                and all(type(s) is int for s in symbols)
+                and 0 <= min(symbols)
+                and max(symbols) < alphabet_size
+            )
+        except TypeError:
+            valid = False
+        if not valid:
+            _check_words(alphabet_size, ws)
+            word_set = frozenset(ws)
+        words = sort_words(ws)
+        # Trie states in canonical order: a shorter word comes first, so a
+        # path that meets TO_WORD is the only way to break prefix-freeness.
         trans = [{}]
-        for w in self.words:
+        for w in words:
             q = 0
             for s in w[:-1]:
                 nxt = trans[q].get(s)
                 if nxt is None:
                     nxt = trans[q][s] = len(trans)
                     trans.append({})
+                elif nxt == TO_WORD:
+                    raise ImproperDictionaryError(*find_prefix_violation(ws))
                 q = nxt
             trans[q][w[-1]] = TO_WORD
+        self._finish(alphabet_size, tuple(words), word_set, trans)
+
+    @classmethod
+    def _from_trie(cls, alphabet_size: int, words: tuple, trans: list):
+        """The dictionary of a trie that is proper by construction, with
+        its words in canonical order; nothing is checked."""
+        d = cls.__new__(cls)
+        d._finish(alphabet_size, words, frozenset(words), trans)
+        return d
+
+    def _finish(self, alphabet_size, words, word_set, trans):
+        self.alphabet_size = alphabet_size
+        self.words = words
+        self.word_set = word_set
+        self._max_len = len(words[-1])
         self.transitions = trans
         self.defaults = [TO_DEAD] * len(trans)
 

@@ -152,6 +152,23 @@ def phrase_measures(
     exact_tails=False skips family closed forms and exercises the generic
     frontier-envelope bound (used for cross-checking).
     """
+    return _phrase_measures(
+        d, source, depth, width, exact_tails, divergence_ceiling, frontier_tol
+    )
+
+
+def _phrase_measures(
+    d,
+    source,
+    depth,
+    width,
+    exact_tails,
+    divergence_ceiling=1e6,
+    frontier_tol=1e-9,
+    frontier_mass=None,
+) -> PhraseMeasures:
+    """phrase_measures, reusing frontier_mass = d.boundary_mass(depth, source)
+    when the caller has it already."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     eff_width: int | None
@@ -162,7 +179,8 @@ def phrase_measures(
     else:
         eff_width = width
     partial_mass, partial_lbar, partial_h = d.member_measures(depth, eff_width, source)
-    frontier_mass = d.boundary_mass(depth, source)
+    if frontier_mass is None:
+        frontier_mass = d.boundary_mass(depth, source)
 
     note = ""
     tails = d.tail_stats(depth, eff_width, source) if exact_tails else None
@@ -281,7 +299,11 @@ def check_conservation(
     """
     verdict_note = ""
     asc = is_asc(d, source, depth, tol)
-    pm = phrase_measures(d, source, depth, width, exact_tails)
+    # is_asc's residual is d.boundary_mass(depth, source), the very float
+    # phrase_measures would compute again
+    pm = _phrase_measures(
+        d, source, depth, width, exact_tails, frontier_mass=asc.residual_mass
+    )
     h_p = source.entropy()
     rhs = pm.length.scaled(h_p)
     residual = abs(pm.entropy.mid - h_p * pm.length.mid)
