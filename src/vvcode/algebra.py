@@ -143,7 +143,7 @@ def extend(d: Dictionary, alpha) -> Dictionary:
     """D[alpha] = (D \\ {alpha}) u alpha*A.
 
     Finite dictionaries are materialized; lazy families and countable
-    alphabets return a lazy extension with composed mass formulas.
+    alphabets return a lazy extension, an automaton built from the base's.
     """
     alpha = tuple(alpha)
     if d.classify(alpha) != WORD:

@@ -102,6 +102,14 @@ class PhraseCodebook:
             codewords=tuple(c for _, c in pairs),
         )
 
+    def _check_matches(self, d: FiniteDictionary) -> None:
+        """Raise CodebookMismatchError unless the phrases are d's words. Both
+        are immutable: the codebook remembers the dictionary it last matched."""
+        if getattr(self, "_matched", None) is not d:
+            if set(self.phrases) != d.word_set:
+                raise CodebookMismatchError("codebook phrases do not match the dictionary words")
+            object.__setattr__(self, "_matched", d)
+
     def codeword_for(self, phrase: Word) -> str:
         return self._encode_map()[phrase]
 
@@ -192,7 +200,7 @@ def huffman_build(phrase_probs) -> PhraseCodebook:
     items = [(tuple(w), float(p)) for w, p in phrase_probs]
     if not items:
         raise ValueError("cannot build a codebook over zero phrases")
-    if any(p <= 0.0 for _, p in items):
+    if any(not p > 0.0 for _, p in items):  # NaN too
         raise ValueError("phrase probabilities must be positive")
     total = math.fsum(p for _, p in items)
     if abs(total - 1.0) > PROB_SUM_TOL:
@@ -295,8 +303,7 @@ def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
     looks its codeword up. Every symbol the walk consumes has a transition
     and so lies in the alphabet; only the remainder needs the range check.
     """
-    if set(cb.phrases) != d.word_set:
-        raise CodebookMismatchError("codebook phrases do not match the dictionary words")
+    cb._check_matches(d)
     seq = stream if isinstance(stream, (list, tuple)) else list(stream)
     phrases, begin, _ = walk(d, seq)
     remainder = seq[begin:]
@@ -317,8 +324,7 @@ def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
 
 def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
     """Exact inverse of encode for the same (dictionary, codebook)."""
-    if set(cb.phrases) != d.word_set:
-        raise CodebookMismatchError("codebook phrases do not match the dictionary words")
+    cb._check_matches(d)
     bits = bytes_to_bits(data)
     total = len(bits)
     if total < 8:

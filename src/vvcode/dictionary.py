@@ -5,8 +5,8 @@ alphabet. A finite dictionary is a trie, with its words kept beside it in
 canonical order: the constructor checks the words while it inserts them,
 and codec.tunstall_build grows the trie itself and hands it over
 unchecked. Infinite families (run-length, single-word extensions over
-countable alphabets) answer the same queries lazily and carry closed-form
-mass formulas so tail bounds stay certified.
+countable alphabets) are constructors of an automaton and nothing more:
+every query, the measures included, is the base class reading it.
 
 Classification of an arbitrary prefix against a dictionary:
 
@@ -17,9 +17,10 @@ Classification of an arbitrary prefix against a dictionary:
 Every dictionary compiles one automaton at construction, and all walks
 (classify, cursors, parse, encode, sampling, frontiers, completeness) read
 it. State q has a dict ``transitions[q]`` from symbol to entry and an entry
-``defaults[q]`` for every other symbol. An entry is the next internal
-state (an index >= 0), TO_WORD or TO_DEAD. A default is never an internal
-state, and a negative symbol is DEAD in every state. The per-state default
+``defaults[q]`` for every other symbol. A listed entry is the next
+internal state (an index >= 0) or TO_WORD; a default is TO_WORD or
+TO_DEAD, and a negative symbol is DEAD in every state. The only cycles
+are self-loops (a state listed as its own entry). The per-state default
 is what lets countable alphabets share the representation: "every symbol
 ends a word" needs no table of symbols.
 
@@ -42,15 +43,27 @@ The measure sums read the automaton too. ``word_levels`` walks it one
 length at a time and prices each edge with one multiply, P(prefix)*p_s,
 starting from 1.0 at the start state. SourceModel.word_prob multiplies a
 word's symbol probabilities in the same order from the same 1.0, so every
-P(w) the walk reaches is bit-identical to word_prob(w). ``level_measures``
-then adds the same terms as exact_word_measures (P, P*|w| and P*log2 P)
+P(w) the walk reaches is bit-identical to word_prob(w). The member sums
+then add the same terms as exact_word_measures (P, P*|w| and P*log2 P)
 with math.fsum, which rounds the exact sum correctly and so does not
 depend on the order of its terms: the sums keep every bit of a word-by-word
 evaluation, at one multiply per edge instead of |w| per word.
+
+One walk to the depth budget (shared within ``shared_walks()``) gives the
+member sums and P(T_depth), summed directly as the live prefixes at depth
+plus the mass that shorter ones send to TO_DEAD. Tails: a finite
+automaton walks on through its longer words; any other closes each live
+prefix with its state's completion sums, computed children first, the
+fundamental matrix of an absorbing chain (Kemeny & Snell, 1960) for a DAG
+plus self-loops. Over a countable alphabet, the words through symbols >=
+width that a TO_WORD default ends add the source's closed-form tails.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import itertools
 import math
 import re
@@ -160,14 +173,14 @@ def word_levels(
     """Walk d's automaton one length at a time: yield (j, words, rest) for
     j = 1, 2, ... until no prefix of length j leads on.
 
-    A node is (P(prefix), entry, parent node, last symbol), and a child's P
-    is its parent's P times the symbol's probability (see the module
-    docstring). words are the nodes of the members of length j, rest those
-    of the length-j prefixes that lead on: the live ones and, when a
-    frontier budget is given, the dead ones too, whose completions the next
-    length expands. rest is then T_j, and a T_j larger than the budget
-    raises ResourceBudgetError before it is built. Symbols run over
-    range(width).
+    A node is (P(prefix), entry), and a child's P is its parent's P times
+    the symbol's probability (see the module docstring). words are the
+    nodes of the members of length j, rest those of the length-j prefixes
+    that lead on: the live ones and, when a frontier budget is given, the
+    dead ones too, whose completions the next length expands. rest is then
+    T_j, and a T_j larger than the budget raises ResourceBudgetError before
+    it is built. Symbols run over range(width), and a state's listed
+    symbols past it are taken too.
     """
     sp = _SymbolProbs(source)
     trans, defaults = d.transitions, d.defaults
@@ -185,13 +198,14 @@ def word_levels(
         else:
             t, default = trans[q], defaults[q]
             pairs = [(s, t.get(s, default)) for s in symbols]
+            pairs += [(s, e) for s, e in t.items() if s >= width]
             if frontier is None:
                 pairs = [(s, e) for s, e in pairs if e != TO_DEAD]
         found[q] = pairs
         n_rest[q] = sum(e != TO_WORD for _, e in pairs)
         return pairs
 
-    rest = [(1.0, d.start, None, None)]
+    rest = [(1.0, d.start)]
     j = 0
     while rest:
         j += 1
@@ -202,57 +216,22 @@ def word_levels(
             if sum(n_rest[n[1]] for n in rest) > frontier:
                 raise frontier_budget_error(j, frontier)
         words, nxt = [], []
-        for node in rest:
-            p, q = node[0], node[1]
+        for p, q in rest:
             pairs = found.get(q)
             if pairs is None:
                 listed_here = listed and defaults[q] == TO_DEAD
                 pairs = trans[q].items() if listed_here else edges(q)
             for s, e in pairs:
-                (words if e == TO_WORD else nxt).append((p * sp[s], e, node, s))
+                (words if e == TO_WORD else nxt).append((p * sp[s], e))
         yield j, words, nxt
         rest = nxt
-
-
-def node_word(node) -> Word:
-    """The word that a word_levels node stands for."""
-    syms = []
-    while node[2] is not None:
-        syms.append(node[3])
-        node = node[2]
-    return tuple(reversed(syms))
-
-
-def check_priced(nodes, source: SourceModel):
-    """Raise word_prob's error for the least word of nodes (one length)
-    whose probability is NaN, if there is one."""
-    unpriced = [node_word(n) for n in nodes if n[0] != n[0]]
-    if unpriced:
-        source.check_word(min(unpriced))
-
-
-def level_measures(levels, source: SourceModel):
-    """(mass, lbar, entropy) of the words in levels, a list of word_levels'
-    (j, words, rest): exact_word_measures' sums, term for term.
-
-    A word the source cannot price raises word_prob's error for the first
-    such word in canonical order, as exact_word_measures would.
-    """
-    probs = [n[0] for _, words, _ in levels for n in words]
-    mass = math.fsum(probs)
-    if mass != mass:
-        for _, words, _ in levels:
-            check_priced(words, source)
-    lbar = math.fsum(n[0] * j for j, words, _ in levels for n in words)
-    h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
-    return mass, lbar, h
 
 
 @dataclass(frozen=True)
 class TailStats:
     """Mass / average-length / entropy contributions of unenumerated words.
 
-    Exact families report low == high; bounding paths report a bracket.
+    Exact tails report low == high; bounding paths report a bracket.
     """
 
     mass_low: float
@@ -270,15 +249,180 @@ class TailStats:
     def exact(cls, mass: float, lbar: float, h: float) -> "TailStats":
         return cls(mass, mass, lbar, lbar, h, h)
 
-    def shifted(self, mass: float, lbar: float, h: float) -> "TailStats":
-        return TailStats(
-            self.mass_low + mass,
-            self.mass_high + mass,
-            self.lbar_low + lbar,
-            self.lbar_high + lbar,
-            self.h_low + h,
-            self.h_high + h,
+
+def _default_mass(t: dict, source: SourceModel):
+    """The sums of P(s) and of -P(s)*log2 P(s) over the symbols s that a
+    state with transitions t does not list, summed directly."""
+    top = max(t, default=-1) + 1
+    k = source.alphabet_size
+    below = top if k is None else min(top, k)  # a finite source has no more
+    ps = [source.symbol_prob(s) for s in range(below) if s not in t]
+    return (
+        math.fsum(ps) + source.tail_mass(top),
+        math.fsum(-p * math.log2(p) for p in ps if p > 0.0)
+        + source.tail_surprisal_mass(top),
+    )
+
+
+def _children_first(d: "Dictionary") -> list:
+    """The states reachable from the start, each listed after every state
+    it leads to. A self-loop is skipped; the families build no other
+    cycle."""
+    order, seen, stack = [], set(), [(d.start, False)]
+    while stack:
+        q, expanded = stack.pop()
+        if expanded:
+            order.append(q)
+        elif q not in seen:
+            seen.add(q)
+            stack.append((q, True))
+            stack.extend((e, False) for e in d.transitions[q].values() if e >= 0)
+    return order
+
+
+def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
+    """(M, L, S) of state q: the sums of P(w), P(w)*|w| and -P(w)*log2 P(w)
+    over the words w that complete a prefix at q, from those of the states
+    it leads to. Behind a self-loop of probability r, q's other words
+    recur after any number of loop symbols: they scale by 1/(1 - r), and
+    the loop symbols add m*r/(1 - r)^2 to the length and u*m/(1 - r)^2 to
+    the surprisal, u being their -sum p*log2 p.
+    """
+    t = d.transitions[q]
+    m = l = s = r = u = 0.0
+    for sym, e in t.items():
+        p = source.symbol_prob(sym)
+        if p == 0.0:  # underflow: 0 * log 0 = 0
+            continue
+        hp = -p * math.log2(p)
+        if e == q:
+            r += p
+            u += hp
+        else:
+            cm, cl, cs = sums[e]  # sums[TO_WORD] is the empty word's
+            m += p * cm
+            l += p * (cm + cl)
+            s += p * cs + hp * cm
+    if d.defaults[q] == TO_WORD:  # each symbol not listed ends a word
+        dm, ds = _default_mass(t, source)
+        m, l, s = m + dm, l + dm, s + ds
+    g = 1.0 / (1.0 - r)
+    return m * g, l * g + m * r * g * g, s * g + u * m * g * g
+
+
+class _MeasureWalk:
+    """One word_levels walk of d to `depth` over range(width), and the
+    measure sums read from it: the members up to depth, P(T_depth) and the
+    tails beyond the budget (see the module docstring)."""
+
+    def __init__(self, d: "Dictionary", depth: int, width: int, source: SourceModel):
+        depth = max(depth, 0)
+        self.d, self.depth, self.width, self.source = d, depth, width, source
+        self.more = word_levels(d, source, width)
+        self.levels = list(itertools.islice(self.more, depth))
+        # the prefixes that lead on, by length: those shorter than depth,
+        # and the live ones at depth (none if the walk ended before it)
+        inner = [[(1.0, d.start)]] + [rest for _, _, rest in self.levels]
+        self.shorter = inner[:depth]
+        self.live = inner[depth] if depth < len(inner) else []
+
+    def _sums(self, levels):
+        """exact_word_measures of the words in levels, term for term; an
+        unpriced word raises word_prob's error for the least one."""
+        probs = [n[0] for _, words, _ in levels for n in words]
+        mass = math.fsum(probs)
+        if mass != mass:
+            j = next(j for j, words, _ in levels if any(n[0] != n[0] for n in words))
+            for w in self.d.member_words(j, self.width):
+                if len(w) == j:
+                    self.source.check_word(w)
+        lbar = math.fsum(n[0] * j for j, words, _ in levels for n in words)
+        h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+        return mass, lbar, h
+
+    @functools.cached_property
+    def members(self):
+        return self._sums(self.levels)
+
+    @functools.cached_property
+    def boundary(self) -> float:
+        """P(T_depth): the live prefixes at depth, and the mass that
+        shorter prefixes send to TO_DEAD."""
+        d, source = self.d, self.source
+        # a state that lists every symbol of a same-size source costs nothing
+        same = d.alphabet_size == source.alphabet_size
+        dead = {
+            q: _default_mass(t, source)[0]
+            for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
+            if default == TO_DEAD and not (same and len(t) == d.alphabet_size)
+        }
+        terms = [n[0] for n in self.live]
+        if dead:
+            terms += [p * dead[q] for nodes in self.shorter for p, q in nodes if q in dead]
+        k = source.alphabet_size
+        if d.alphabet_size is not None and k is not None and d.alphabet_size > k:
+            # as the member sums do, raise word_prob's error for a member of
+            # the budget that the source cannot price
+            self.members
+        # a prefix through a symbol the source lacks has no mass
+        return min(1.0, math.fsum(p for p in terms if p == p))
+
+    @functools.cached_property
+    def tail(self) -> TailStats:
+        """The members beyond the budget: longer than depth or, over a
+        countable alphabet, through a symbol >= width."""
+        d, source = self.d, self.source
+        if d.alphabet_size is not None and d.max_word_length() is not None:
+            # finitely many words: walk the rest of them
+            levels = list(self.more)
+            if not any(words for _, words, _ in levels):
+                return TailStats.zero()
+            return TailStats.exact(*self._sums(levels))
+        sums = {TO_WORD: (1.0, 0.0, 0.0)}
+        for q in _children_first(d):
+            sums[q] = _completion(d, q, source, sums)
+        # (P(prefix), |prefix|, sums of the words it leads to): each live
+        # prefix with all its completions, and each shorter prefix with
+        # the one-symbol words through symbols >= width that a TO_WORD
+        # default ends
+        closed = [(p, self.depth, sums[q]) for p, q in self.live]
+        if TO_WORD in d.defaults:
+            m_w = source.tail_mass(self.width)
+            past_width = (m_w, m_w, source.tail_surprisal_mass(self.width))
+            closed += [
+                (p, j, past_width)
+                for j, nodes in enumerate(self.shorter)
+                for p, q in nodes
+                if d.defaults[q] == TO_WORD
+            ]
+        closed = [c for c in closed if c[0] > 0.0]  # 0 * log 0 = 0; NaN: no mass
+        return TailStats.exact(
+            math.fsum(p * cm for p, _, (cm, _, _) in closed),
+            math.fsum(p * (j * cm + cl) for p, j, (cm, cl, _) in closed),
+            math.fsum(p * (cs - math.log2(p) * cm) for p, _, (cm, _, cs) in closed),
         )
+
+
+_WALKS = contextvars.ContextVar("walks")
+
+
+@contextlib.contextmanager
+def shared_walks():
+    """Within the block (and blocks nested in it, on this thread), the
+    measure queries of a dictionary at one budget read one walk."""
+    token = _WALKS.set(_WALKS.get({}))
+    try:
+        yield
+    finally:
+        _WALKS.reset(token)
+
+
+def _measure_walk(d, depth, width, source) -> _MeasureWalk:
+    walks = _WALKS.get({})
+    key = (id(d), depth, width, source)  # d outlives the block: walks hold it
+    if key not in walks:
+        walks[key] = _MeasureWalk(d, depth, width, source)
+    return walks[key]
 
 
 class Dictionary:
@@ -286,9 +430,9 @@ class Dictionary:
     and the dictionary is safe to share.
 
     Subclasses set the automaton (start, transitions, defaults) in their
-    constructor; see the module docstring for its encoding. The only state
-    that changes later is walk's count of symbols walked and its cached
-    pattern, which never change a result.
+    constructor; see the module docstring for its encoding. Every query
+    below reads it. The only state that changes later is walk's count of
+    symbols walked and its cached pattern, which never change a result.
     """
 
     alphabet_size: int | None = None
@@ -324,33 +468,51 @@ class Dictionary:
     def member_words(self, max_len: int, max_symbol: int | None = None) -> list:
         """All members of length <= max_len (symbols < max_symbol when the
         alphabet is countable), in canonical length-lex order."""
-        raise NotImplementedError
+        symbols = range(self.member_width(max_symbol))
+        out, rest = [], [((), self.start)]
+        for _ in range(max_len):
+            nxt = []
+            for w, q in rest:
+                t, default = self.transitions[q], self.defaults[q]
+                for s in symbols:
+                    e = t.get(s, default)
+                    if e == TO_WORD:
+                        out.append(w + (s,))
+                    elif e >= 0:
+                        nxt.append((w + (s,), e))
+            rest = nxt
+        return out
 
     def fully_enumerated(self, max_len: int, max_symbol: int | None = None) -> bool:
         """True iff member_words(max_len, max_symbol) is the whole dictionary."""
-        raise NotImplementedError
+        longest = None if self.alphabet_size is None else self.max_word_length()
+        return longest is not None and max_len >= longest
 
     def max_word_length(self) -> int | None:
-        raise NotImplementedError
+        """The length of the longest member, or None if a reachable
+        self-loop makes members of every length."""
+        longest = {}
+        for q in _children_first(self):
+            entries = self.transitions[q].values()
+            if q in entries:
+                return None
+            longest[q] = 1 + max((longest[e] for e in entries if e >= 0), default=0)
+        return longest[self.start]
 
     def covered_mass(self, depth: int, source: SourceModel) -> float:
-        """Exact sum of P(alpha) over members with |alpha| <= depth."""
-        raise NotImplementedError
+        """Sum of P(alpha) over members with |alpha| <= depth: 1 - P(T_depth)."""
+        return 1.0 - self.boundary_mass(depth, source)
 
     def member_measures(self, depth: int, width, source: SourceModel):
         """exact_word_measures of member_words(depth, width), summed from
         the automaton walk (see the module docstring)."""
-        levels = word_levels(self, source, self.member_width(width))
-        return level_measures(list(itertools.islice(levels, max(depth, 0))), source)
+        return _measure_walk(self, depth, self.member_width(width), source).members
 
     def boundary_mass(self, depth: int, source: SourceModel) -> float:
-        """P(T_depth): mass of length-`depth` strings with no member prefix.
-
-        Equals 1 - covered_mass(depth) because a proper dictionary gives
-        any string at most one member prefix.
-        """
-        mass = 1.0 - self.covered_mass(depth, source)
-        return min(1.0, max(0.0, mass))
+        """P(T_depth): mass of length-`depth` strings with no member prefix."""
+        # over a countable alphabet only listed symbols lead on: width 0
+        width = 0 if self.alphabet_size is None else self.alphabet_size
+        return _measure_walk(self, depth, width, source).boundary
 
     def tail_stats(self, depth, width, source) -> TailStats | None:
         """Contributions of members outside the (depth, width) budget.
@@ -358,7 +520,7 @@ class Dictionary:
         None means the family has no certified formula; callers fall back
         to the generic frontier bound or report an unbounded interval.
         """
-        return None
+        return _measure_walk(self, depth, self.member_width(width), source).tail
 
     def frontier_envelope(self, source) -> tuple | None:
         """(c, q) with P(T_m) <= c*q^m for all m >= 1 and q < 1, if known.
@@ -483,16 +645,6 @@ class FiniteDictionary(Dictionary):
     def max_word_length(self):
         return self._max_len
 
-    def covered_mass(self, depth, source):
-        return self.member_measures(depth, None, source)[0]
-
-    def tail_stats(self, depth, width, source):
-        levels = word_levels(self, source, self.alphabet_size)
-        levels = list(itertools.islice(levels, max(depth, 0), None))
-        if not any(words for _, words, _ in levels):
-            return TailStats.zero()
-        return TailStats.exact(*level_measures(levels, source))
-
     def is_complete(self) -> bool:
         """Complete iff every internal state has a transition on each of
         the k symbols (every trie state is reachable)."""
@@ -527,29 +679,6 @@ class AlphabetDictionary(Dictionary):
     def __repr__(self):
         return f"AlphabetDictionary(k={self.alphabet_size})"
 
-    def member_words(self, max_len, max_symbol=None):
-        if max_len < 1:
-            return []
-        return [(i,) for i in range(self._width_for(max_symbol))]
-
-    def fully_enumerated(self, max_len, max_symbol=None):
-        return self.alphabet_size is not None and max_len >= 1
-
-    def max_word_length(self):
-        return 1
-
-    def covered_mass(self, depth, source):
-        return 1.0 if depth >= 1 else 0.0
-
-    def tail_stats(self, depth, width, source):
-        if depth < 1:
-            return TailStats.exact(1.0, 1.0, source.entropy())
-        if self.alphabet_size is not None:
-            return TailStats.zero()
-        w = self._width_for(width)
-        m = source.tail_mass(w)
-        return TailStats.exact(m, m, source.tail_surprisal_mass(w))
-
     def frontier_envelope(self, source):
         return (0.0, 0.5)
 
@@ -571,40 +700,8 @@ class RunLengthDictionary(Dictionary):
     def __repr__(self):
         return "RunLengthDictionary()"
 
-    def member_words(self, max_len, max_symbol=None):
-        return [(1,) * j + (0,) for j in range(max_len)]
-
-    def fully_enumerated(self, max_len, max_symbol=None):
-        return False
-
-    def max_word_length(self):
-        return None
-
-    def _params(self, source):
-        return source.symbol_prob(0), source.symbol_prob(1)
-
-    def covered_mass(self, depth, source):
-        p0, q = self._params(source)
-        return p0 * (1.0 - q**depth) / (1.0 - q)
-
-    def boundary_mass(self, depth, source):
-        # 1 - covered = extra + coef*q^depth, evaluated without cancellation
-        p0, q = self._params(source)
-        coef = p0 / (1.0 - q)
-        extra = 1.0 - coef
-        return min(1.0, max(0.0, extra + coef * q**depth))
-
-    def tail_stats(self, depth, width, source):
-        p0, q = self._params(source)
-        s1 = q**depth / (1.0 - q)
-        s2 = q**depth * (depth * (1.0 - q) + q) / (1.0 - q) ** 2
-        mass = p0 * s1
-        lbar = p0 * (s2 + s1)
-        h = -math.log2(p0) * p0 * s1 - math.log2(q) * p0 * s2
-        return TailStats.exact(mass, lbar, h)
-
     def frontier_envelope(self, source):
-        p0, q = self._params(source)
+        p0, q = source.symbol_prob(0), source.symbol_prob(1)
         coef = p0 / (1.0 - q)
         extra = 1.0 - coef
         if extra > 1e-12:
@@ -617,8 +714,9 @@ class ExtendedDictionary(Dictionary):
     """D[alpha] = (D \\ {alpha}) u alpha*A, materialized lazily.
 
     Used when the base or the alphabet cannot be materialized (infinite
-    families, countable alphabets). Exact mass formulas compose from the
-    base's, so certified measures survive extension.
+    families, countable alphabets). Its automaton is the base's plus
+    copies of the states along alpha, so every query of the base class
+    applies to it unchanged.
     """
 
     def __init__(self, base: Dictionary, alpha):
@@ -660,69 +758,6 @@ class ExtendedDictionary(Dictionary):
             )
         self.base.member_width(max_symbol)  # a nested extension's word
         return w
-
-    def member_words(self, max_len, max_symbol=None):
-        w = self.member_width(max_symbol)
-        out = [
-            x
-            for x in self.base.member_words(max_len, max_symbol)
-            if x != self.alpha
-        ]
-        if len(self.alpha) + 1 <= max_len:
-            out.extend(self.alpha + (b,) for b in range(w))
-        return sort_words(out)
-
-    def fully_enumerated(self, max_len, max_symbol=None):
-        if self.alphabet_size is None:
-            return False
-        return self.base.fully_enumerated(max_len, max_symbol) and (
-            len(self.alpha) + 1 <= max_len
-        )
-
-    def max_word_length(self):
-        base_max = self.base.max_word_length()
-        if base_max is None:
-            return None
-        return max(base_max, len(self.alpha) + 1)
-
-    def covered_mass(self, depth, source):
-        la = len(self.alpha)
-        mass = self.base.covered_mass(depth, source)
-        pa = source.word_prob(self.alpha)
-        if la <= depth:
-            mass -= pa
-        if la + 1 <= depth:
-            mass += pa
-        return mass
-
-    def boundary_mass(self, depth, source):
-        mass = self.base.boundary_mass(depth, source)
-        if depth == len(self.alpha):
-            mass += source.word_prob(self.alpha)
-        return min(1.0, max(0.0, mass))
-
-    def tail_stats(self, depth, width, source):
-        bt = self.base.tail_stats(depth, width, source)
-        if bt is None:
-            return None
-        self.member_width(width)
-        la = len(self.alpha)
-        pa = source.word_prob(self.alpha)
-        # an underflowed P(alpha) weighs its surprisal by 0: 0 * log 0 = 0
-        surprisal_a = -math.log2(pa) if pa > 0.0 else 0.0
-        if la > depth:
-            bt = bt.shifted(-pa, -pa * la, -pa * surprisal_a)
-        if la + 1 > depth:
-            # all of alpha*A lies beyond the depth budget
-            return bt.shifted(
-                pa, pa * (la + 1), pa * (source.entropy() + surprisal_a)
-            )
-        if self.alphabet_size is not None:
-            return bt
-        w = self._width_for(width)
-        m = source.tail_mass(w)
-        s = source.tail_surprisal_mass(w)
-        return bt.shifted(pa * m, pa * (la + 1) * m, pa * (s + surprisal_a * m))
 
     def frontier_envelope(self, source):
         env = self.base.frontier_envelope(source)
@@ -917,16 +952,11 @@ def pattern_source(d: Dictionary) -> str | None:
 def is_proper(d, depth: int = 32, max_symbol: int | None = None) -> bool:
     """True iff no member word is a strict prefix of another.
 
-    Finite dictionaries are proper by construction; lazy families are
-    checked over all members of length <= depth; a raw iterable of words
-    is checked in full.
+    Every Dictionary is proper: a walk stops at the first prefix that ends
+    a word, so no member continues another (depth and max_symbol are not
+    needed for it). A raw iterable of words is checked in full.
     """
-    if isinstance(d, FiniteDictionary):
-        return True
-    if isinstance(d, Dictionary):
-        words = d.member_words(depth, max_symbol if max_symbol else DEFAULT_WIDTH)
-        return find_prefix_violation(words) is None
-    return find_prefix_violation(d) is None
+    return isinstance(d, Dictionary) or find_prefix_violation(d) is None
 
 
 def is_complete(d, alphabet_size: int | None = None) -> bool:
@@ -973,17 +1003,14 @@ def is_asc(
 ) -> AscVerdict:
     """Certify P(T_n) < tol at n = depth_budget, or report the residual.
 
-    P(T_m) = 1 - sum of P(alpha) over members with |alpha| <= m, computed
-    from the dictionary's exact mass formulas.
+    P(T_n) is d.boundary_mass: the mass of the live length-n prefixes and
+    of the shorter ones that no member can complete, summed from the
+    automaton walk.
     """
     if depth_budget < 1:
         raise ValueError("depth budget must be >= 1")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if not is_proper(d, depth_budget):
-        raise ImproperDictionaryError(
-            *find_prefix_violation(d.member_words(depth_budget, DEFAULT_WIDTH))
-        )
     residual = d.boundary_mass(depth_budget, source)
     status = CERTIFIED_ASC if residual < tol else UNDETERMINED
     return AscVerdict(status=status, depth_used=depth_budget, residual_mass=residual)

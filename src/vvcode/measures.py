@@ -2,9 +2,11 @@
 
 H(D) = -sum P(a) log2 P(a) and lbar(D) = sum P(a)|a| over the dictionary,
 evaluated as intervals: exact partial sums over an enumeration budget plus
-tail contributions. Families with closed-form tails yield (near) exact
-intervals; otherwise a generic frontier-envelope bound is used; failing
-both, the upper end is infinite and flagged.
+tail contributions. Dictionary.tail_stats gives exact tails for every
+automaton the families build (see the dictionary module docstring);
+exact_tails=False, or a subclass that withholds them, falls back to a
+generic frontier-envelope bound, and failing that the upper end is
+infinite and flagged.
 
 The conservation check compares H(D) against H(P)*lbar(D) and only issues
 pass/fail when the dictionary is ASC-certified at the working depth; the
@@ -15,6 +17,9 @@ Every finite sum here is formed from the automaton by
 dictionary.word_levels: the partial sums walk it to the depth budget (and
 within the width budget on countable alphabets), and the truncation series
 walks it once to m_max, expanding dead prefixes into their completions.
+phrase_measures and check_conservation run their queries in
+dictionary.shared_walks(), so the partial sums, P(T_depth) and the tails
+come from one walk.
 Each word probability is the walk's product P(prefix)*p_s, bit-identical
 to SourceModel.word_prob, and each sum is a math.fsum, which rounds the
 exact sum and so does not depend on the order of its terms. So the reports
@@ -27,19 +32,19 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .algebra import MAX_FRONTIER_WORDS
+from .algebra import MAX_FRONTIER_WORDS, uncovered_frontier
 from .dictionary import (
     DEFAULT_WIDTH,
     Dictionary,
     FiniteDictionary,
     TailStats,
-    check_priced,
     exact_word_measures,
     is_asc,
+    shared_walks,
     word_levels,
 )
 from .errors import UnsupportedOperationError
-from .source import SourceModel, Word
+from .source import SourceModel, Word, sort_words
 
 INF = float("inf")
 
@@ -149,26 +154,9 @@ def phrase_measures(
 ) -> PhraseMeasures:
     """Bracket H(D), lbar(D) and the member mass at a (depth, width) budget.
 
-    exact_tails=False skips family closed forms and exercises the generic
+    exact_tails=False skips the exact tails and exercises the generic
     frontier-envelope bound (used for cross-checking).
     """
-    return _phrase_measures(
-        d, source, depth, width, exact_tails, divergence_ceiling, frontier_tol
-    )
-
-
-def _phrase_measures(
-    d,
-    source,
-    depth,
-    width,
-    exact_tails,
-    divergence_ceiling=1e6,
-    frontier_tol=1e-9,
-    frontier_mass=None,
-) -> PhraseMeasures:
-    """phrase_measures, reusing frontier_mass = d.boundary_mass(depth, source)
-    when the caller has it already."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     eff_width: int | None
@@ -178,12 +166,14 @@ def _phrase_measures(
         eff_width = min(width, source.alphabet_size)
     else:
         eff_width = width
-    partial_mass, partial_lbar, partial_h = d.member_measures(depth, eff_width, source)
-    if frontier_mass is None:
+    with shared_walks():
+        partial_mass, partial_lbar, partial_h = d.member_measures(
+            depth, eff_width, source
+        )
         frontier_mass = d.boundary_mass(depth, source)
+        tails = d.tail_stats(depth, eff_width, source) if exact_tails else None
 
     note = ""
-    tails = d.tail_stats(depth, eff_width, source) if exact_tails else None
     tails_exact = tails is not None and (
         tails.mass_low == tails.mass_high
         and tails.lbar_low == tails.lbar_high
@@ -298,12 +288,9 @@ def check_conservation(
     evaluating the equation as if it applied.
     """
     verdict_note = ""
-    asc = is_asc(d, source, depth, tol)
-    # is_asc's residual is d.boundary_mass(depth, source), the very float
-    # phrase_measures would compute again
-    pm = _phrase_measures(
-        d, source, depth, width, exact_tails, frontier_mass=asc.residual_mass
-    )
+    with shared_walks():
+        asc = is_asc(d, source, depth, tol)
+        pm = phrase_measures(d, source, depth, width, exact_tails)
     h_p = source.entropy()
     rhs = pm.length.scaled(h_p)
     residual = abs(pm.entropy.mid - h_p * pm.length.mid)
@@ -396,7 +383,11 @@ def _truncation_series(d, source, m_max, max_symbol):
         t_m = [n[0] for n in rest]
         row_mass = math.fsum(itertools.chain(mass, t_m))
         if row_mass != row_mass:
-            check_priced(words + rest, source)
+            # name the least length-m word the source cannot price, as
+            # word_prob would over truncate's sets
+            members = [w for w in d.member_words(m, max_symbol) if len(w) == m]
+            for w in sort_words(members + uncovered_frontier(d, m, max_symbol)[0]):
+                source.check_word(w)
         t_h = [p * math.log2(p) for p in t_m if p > 0.0]
         yield m, (
             row_mass,

@@ -451,3 +451,31 @@ def test_decode_fuzz_damaged_streams(case, seed, length, flip, cut, tail):
     flipped[(flip >> 3) % len(good)] ^= 1 << (flip & 7)
     for data in (bytes(flipped), good[: cut % len(good)], good + tail):
         _decodes_or_reports_corruption(d, cb, data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.nan])
+def test_huffman_rejects_nan_probabilities(bad):
+    # NaN fails p <= 0.0 and the sum test alike; it must not pass them
+    with pytest.raises(ValueError, match="^phrase probabilities must be positive$"):
+        huffman_build([((0,), bad), ((1,), 0.5)])
+    with pytest.raises(ValueError, match="^phrase probabilities must be positive$"):
+        huffman_build([((0,), 0.5), ((1,), 0.25), ((2,), bad)])
+
+
+def test_a_matched_codebook_still_rejects_another_dictionary():
+    d = FiniteDictionary(2, [(0,), (1, 0), (1, 1)])
+    cb = huffman_build([(w, SourceModel.fair_bit().word_prob(w)) for w in d.words])
+    data = encode(d, cb, [0, 1, 0, 1])
+    assert decode(d, cb, data) == [0, 1, 0, 1]
+    # the codebook has matched d; another dictionary is still checked in full
+    for other in (FiniteDictionary(2, [(0,), (1,)]),
+                  FiniteDictionary(2, [(0, 0), (0, 1), (1,)])):
+        for call in (lambda: encode(other, cb, [0]), lambda: decode(other, cb, data)):
+            with pytest.raises(CodebookMismatchError):
+                call()
+    # an equal dictionary that is another object passes, and so does d again
+    twin = FiniteDictionary(2, list(reversed(d.words)))
+    assert decode(twin, cb, data) == [0, 1, 0, 1]
+    assert encode(d, cb, [0, 1, 0, 1]) == data
+    with pytest.raises(CodebookMismatchError):
+        encode(FiniteDictionary(2, [(0,), (1,)]), cb, [0])
