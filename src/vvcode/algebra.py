@@ -53,7 +53,7 @@ def uncovered_frontier(
     if depth < 1:
         raise ValueError("frontier depth must be >= 1")
     k = d.alphabet_size
-    width = k if k is not None else d._width_for(max_symbol)
+    width = d._width_for(max_symbol)
     trans, defaults = d.transitions, d.defaults
     symbols = range(width)
     backwards = symbols[::-1]  # pushed in reverse, popped in increasing order
@@ -220,8 +220,7 @@ def cone(
     words = [
         w for w in d.member_words(depth_budget, max_symbol) if w[:lb] == beta
     ]
-    k = d.alphabet_size
-    width = k if k is not None else d._width_for(max_symbol)
+    width = d._width_for(max_symbol)
     exhaustive = d.fully_enumerated(depth_budget, max_symbol) or not _open_cone_prefixes(
         d, beta, depth_budget, width
     )
@@ -247,8 +246,7 @@ def cone_mass_bounds(
     low = fsum(source.word_prob(w) for w in res.words)
     if res.exhaustive:
         return low, low
-    k = d.alphabet_size
-    width = k if k is not None else d._width_for(max_symbol)
+    width = d._width_for(max_symbol)
     open_mass = fsum(
         source.word_prob(p)
         for p in _open_cone_prefixes(d, tuple(beta), depth_budget, width)

@@ -127,6 +127,17 @@ class PhraseCodebook:
             object.__setattr__(self, "_map", m)
         return m
 
+    def _decode_table(self):
+        """(phrase by codeword, the codeword lengths ascending), built once."""
+        table = getattr(self, "_table", None)
+        if table is None:
+            table = (
+                dict(zip(self.codewords, self.phrases)),
+                tuple(sorted({len(c) for c in self.codewords})),
+            )
+            object.__setattr__(self, "_table", table)
+        return table
+
     def expected_length(self, source: SourceModel) -> float:
         """Mean codeword length under the source's phrase probabilities."""
         return math.fsum(
@@ -339,8 +350,7 @@ def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
         )
 
     # prefix-freeness leaves at most one codeword that starts at pos
-    phrase_of = dict(zip(cb.codewords, cb.phrases))
-    lengths = sorted({len(c) for c in cb.codewords})
+    phrase_of, lengths = cb._decode_table()
     out = []
     for _ in range(n_phrases):
         for n in lengths:

@@ -231,7 +231,8 @@ def word_levels(
 class TailStats:
     """Mass / average-length / entropy contributions of unenumerated words.
 
-    Exact tails report low == high; bounding paths report a bracket.
+    Tails from the automaton are exact, low == high; phrase_measures
+    brackets an unbounded tail with infinite upper ends.
     """
 
     mass_low: float
@@ -286,7 +287,8 @@ def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
     it leads to. Behind a self-loop of probability r, q's other words
     recur after any number of loop symbols: they scale by 1/(1 - r), and
     the loop symbols add m*r/(1 - r)^2 to the length and u*m/(1 - r)^2 to
-    the surprisal, u being their -sum p*log2 p.
+    the surprisal, u being their -sum p*log2 p. At r >= 1 the factor has
+    no bound, and the result is None.
     """
     t = d.transitions[q]
     m = l = s = r = u = 0.0
@@ -303,6 +305,8 @@ def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
             m += p * cm
             l += p * (cm + cl)
             s += p * cs + hp * cm
+    if r >= 1.0:
+        return None
     if d.defaults[q] == TO_WORD:  # each symbol not listed ends a word
         dm, ds = _default_mass(t, source)
         m, l, s = m + dm, l + dm, s + ds
@@ -368,9 +372,10 @@ class _MeasureWalk:
         return min(1.0, math.fsum(p for p in terms if p == p))
 
     @functools.cached_property
-    def tail(self) -> TailStats:
+    def tail(self) -> TailStats | None:
         """The members beyond the budget: longer than depth or, over a
-        countable alphabet, through a symbol >= width."""
+        countable alphabet, through a symbol >= width. None where a
+        reachable self-loop has probability 1 (lbar diverges)."""
         d, source = self.d, self.source
         if d.alphabet_size is not None and d.max_word_length() is not None:
             # finitely many words: walk the rest of them
@@ -381,6 +386,8 @@ class _MeasureWalk:
         sums = {TO_WORD: (1.0, 0.0, 0.0)}
         for q in _children_first(d):
             sums[q] = _completion(d, q, source, sums)
+            if sums[q] is None:
+                return None
         # (P(prefix), |prefix|, sums of the words it leads to): each live
         # prefix with all its completions, and each shorter prefix with
         # the one-symbol words through symbols >= width that a TO_WORD
@@ -517,17 +524,10 @@ class Dictionary:
     def tail_stats(self, depth, width, source) -> TailStats | None:
         """Contributions of members outside the (depth, width) budget.
 
-        None means the family has no certified formula; callers fall back
-        to the generic frontier bound or report an unbounded interval.
+        None means they are unbounded: a reachable self-loop has
+        probability 1, so lbar(D) diverges.
         """
         return _measure_walk(self, depth, self.member_width(width), source).tail
-
-    def frontier_envelope(self, source) -> tuple | None:
-        """(c, q) with P(T_m) <= c*q^m for all m >= 1 and q < 1, if known.
-
-        Certified up to float rounding of exactly-zero residual terms.
-        """
-        return None
 
     def member_width(self, max_symbol: int | None) -> int:
         """The symbols member_words(..., max_symbol) runs over: range of the
@@ -553,9 +553,6 @@ class Cursor:
     def __init__(self, d: Dictionary):
         self.d = d
         self.entry = d.start
-
-    def reset(self):
-        self.entry = self.d.start
 
     def step(self, sym: int) -> int:
         entry = self.entry
@@ -651,12 +648,6 @@ class FiniteDictionary(Dictionary):
         k = self.alphabet_size
         return all(len(t) == k for t in self.transitions)
 
-    def frontier_envelope(self, source):
-        if self.is_complete():
-            # T_m empty past the deepest word; before that P(T_m) <= 1.
-            return (2.0 ** self._max_len, 0.5)
-        return None
-
 
 def _any_symbol_state(alphabet_size: int | None):
     """(transitions, default) of a state where every symbol ends a word."""
@@ -679,9 +670,6 @@ class AlphabetDictionary(Dictionary):
     def __repr__(self):
         return f"AlphabetDictionary(k={self.alphabet_size})"
 
-    def frontier_envelope(self, source):
-        return (0.0, 0.5)
-
 
 class RunLengthDictionary(Dictionary):
     """Binary family {0, 10, 110, 1110, ...}: a run of ones ended by a zero.
@@ -699,15 +687,6 @@ class RunLengthDictionary(Dictionary):
 
     def __repr__(self):
         return "RunLengthDictionary()"
-
-    def frontier_envelope(self, source):
-        p0, q = source.symbol_prob(0), source.symbol_prob(1)
-        coef = p0 / (1.0 - q)
-        extra = 1.0 - coef
-        if extra > 1e-12:
-            # positive mass never covered (source has symbols beyond {0,1})
-            return None
-        return (coef + 1e-9, q)
 
 
 class ExtendedDictionary(Dictionary):
@@ -758,14 +737,6 @@ class ExtendedDictionary(Dictionary):
             )
         self.base.member_width(max_symbol)  # a nested extension's word
         return w
-
-    def frontier_envelope(self, source):
-        env = self.base.frontier_envelope(source)
-        if env is None:
-            return None
-        c, q = env
-        pa = source.word_prob(self.alpha)
-        return (c + pa / q ** len(self.alpha), q)
 
 
 def head_extension(head: int = 0) -> ExtendedDictionary:

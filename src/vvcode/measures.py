@@ -3,10 +3,9 @@
 H(D) = -sum P(a) log2 P(a) and lbar(D) = sum P(a)|a| over the dictionary,
 evaluated as intervals: exact partial sums over an enumeration budget plus
 tail contributions. Dictionary.tail_stats gives exact tails for every
-automaton the families build (see the dictionary module docstring);
-exact_tails=False, or a subclass that withholds them, falls back to a
-generic frontier-envelope bound, and failing that the upper end is
-infinite and flagged.
+automaton the families build (see the dictionary module docstring). Where
+it gives none (a reachable self-loop of probability 1, or a subclass that
+withholds them), the upper ends are infinite and flagged.
 
 The conservation check compares H(D) against H(P)*lbar(D) and only issues
 pass/fail when the dictionary is ASC-certified at the working depth; the
@@ -77,54 +76,14 @@ class Interval:
         return max(other.low - self.high, self.low - other.high, 0.0)
 
 
-def _geom_sum(q: float, start: int) -> float:
-    # sum_{m>=start} q^m
-    return q**start / (1.0 - q)
-
-
-def _geom_weighted_sum(q: float, start: int) -> float:
-    # sum_{m>=start} m q^m
-    return q**start * (start * (1.0 - q) + q) / (1.0 - q) ** 2
-
-
-def generic_tail_bound(
-    alphabet_size: int | None,
-    depth: int,
-    envelope,
-    frontier_mass: float,
-) -> TailStats | None:
-    """Frontier-envelope tail bound for members longer than `depth`.
-
-    Given P(T_m) <= c*q^m (q < 1), members of length m carry mass
-    w_m <= c*q^(m-1), so with t_j = c*q^j and s1/s2 the geometric sums
-    from j = depth:
-
-        mass  <= min(frontier_mass, c*s1)
-        lbar  <= sum_{m>depth} m*t_(m-1) = (c/q) * s2(depth+1)
-        H     <= log2(k)*lbar_bound + sum_{j>=depth} -t_j log2 t_j
-              =  log2(k)*lbar_bound + c*(-log2 c)*s1 + c*(-log2 q)*s2
-
-    The entropy step spreads each length-m mass uniformly (the maximizing
-    arrangement over at most k^m strings) and uses that -w log2 w is
-    nondecreasing for w <= 1/e, which requires c*q^depth <= 1/e.
-    """
-    if envelope is None or alphabet_size is None or alphabet_size < 2:
+def budget_width(d: Dictionary, source: SourceModel, width: int) -> int | None:
+    """The symbols a (depth, width) budget enumerates: None over d's finite
+    alphabet, else width capped at a finite source's alphabet."""
+    if d.alphabet_size is not None:
         return None
-    c, q = envelope
-    if c == 0.0:
-        return TailStats.zero()
-    if not (0.0 < q < 1.0) or c * q**depth > 1.0 / math.e:
-        return None
-    s1 = _geom_sum(q, depth)
-    s2 = _geom_weighted_sum(q, depth)
-    mass_high = min(frontier_mass, c * s1)
-    lbar_high = (c / q) * _geom_weighted_sum(q, depth + 1)
-    h_high = (
-        math.log2(alphabet_size) * lbar_high
-        + c * (-math.log2(c)) * s1
-        + c * (-math.log2(q)) * s2
-    )
-    return TailStats(0.0, mass_high, 0.0, lbar_high, 0.0, h_high)
+    if source.alphabet_size is not None:
+        return min(width, source.alphabet_size)
+    return width
 
 
 @dataclass(frozen=True)
@@ -148,43 +107,26 @@ def phrase_measures(
     source: SourceModel,
     depth: int = 64,
     width: int = DEFAULT_WIDTH,
-    exact_tails: bool = True,
     divergence_ceiling: float = 1e6,
     frontier_tol: float = 1e-9,
 ) -> PhraseMeasures:
     """Bracket H(D), lbar(D) and the member mass at a (depth, width) budget.
 
-    exact_tails=False skips the exact tails and exercises the generic
-    frontier-envelope bound (used for cross-checking).
+    The tails are d.tail_stats, exact; where it returns None the upper
+    ends are infinite and the note says so.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    eff_width: int | None
-    if d.alphabet_size is not None:
-        eff_width = None
-    elif source.alphabet_size is not None:
-        eff_width = min(width, source.alphabet_size)
-    else:
-        eff_width = width
+    eff_width = budget_width(d, source, width)
     with shared_walks():
         partial_mass, partial_lbar, partial_h = d.member_measures(
             depth, eff_width, source
         )
         frontier_mass = d.boundary_mass(depth, source)
-        tails = d.tail_stats(depth, eff_width, source) if exact_tails else None
+        tails = d.tail_stats(depth, eff_width, source)
 
     note = ""
-    tails_exact = tails is not None and (
-        tails.mass_low == tails.mass_high
-        and tails.lbar_low == tails.lbar_high
-        and tails.h_low == tails.h_high
-    )
-    if tails is None:
-        tails = generic_tail_bound(
-            d.alphabet_size, depth, d.frontier_envelope(source), frontier_mass
-        )
-        if tails is not None:
-            note = "tails bounded via frontier envelope"
+    tails_exact = tails is not None
     if tails is None:
         tails = TailStats(
             0.0, max(0.0, 1.0 - partial_mass), 0.0, INF, 0.0, INF
@@ -220,10 +162,9 @@ def dict_entropy(
     source: SourceModel,
     depth: int = 64,
     width: int = DEFAULT_WIDTH,
-    exact_tails: bool = True,
 ) -> Interval:
     """Interval for H(D) = -sum P(alpha) log2 P(alpha) in bits."""
-    return phrase_measures(d, source, depth, width, exact_tails).entropy
+    return phrase_measures(d, source, depth, width).entropy
 
 
 def avg_length(
@@ -231,10 +172,9 @@ def avg_length(
     source: SourceModel,
     depth: int = 64,
     width: int = DEFAULT_WIDTH,
-    exact_tails: bool = True,
 ) -> Interval:
     """Interval for lbar(D) = sum P(alpha)|alpha| in symbols."""
-    return phrase_measures(d, source, depth, width, exact_tails).length
+    return phrase_measures(d, source, depth, width).length
 
 
 @dataclass(frozen=True)
@@ -279,7 +219,6 @@ def check_conservation(
     depth: int = 64,
     tol: float = 1e-9,
     width: int = DEFAULT_WIDTH,
-    exact_tails: bool = True,
 ) -> MeasureReport:
     """Verify H(D) = H(P)*lbar(D) numerically at the given budget.
 
@@ -290,7 +229,7 @@ def check_conservation(
     verdict_note = ""
     with shared_walks():
         asc = is_asc(d, source, depth, tol)
-        pm = phrase_measures(d, source, depth, width, exact_tails)
+        pm = phrase_measures(d, source, depth, width)
     h_p = source.entropy()
     rhs = pm.length.scaled(h_p)
     residual = abs(pm.entropy.mid - h_p * pm.length.mid)

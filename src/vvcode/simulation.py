@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .dictionary import Dictionary, phrase_word, walk
 from .errors import SimulationAbortError
-from .measures import phrase_measures
+from .measures import budget_width, phrase_measures
 from .rng import XorShift64Star, float_block, stream_seed
 from .source import SourceModel, Word, canon_key
 
@@ -257,10 +257,7 @@ def phrase_histogram(
         raise ValueError("n_phrases must be >= 1")
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     n = n_phrases
-    eff_width = width
-    if d.alphabet_size is None and source.alphabet_size is not None:
-        eff_width = min(width, source.alphabet_size)
-    members = d.member_words(depth, eff_width if d.alphabet_size is None else None)
+    members = d.member_words(depth, budget_width(d, source, width))
     binned = []
     for w in members:
         expect = n * source.word_prob(w)

@@ -122,10 +122,6 @@ class SourceModel:
             prob *= self.symbol_prob(sym)
         return prob
 
-    def word_surprisal(self, word: Word) -> float:
-        """-log2 P(word), summed per symbol to avoid underflow on long words."""
-        return -math.fsum(math.log2(self.symbol_prob(s)) for s in word)
-
     # Closed-form tails over symbol indices, used for certified bounds on
     # countable alphabets.
 

@@ -462,6 +462,18 @@ def test_huffman_rejects_nan_probabilities(bad):
         huffman_build([((0,), 0.5), ((1,), 0.25), ((2,), bad)])
 
 
+def test_decode_builds_its_lookup_once_per_codebook(biased):
+    d = tunstall_build(biased, 64)
+    cb = huffman_build([(w, biased.word_prob(w)) for w in d.words])
+    stream = [0, 0, 1, 0, 0, 0, 0, 0, 1]
+    data = encode(d, cb, stream)
+    assert "_table" not in vars(cb)
+    assert decode(d, cb, data) == stream
+    table = vars(cb)["_table"]
+    assert decode(d, cb, data) == stream
+    assert vars(cb)["_table"] is table  # the second call built nothing
+
+
 def test_a_matched_codebook_still_rejects_another_dictionary():
     d = FiniteDictionary(2, [(0,), (1, 0), (1, 1)])
     cb = huffman_build([(w, SourceModel.fair_bit().word_prob(w)) for w in d.words])

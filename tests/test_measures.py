@@ -22,7 +22,7 @@ from vvcode import (
     phrase_measures,
 )
 from vvcode.errors import UnsupportedOperationError
-from vvcode.measures import Interval, generic_tail_bound
+from vvcode.measures import Interval
 
 H_BIASED = 0.4689955935892812  # -0.9 log2 0.9 - 0.1 log2 0.1
 
@@ -32,9 +32,6 @@ class _NoTailRunLength(RunLengthDictionary):
     unbounded-interval path."""
 
     def tail_stats(self, depth, width, source):
-        return None
-
-    def frontier_envelope(self, source):
         return None
 
 
@@ -80,34 +77,14 @@ def test_run_length_measures_match_series_oracle(fair, biased, run_length):
         )
 
 
-def test_generic_tail_path_brackets_exact(fair, run_length):
-    exact = phrase_measures(run_length, fair, depth=32)
-    generic = phrase_measures(run_length, fair, depth=32, exact_tails=False)
-    assert generic.note == "tails bounded via frontier envelope"
-    assert not generic.tails_exact
-    for a, b in ((generic.entropy, exact.entropy), (generic.length, exact.length)):
-        assert a.low <= b.low + 1e-15
-        assert a.high >= b.high - 1e-15
-    assert generic.entropy.contains(2.0, tol=1e-6)
-    assert generic.length.contains(2.0, tol=1e-6)
-
-
-def test_generic_tail_bound_conditions():
-    assert generic_tail_bound(None, 8, (1.0, 0.5), 0.1) is None
-    assert generic_tail_bound(2, 8, None, 0.1) is None
-    assert generic_tail_bound(2, 1, (1.0, 0.9), 0.9) is None  # c q^n > 1/e
-    zero = generic_tail_bound(2, 8, (0.0, 0.5), 0.0)
-    assert zero.mass_high == zero.h_high == 0.0
-
-
 def test_unbounded_interval_flagged(fair):
     d = _NoTailRunLength()
     pm = phrase_measures(d, fair, depth=16)
     assert pm.entropy.high == math.inf
     assert pm.length.high == math.inf
     assert "no certified tail bound" in pm.note
-    partials = phrase_measures(RunLengthDictionary(), fair, 16, exact_tails=False)
-    assert pm.entropy.low == pytest.approx(partials.entropy.low, rel=1e-12)
+    partial_h = RunLengthDictionary().member_measures(16, None, fair)[2]
+    assert pm.entropy.low == pytest.approx(partial_h, rel=1e-12)
 
 
 def test_possibly_divergent_flag(fair):
@@ -118,6 +95,23 @@ def test_possibly_divergent_flag(fair):
     assert report.verdict in ("inconclusive", "pass")  # tails unbounded
     pm2 = phrase_measures(RunLengthDictionary(), fair, 16, divergence_ceiling=1.5)
     assert not pm2.possibly_divergent  # certified tails, no divergence claim
+
+
+@pytest.mark.parametrize(
+    "d", [RunLengthDictionary(), extend(RunLengthDictionary(), (0,))], ids=repr
+)
+def test_self_loop_of_probability_one_is_unbounded(d):
+    # the probabilities sum to 1 + 1e-13, inside the source's own check;
+    # run-length's loop on 1 then has probability 1.0 and lbar diverges
+    source = SourceModel.finite([1e-13, 1.0])
+    pm = phrase_measures(d, source)
+    assert pm.length.high == math.inf and pm.entropy.high == math.inf
+    assert not pm.tails_exact
+    assert "no certified tail bound" in pm.note
+    report = check_conservation(d, source)
+    assert report.verdict == "inconclusive"
+    assert report.asc_status == "undetermined"
+    assert report.lbar_high == math.inf
 
 
 def test_conservation_complete_dict(complete_dict, fair):
@@ -242,8 +236,8 @@ def test_convergence_scan_head_extension(geometric_half):
 
 
 def test_conservation_residual_shrinks_with_depth(biased, run_length):
-    r8 = check_conservation(run_length, biased, depth=8, exact_tails=False)
-    r16 = check_conservation(run_length, biased, depth=16, exact_tails=False)
+    r8 = check_conservation(run_length, biased, depth=8)
+    r16 = check_conservation(run_length, biased, depth=16)
     assert r16.residual <= r8.residual + 1e-12
 
 
