@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, product
 from math import fsum
-from typing import Iterable, Sequence
 
 from .dictionary import (
     TO_DEAD,
@@ -29,6 +28,7 @@ from .dictionary import (
     ExtendedDictionary,
     FiniteDictionary,
     frontier_budget_error,
+    subtree_walk,
 )
 from .errors import ConeHypothesisError, ResourceBudgetError
 from .source import SourceModel, Word, sort_words
@@ -180,24 +180,24 @@ def _check_cone_hypothesis(d: Dictionary, beta: Word):
             )
 
 
-def _open_cone_prefixes(d: Dictionary, beta: Word, depth: int, width: int):
-    """Length-`depth` extensions of beta classified INTERNAL (members lie
-    beyond them). Walks only internal paths, so stays small."""
-    out = []
-    state = d.entry_after(beta)
-    if state < 0 or depth < len(beta):
-        return out
-    stack = [(beta, state)]
-    while stack:
-        prefix, state = stack.pop()
-        if len(prefix) == depth:
-            out.append(prefix)
-            continue
-        for s in range(width):
-            nxt = d.next_entry(state, s)
-            if nxt >= 0:
-                stack.append((prefix + (s,), nxt))
-    return out
+def _cone_walk(d: Dictionary, beta, depth_budget: int, max_symbol: int | None):
+    """(cone(...), open prefixes): one walk of beta's subtree, over the
+    symbols below member_width(max_symbol), finds the cone's members and
+    its open prefixes, the length-depth_budget extensions of beta classified
+    INTERNAL (members lie beyond them)."""
+    beta = tuple(beta)
+    if depth_budget < len(beta):
+        raise ValueError("depth budget shorter than the cone prefix")
+    _check_cone_hypothesis(d, beta)
+    symbols = range(d.member_width(max_symbol))
+    words, rest = subtree_walk(d, beta, d.entry_after(beta), depth_budget, symbols)
+    if not all(s in symbols for s in beta):
+        words = []  # as in member_words, no word through a symbol past width
+    open_prefixes = [w for w, _ in rest]
+    exhaustive = d.alphabet_size is not None and (
+        d.fully_enumerated(depth_budget, max_symbol) or not open_prefixes
+    )
+    return ConeResult(beta=beta, words=tuple(words), exhaustive=exhaustive), open_prefixes
 
 
 def cone(
@@ -212,21 +212,7 @@ def cone(
     checked and a violation raises rather than returning a set the
     cone-mass identity would be false for.
     """
-    beta = tuple(beta)
-    if depth_budget < len(beta):
-        raise ValueError("depth budget shorter than the cone prefix")
-    _check_cone_hypothesis(d, beta)
-    lb = len(beta)
-    words = [
-        w for w in d.member_words(depth_budget, max_symbol) if w[:lb] == beta
-    ]
-    width = d._width_for(max_symbol)
-    exhaustive = d.fully_enumerated(depth_budget, max_symbol) or not _open_cone_prefixes(
-        d, beta, depth_budget, width
-    )
-    if d.alphabet_size is None:
-        exhaustive = False
-    return ConeResult(beta=beta, words=tuple(sort_words(words)), exhaustive=exhaustive)
+    return _cone_walk(d, beta, depth_budget, max_symbol)[0]
 
 
 def cone_mass_bounds(
@@ -242,18 +228,14 @@ def cone_mass_bounds(
     INTERNAL length-budget prefix, so their total mass is at most the mass
     of those open prefixes.
     """
-    res = cone(d, beta, depth_budget, max_symbol)
+    res, open_prefixes = _cone_walk(d, beta, depth_budget, max_symbol)
     low = fsum(source.word_prob(w) for w in res.words)
     if res.exhaustive:
         return low, low
-    width = d._width_for(max_symbol)
-    open_mass = fsum(
-        source.word_prob(p)
-        for p in _open_cone_prefixes(d, tuple(beta), depth_budget, width)
-    )
+    open_mass = fsum(source.word_prob(p) for p in open_prefixes)
     if d.alphabet_size is None:
         # symbols >= width unaccounted; fall back to the prefix mass bound
-        open_mass = max(open_mass, source.word_prob(tuple(beta)) - low)
+        open_mass = max(open_mass, source.word_prob(res.beta) - low)
     return low, low + open_mass
 
 

@@ -74,7 +74,7 @@ from .errors import (
     ResourceBudgetError,
     UnsupportedOperationError,
 )
-from .source import SourceModel, Word, canon_key, sort_words
+from .source import SourceModel, Word, sort_words
 
 INTERNAL = 0
 WORD = 1
@@ -227,6 +227,27 @@ def word_levels(
         rest = nxt
 
 
+def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbols):
+    """(words, rest): the members of length <= max_len that extend prefix,
+    whose automaton entry is `entry`, in canonical length-lex order, and
+    the (word, state) of each length-max_len extension of prefix that leads
+    on. The walk goes level by level and takes the symbols in `symbols`."""
+    words = [prefix] if entry == TO_WORD else []
+    rest = [(prefix, entry)] if entry >= 0 else []
+    for _ in range(max_len - len(prefix)):
+        nxt = []
+        for w, q in rest:
+            t, default = d.transitions[q], d.defaults[q]
+            for s in symbols:
+                e = t.get(s, default)
+                if e == TO_WORD:
+                    words.append(w + (s,))
+                elif e >= 0:
+                    nxt.append((w + (s,), e))
+        rest = nxt
+    return words, rest
+
+
 @dataclass(frozen=True)
 class TailStats:
     """Mass / average-length / entropy contributions of unenumerated words.
@@ -263,6 +284,15 @@ def _default_mass(t: dict, source: SourceModel):
         math.fsum(-p * math.log2(p) for p in ps if p > 0.0)
         + source.tail_surprisal_mass(top),
     )
+
+
+def _unlisted_mass(t: dict, source: SourceModel) -> float:
+    """The sum of P(s) over the symbols s that a state with transitions t
+    does not list: each run between listed symbols in closed form, and the
+    tail past the last one, so a far listed symbol costs no enumeration."""
+    bounds = [-1, *sorted(t)]
+    runs = [source.mass_between(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+    return math.fsum(runs + [source.tail_mass(bounds[-1] + 1)])
 
 
 def _children_first(d: "Dictionary") -> list:
@@ -347,6 +377,24 @@ class _MeasureWalk:
     @functools.cached_property
     def members(self):
         return self._sums(self.levels)
+
+    @functools.cached_property
+    def covered(self) -> float:
+        """The mass of the members up to depth, summed directly: the member
+        nodes and, over a countable alphabet, the words that a shorter
+        prefix's TO_WORD default ends (its unlisted symbols)."""
+        d = self.d
+        if d.alphabet_size is not None:
+            return min(1.0, self.members[0])
+        ends = {
+            q: _unlisted_mass(t, self.source)
+            for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
+            if default == TO_WORD
+        }
+        terms = [n[0] for _, words, _ in self.levels for n in words]
+        terms += [p * ends[q] for nodes in self.shorter for p, q in nodes if q in ends]
+        # a word through a symbol the source lacks has no mass
+        return min(1.0, math.fsum(p for p in terms if p == p))
 
     @functools.cached_property
     def boundary(self) -> float:
@@ -476,19 +524,7 @@ class Dictionary:
         """All members of length <= max_len (symbols < max_symbol when the
         alphabet is countable), in canonical length-lex order."""
         symbols = range(self.member_width(max_symbol))
-        out, rest = [], [((), self.start)]
-        for _ in range(max_len):
-            nxt = []
-            for w, q in rest:
-                t, default = self.transitions[q], self.defaults[q]
-                for s in symbols:
-                    e = t.get(s, default)
-                    if e == TO_WORD:
-                        out.append(w + (s,))
-                    elif e >= 0:
-                        nxt.append((w + (s,), e))
-            rest = nxt
-        return out
+        return subtree_walk(self, (), self.start, max_len, symbols)[0]
 
     def fully_enumerated(self, max_len: int, max_symbol: int | None = None) -> bool:
         """True iff member_words(max_len, max_symbol) is the whole dictionary."""
@@ -507,8 +543,9 @@ class Dictionary:
         return longest[self.start]
 
     def covered_mass(self, depth: int, source: SourceModel) -> float:
-        """Sum of P(alpha) over members with |alpha| <= depth: 1 - P(T_depth)."""
-        return 1.0 - self.boundary_mass(depth, source)
+        """Sum of P(alpha) over members with |alpha| <= depth, summed from
+        the walk that boundary_mass takes."""
+        return self._boundary_walk(depth, source).covered
 
     def member_measures(self, depth: int, width, source: SourceModel):
         """exact_word_measures of member_words(depth, width), summed from
@@ -517,9 +554,12 @@ class Dictionary:
 
     def boundary_mass(self, depth: int, source: SourceModel) -> float:
         """P(T_depth): mass of length-`depth` strings with no member prefix."""
+        return self._boundary_walk(depth, source).boundary
+
+    def _boundary_walk(self, depth: int, source: SourceModel) -> _MeasureWalk:
         # over a countable alphabet only listed symbols lead on: width 0
         width = 0 if self.alphabet_size is None else self.alphabet_size
-        return _measure_walk(self, depth, width, source).boundary
+        return _measure_walk(self, depth, width, source)
 
     def tail_stats(self, depth, width, source) -> TailStats | None:
         """Contributions of members outside the (depth, width) budget.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import MAX_FRONTIER_WORDS, uncovered_frontier
 from .dictionary import (
@@ -43,7 +43,7 @@ from .dictionary import (
     word_levels,
 )
 from .errors import UnsupportedOperationError
-from .source import SourceModel, Word, sort_words
+from .source import SourceModel, sort_words
 
 INF = float("inf")
 

@@ -24,7 +24,7 @@ from .dictionary import Dictionary, phrase_word, walk
 from .errors import SimulationAbortError
 from .measures import budget_width, phrase_measures
 from .rng import XorShift64Star, float_block, stream_seed
-from .source import SourceModel, Word, canon_key
+from .source import SourceModel, canon_key
 
 CHUNK_PHRASES = 4096
 DEFAULT_STEP_CAP = 10**6
@@ -237,6 +237,40 @@ class HistogramReport:
         }
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with an integer dof >= 1.
+
+    With h = x/2 and T(a) = h^a e^-h / Gamma(a + 1), the tail is the finite
+    sum of T(a) over a = c, c + 1, ..., dof/2 - 1, where c = (dof % 2)/2,
+    plus erfc(sqrt(h)) for odd dof (Abramowitz & Stegun 26.4.4 and 26.4.5).
+    Its complement is the sum of T(a) over a = dof/2, dof/2 + 1, ... (DLMF
+    8.7.1). Below h = dof/2 the tail is over about 1/2, and it is one minus
+    that series, whose terms fall by h/(a + 1) < 1: so a tail near 1 keeps
+    its last bits and does not rise with x. Each term is formed in logs, so
+    none overflows, and fsum adds them.
+    """
+    h = x / 2.0
+    if h <= 0.0:
+        return 1.0
+    log_h = math.log(h)
+
+    def term(a):
+        return math.exp(a * log_h - h - math.lgamma(a + 1.0))
+
+    a = dof / 2.0
+    if h < a:
+        terms = [term(a)]
+        while terms[-1] > 1e-18 * terms[0]:
+            a += 1.0
+            terms.append(term(a))
+        return 1.0 - math.fsum(terms)
+    c = (dof % 2) / 2.0
+    terms = [term(c + j) for j in range(dof // 2)]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return math.fsum(terms)
+
+
 def phrase_histogram(
     d: Dictionary,
     source: SourceModel,
@@ -250,8 +284,10 @@ def phrase_histogram(
     """Phrase counts plus a chi-square goodness-of-fit against P(alpha).
 
     Bins are dictionary words with expected count >= 5; everything else
-    (including the unenumerated tail) pools into one bin. The phrases are
-    those simulate draws for the same arguments; `threads` changes nothing.
+    (including the unenumerated tail) pools into one bin. The p-value is
+    the closed-form chi-square tail for the integer dof (_chi2_sf). The
+    phrases are those simulate draws for the same arguments; `threads`
+    changes nothing.
     """
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
@@ -277,12 +313,7 @@ def phrase_histogram(
         pooled_obs = n - binned_obs
         stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
         dof += 1
-    if dof < 1:
-        p_value = 1.0
-    else:
-        from scipy.stats import chi2
-
-        p_value = float(chi2.sf(stat, dof))
+    p_value = 1.0 if dof < 1 else _chi2_sf(stat, dof)
     entries = tuple(sorted(counts.items(), key=lambda kv: canon_key(kv[0])))
     return HistogramReport(
         entries=entries,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .rng import XorShift64Star, float_block
@@ -130,6 +130,14 @@ class SourceModel:
         if self.kind == FINITE:
             return math.fsum(self.probs[start:]) if start < len(self.probs) else 0.0
         return (1.0 - self.p) ** start
+
+    def mass_between(self, start: int, stop: int) -> float:
+        """Sum of P(i) over start <= i < stop."""
+        if self.kind == FINITE:
+            return math.fsum(self.probs[start:stop])
+        # q^start - q^stop, without the cancellation of the difference
+        q_start = (1.0 - self.p) ** start
+        return -q_start * math.expm1((stop - start) * math.log1p(-self.p))
 
     def tail_surprisal_mass(self, start: int) -> float:
         """Sum of -P(i)*log2 P(i) over i >= start (closed form for geometric)."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_proper_dictionary, make_rng
 from vvcode import (
     AlphabetDictionary,
+    ExtendedDictionary,
     FiniteDictionary,
     RunLengthDictionary,
     SourceModel,
@@ -18,6 +19,7 @@ from vvcode import (
     is_complete,
     is_proper,
     parse,
+    tunstall_build,
 )
 from vvcode.dictionary import DEAD, INTERNAL, WORD
 from vvcode.errors import ImproperDictionaryError, UnsupportedOperationError
@@ -180,6 +182,22 @@ def test_covered_mass_matches_enumeration(run_length, geometric_half):
         geometric_half.word_prob(w) for w in he.member_words(2, max_symbol=40)
     )
     assert enum == pytest.approx(1.0, abs=1e-11)
+
+
+def test_covered_mass_is_the_member_sum():
+    # a small covered mass keeps its bits: 1 - P(T_2) would round at 1
+    d = tunstall_build(SourceModel.finite([0.999, 0.001]), 256)
+    src = SourceModel.geometric(0.999999)
+    enum = math.fsum(src.word_prob(w) for w in d.member_words(2))
+    assert d.covered_mass(2, src) == enum
+    # over a countable alphabet a TO_WORD default ends the unlisted symbols
+    geo = SourceModel.geometric(0.5)
+    nested = ExtendedDictionary(head_extension(2), (2, 5))
+    for depth in (1, 2, 3):
+        enum = math.fsum(
+            geo.word_prob(w) for w in nested.member_words(depth, max_symbol=1100)
+        )
+        assert nested.covered_mass(depth, geo) == pytest.approx(enum, rel=1e-15)
 
 
 def test_boundary_mass_run_length_biased(run_length, biased):

@@ -1,6 +1,8 @@
 """Monte Carlo phrase sampling: determinism, accounting, goodness of fit."""
 
+import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -20,6 +22,7 @@ from vvcode import (
 )
 from vvcode.errors import SimulationAbortError
 from vvcode.rng import stream_seed
+from vvcode.simulation import _chi2_sf
 
 TERNARY = SourceModel.finite([0.5, 0.3, 0.2])
 
@@ -263,3 +266,67 @@ def test_import_leaves_numpy_out():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+X_GRID = [0.0, 1e-300, 1e-6, 0.01, 0.5, 1.0, 2.0, 3.84, 7.5, 20.0, 100.0, 700.0,
+          1400.0, 5000.0]
+
+
+def test_chi2_sf_one_and_two_dof_closed_forms():
+    for x in X_GRID:
+        assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=0, abs=1e-15)
+        assert _chi2_sf(x, 1) == pytest.approx(
+            math.erfc(math.sqrt(x / 2)), rel=0, abs=1e-15
+        )
+
+
+def test_chi2_sf_recurrence_in_dof():
+    # Q(x, nu + 2) = Q(x, nu) + T(nu/2), with T(a) = h^a e^-h / Gamma(a + 1)
+    # and h = x/2. It holds to rounding where both sides sum the same series,
+    # and to the terms' accuracy where nu/2 <= h < nu/2 + 1 puts the two
+    # sides on different series
+    for x in [0.3, 4.0, 60.0, 900.0, 4000.0, 8100.0]:
+        h = x / 2
+        near = range(max(int(x) - 3, 1), int(x) + 2)
+        for nu in sorted({*range(1, 4094, 23), 4093, *near}):
+            term = math.exp(nu / 2 * math.log(h) - h - math.lgamma(nu / 2 + 1))
+            tol = 1e-12 if nu / 2 <= h < nu / 2 + 1 else 2e-16
+            assert _chi2_sf(x, nu + 2) == pytest.approx(
+                _chi2_sf(x, nu) + term, rel=0, abs=tol
+            )
+
+
+def test_chi2_sf_is_a_tail():
+    xs = [0.5 * i for i in range(2000)] + [1e3 * 1.25**i for i in range(20)]
+    for dof in (1, 2, 3, 10, 101, 1001, 4095):
+        qs = [_chi2_sf(x, dof) for x in xs]
+        assert qs[0] == 1.0
+        assert all(0.0 <= q <= 1.0 for q in qs)
+        assert all(b <= a for a, b in zip(qs, qs[1:]))
+        assert _chi2_sf(1e5, dof) == 0.0
+
+
+def test_chi2_sf_matches_scipy():
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    rng = random.Random(2023)
+    for _ in range(2000):
+        dof = rng.randint(1, 4095)
+        x = rng.uniform(0.0, 2.0 * dof + 60.0)
+        assert _chi2_sf(x, dof) == pytest.approx(
+            float(chi2.sf(x, dof)), rel=0, abs=1e-11
+        )
+
+
+def test_histogram_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(vvcode.__file__))
+    code = (
+        "import sys\n"
+        "from vvcode import RunLengthDictionary, SourceModel, phrase_histogram\n"
+        "rep = phrase_histogram(RunLengthDictionary(), "
+        "SourceModel.finite([0.9, 0.1]), 2000, seed=1)\n"
+        "print(rep.dof >= 1, 0.0 <= rep.p_value <= 1.0, 'scipy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["True", "True", "False"]
