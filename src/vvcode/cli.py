@@ -10,6 +10,7 @@ centralized here and echoed in every report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -253,19 +254,21 @@ def _read_symbols(config: RunConfig):
 
 
 def _cmd_encode(config: RunConfig) -> int:
+    if not config.out_path:
+        raise ValueError("encode needs --out for the binary stream")
     d = load_dictionary(config.dict_path)
     if not isinstance(d, FiniteDictionary):
         raise ValueError("encoding needs a finite dictionary")
     cb = load_codebook(config.codebook_path)
     data = encode(d, cb, _read_symbols(config))
-    if not config.out_path:
-        raise ValueError("encode needs --out for the binary stream")
     with open(config.out_path, "wb") as fh:
         fh.write(data)
     return EXIT_OK
 
 
 def _cmd_decode(config: RunConfig) -> int:
+    if not config.out_path:
+        raise ValueError("decode needs --out for the recovered stream")
     d = load_dictionary(config.dict_path)
     if not isinstance(d, FiniteDictionary):
         raise ValueError("decoding needs a finite dictionary")
@@ -273,8 +276,6 @@ def _cmd_decode(config: RunConfig) -> int:
     with open(config.in_path, "rb") as fh:
         data = fh.read()
     symbols = decode(d, cb, data)
-    if not config.out_path:
-        raise ValueError("decode needs --out for the recovered stream")
     if config.bits:
         write_bit_stream(config.out_path, symbols)
     else:
@@ -390,9 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call; parsing leaves it as
+    it was, so one parser serves every call in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     fields = {f for f in RunConfig.__dataclass_fields__}
     kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     config = RunConfig(**kwargs)

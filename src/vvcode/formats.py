@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from itertools import chain
 
@@ -233,9 +234,31 @@ def word_to_text(word: Word) -> str:
     return ",".join(str(s) for s in word)
 
 
+# Symbols below 256 (the cutoff of dictionary.symbol_text's bytearray) map
+# through these dicts, so a stream is read and written with no Python call
+# per symbol. A stream with any other token ("+1", "007", "256", "x") or
+# symbol takes int() or str() one at a time. A dict, unlike a tuple, never
+# wraps a negative symbol.
+_SYMBOL_OF_TOKEN = {str(s): s for s in range(256)}
+_TOKEN_OF_SYMBOL = {s: t for t, s in _SYMBOL_OF_TOKEN.items()}
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_OF_BIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _reiterable(symbols):
+    """symbols as a list or tuple, so it can be walked twice; bytearray
+    would read a numpy array's buffer, not its values."""
+    return symbols if isinstance(symbols, (list, tuple)) else list(symbols)
+
+
 def read_stream_text(path) -> list:
+    """Whitespace-separated symbol indices; each token as int() reads it."""
     with open(path, "r", encoding="utf-8") as fh:
         toks = fh.read().split()
+    try:
+        return list(map(_SYMBOL_OF_TOKEN.__getitem__, toks))
+    except KeyError:
+        pass
     try:
         return [int(t) for t in toks]
     except ValueError as exc:
@@ -244,25 +267,50 @@ def read_stream_text(path) -> list:
 
 
 def write_stream_text(path, symbols):
+    """The int symbols as str() prints them, space-separated, one line."""
+    symbols = _reiterable(symbols)
+    try:
+        text = " ".join(map(_TOKEN_OF_SYMBOL.__getitem__, symbols))
+    except (KeyError, TypeError):  # TypeError: an unhashable symbol
+        text = " ".join(str(s) for s in symbols)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(str(s) for s in symbols))
+        fh.write(text)
         fh.write("\n")
 
 
 def read_bit_stream(path) -> list:
     """Raw bit file: every byte unpacks to 8 symbols, MSB first."""
     with open(path, "rb") as fh:
-        return list(map(int, bytes_to_bits(fh.read())))
+        digits = bytes_to_bits(fh.read()).encode("ascii")
+    return list(digits.translate(_BIT_OF_DIGIT))
+
+
+def _is_bit(s) -> bool:
+    try:
+        return operator.index(s) in (0, 1)
+    except TypeError:
+        return False
 
 
 def write_bit_stream(path, symbols):
-    bad = [s for s in symbols if s not in (0, 1)]
-    if bad:
+    """Pack 0/1 symbols MSB first, zero-padded to whole bytes.
+
+    The symbols are checked before the file is opened, so a bad symbol
+    leaves an existing file as it was.
+    """
+    symbols = _reiterable(symbols)
+    try:
+        raw = bytearray(symbols)  # ints in range(256), checked in C
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or raw.translate(None, b"\x00\x01"):
+        bad = next(s for s in symbols if not _is_bit(s))
         raise InputFormatError(
-            f"raw bit output needs binary symbols; saw {bad[0]}"
+            f"raw bit output needs binary symbols; saw {bad}"
         )
+    data = bits_to_bytes(raw.translate(_DIGIT_OF_BIT).decode("ascii"))
     with open(path, "wb") as fh:
-        fh.write(bits_to_bytes("".join(map("01".__getitem__, symbols))))
+        fh.write(data)
 
 
 MEASURE_CSV_COLUMNS = [

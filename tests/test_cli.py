@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -594,3 +596,54 @@ def test_loaders_fuzz_json_files(value):
                 load(path)
             except VVCodeError:
                 pass
+
+
+# -- fail-fast checks and the reused parser ------------------------------------
+
+
+@pytest.mark.parametrize("command, message", [
+    ("encode", "encode needs --out for the binary stream"),
+    ("decode", "decode needs --out for the recovered stream"),
+])
+def test_codec_without_out_fails_before_reading(files, tmp_path, capsys,
+                                                 command, message):
+    # the input does not exist, so only a check made before reading it
+    # can report the missing --out
+    cb = tmp_path / "cb.json"
+    cb.write_text(json.dumps({"phrases": [[0], [1, 0], [1, 1]],
+                              "codewords": ["0", "10", "11"]}))
+    missing = str(tmp_path / "no_such_input")
+    assert cli.main([command, "--dict", files["complete"], "--codebook",
+                     str(cb), "--in", missing]) == 2
+    assert capsys.readouterr().err == f"vvcode: {message}\n"
+
+
+def test_parser_is_reused_and_keeps_no_state_between_calls(files, capsys):
+    verify = ["verify", "--dict", files["complete"], "--source", files["fair"]]
+    assert cli.main([*verify, "--format", "csv", "--depth", "5"]) == 0
+    assert capsys.readouterr().out.startswith("verdict,")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--dict", files["complete"], "--depth", "x"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code, rep = run_json(capsys, verify)
+    assert code == 0
+    assert rep["config"]["format"] == "json"
+    assert rep["config"]["depth"] == cli.DEFAULT_DEPTH
+    code, rep = run_json(capsys, ["measure", "--dict", files["complete"],
+                                  "--source", files["fair"]])
+    assert code == 0 and rep["config"]["command"] == "measure"
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = ("import sys, vvcode.cli as c; "
+             "sys.exit(c._parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env,
+                          timeout=60).returncode == 0
