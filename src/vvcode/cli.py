@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shutil
 import sys
 from dataclasses import asdict, dataclass
 
@@ -329,16 +330,22 @@ def run(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter to check every argument it adds, and
+    # each formatter asks the terminal for its width; ask it once here
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     p = argparse.ArgumentParser(
         prog="vvcode",
         description="Variable-to-variable length source coding toolkit",
+        formatter_class=formatter,
     )
     p.add_argument("--version", action="version", version=f"vvcode {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, *, dict_arg=False, source_arg=None, word_arg=False,
             codebook_arg=False, io_args=False):
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, formatter_class=formatter)
         if dict_arg:
             sp.add_argument("--dict", dest="dict_path", required=True)
         if source_arg is not None:
@@ -391,15 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on its first call; parsing leaves it as
-    it was, so one parser serves every call in the process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     fields = {f for f in RunConfig.__dataclass_fields__}
     kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     config = RunConfig(**kwargs)

@@ -1,9 +1,8 @@
 """CLI surface: exit codes, report envelopes, file formats, round-trips."""
 
+import argparse
 import json
 import os
-import subprocess
-import sys
 import tempfile
 
 import pytest
@@ -598,7 +597,7 @@ def test_loaders_fuzz_json_files(value):
                 pass
 
 
-# -- fail-fast checks and the reused parser ------------------------------------
+# -- fail-fast checks and repeated calls -------------------------------------
 
 
 @pytest.mark.parametrize("command, message", [
@@ -618,7 +617,8 @@ def test_codec_without_out_fails_before_reading(files, tmp_path, capsys,
     assert capsys.readouterr().err == f"vvcode: {message}\n"
 
 
-def test_parser_is_reused_and_keeps_no_state_between_calls(files, capsys):
+def test_main_keeps_no_state_between_calls(files, capsys):
+    # perfbench and these tests call main many times in one process
     verify = ["verify", "--dict", files["complete"], "--source", files["fair"]]
     assert cli.main([*verify, "--format", "csv", "--depth", "5"]) == 0
     assert capsys.readouterr().out.startswith("verdict,")
@@ -633,17 +633,16 @@ def test_parser_is_reused_and_keeps_no_state_between_calls(files, capsys):
     assert code == 0
     assert rep["config"]["format"] == "json"
     assert rep["config"]["depth"] == cli.DEFAULT_DEPTH
-    code, rep = run_json(capsys, ["measure", "--dict", files["complete"],
-                                  "--source", files["fair"]])
-    assert code == 0 and rep["config"]["command"] == "measure"
-    assert cli._parser() is cli._parser()
-    assert cli.build_parser() is not cli.build_parser()
 
 
-def test_import_builds_no_parser():
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    probe = ("import sys, vvcode.cli as c; "
-             "sys.exit(c._parser.cache_info().currsize)")
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", probe], env=env,
-                          timeout=60).returncode == 0
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_is_what_the_default_formatter_prints(monkeypatch, columns):
+    # build_parser reads the terminal width once for all its formatters
+    monkeypatch.setenv("COLUMNS", columns)
+    root = cli.build_parser()
+    (commands,) = [a for a in root._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for parser in (root, *commands.choices.values()):
+        text = parser.format_help()
+        parser.formatter_class = argparse.HelpFormatter
+        assert text == parser.format_help()

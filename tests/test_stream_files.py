@@ -68,6 +68,30 @@ def test_stream_text_round_trips_and_matches_the_per_symbol_writer(
     assert path.read_bytes() == ref_stream_text(symbols)
 
 
+@pytest.mark.parametrize("symbols", [
+    [True, 1], [True, 300], [1.0, 0], [1.0, -1], [False, 0.0, 2],
+    [np.int64(3), 2], [np.float64(1.0), 300], [np.bool_(True), 1],
+    [0, [1, 2]], ["7", 7],
+])
+def test_non_int_symbols_are_written_as_str_prints_them(tmp_path, symbols):
+    # True == 1 and 1.0 == 1 would find the token of 1 in a table keyed by
+    # int, so what the writer prints must not depend on the rest of the stream
+    path = tmp_path / "s.txt"
+    write_stream_text(path, symbols)
+    assert path.read_bytes() == ref_stream_text(symbols)
+
+
+@given(symbols=st.lists(st.integers(-300, 300) | st.booleans()
+                        | st.floats(-300, 300)))
+@settings(max_examples=200, deadline=None)
+def test_any_symbols_are_written_as_the_per_symbol_writer_wrote_them(
+    workdir, symbols
+):
+    path = workdir / "mixed.txt"
+    write_stream_text(path, symbols)
+    assert path.read_bytes() == ref_stream_text(symbols)
+
+
 TOKENS = st.lists(
     st.sampled_from(["+1", "007", "1_0", "1.0", "x", "-0", "-3", "255", "256",
                      "0x1", "٣", "_1", "1__0", "", "²"])
