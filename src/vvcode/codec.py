@@ -159,11 +159,14 @@ def tunstall_build(source: SourceModel, target_size: int) -> FiniteDictionary:
     deterministic.
 
     The build grows the dictionary's trie as it goes: the words wait in a
-    heap keyed (-P, length, word) beside the state they end at, and
-    extending a word turns its edge into a fresh state whose k edges all
-    end words. The result is proper and complete by construction, so the
-    trie and the words left in the heap, sorted once, make the dictionary
-    without FiniteDictionary's checks."""
+    heap keyed (-P, length, code) beside the state they end at, where code
+    is the word read as a base-k integer. Among words of one length,
+    numeric order of the codes is lexicographic order of the words, so the
+    heap pops in canonical order without building a word tuple. Extending
+    a word turns its edge into a fresh state whose k edges all end words.
+    The result is proper and complete by construction, so the trie and its
+    words, listed breadth-first with symbols ascending (which is canonical
+    order), make the dictionary without FiniteDictionary's checks."""
     k = source.alphabet_size
     if k is None:
         raise UnsupportedOperationError(
@@ -177,20 +180,34 @@ def tunstall_build(source: SourceModel, target_size: int) -> FiniteDictionary:
     probs = source.probs
     symbols = range(k)
     trans = [dict.fromkeys(symbols, TO_WORD)]
-    # words are distinct, so the heap never compares the states
-    heap = [(-probs[i], 1, (i,), 0) for i in symbols]
+    # codes are distinct within a length, so the heap never compares states
+    heap = [(-probs[i], 1, i, 0) for i in symbols]
     heapq.heapify(heap)
     count = k
     while count + (k - 1) <= target_size:
-        neg_p, n, w, q = heapq.heappop(heap)
+        neg_p, n, code, q = heapq.heappop(heap)
         state = len(trans)
-        trans[q][w[-1]] = state
+        trans[q][code % k] = state
         trans.append(dict.fromkeys(symbols, TO_WORD))
+        code *= k
         for b in symbols:
-            heapq.heappush(heap, (neg_p * probs[b], n + 1, w + (b,), state))
+            heapq.heappush(heap, (neg_p * probs[b], n + 1, code + b, state))
         count += k - 1
-    words = tuple(sort_words(w for _, _, w, _ in heap))
-    return FiniteDictionary._from_trie(k, words, trans)
+    # breadth-first, one length at a time: each level's prefixes come in
+    # lexicographic order, and only one level of them is kept alive
+    words = []
+    level = [((), trans[0])]
+    while level:
+        deeper = []
+        for prefix, edges in level:
+            for s, e in edges.items():
+                w = prefix + (s,)
+                if e == TO_WORD:
+                    words.append(w)
+                else:
+                    deeper.append((w, trans[e]))
+        level = deeper
+    return FiniteDictionary._from_trie(k, tuple(words), trans)
 
 
 def huffman_build(phrase_probs) -> PhraseCodebook:

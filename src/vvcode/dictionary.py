@@ -4,9 +4,11 @@ A dictionary is a prefix-free set of nonempty words over the source
 alphabet. A finite dictionary is a trie, with its words kept beside it in
 canonical order: the constructor checks the words while it inserts them,
 and codec.tunstall_build grows the trie itself and hands it over
-unchecked. Infinite families (run-length, single-word extensions over
-countable alphabets) are constructors of an automaton and nothing more:
-every query, the measures included, is the base class reading it.
+unchecked, its words read off the trie breadth-first with symbols
+ascending, which is canonical order without a sort. Infinite families
+(run-length, single-word extensions over countable alphabets) are
+constructors of an automaton and nothing more: every query, the measures
+included, is the base class reading it.
 
 Classification of an arbitrary prefix against a dictionary:
 

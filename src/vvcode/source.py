@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -53,11 +54,17 @@ class SourceModel:
             total = math.fsum(self.probs)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ValueError(f"probabilities sum to {total}, not 1")
+            # word_prob's lookup; an attribute, not a field, so it stays
+            # out of ==, hash, repr and (through __reduce__) copies and pickles
+            object.__setattr__(self, "_prob_of", dict(enumerate(self.probs)))
         elif self.kind == GEOMETRIC:
             if not (0.0 < self.p < 1.0):
                 raise ValueError(f"geometric parameter {self.p} not in (0, 1)")
         else:
             raise ValueError(f"unknown source kind {self.kind!r}")
+
+    def __reduce__(self):
+        return SourceModel, (self.kind, self.probs, self.p)
 
     @classmethod
     def finite(cls, probs) -> "SourceModel":
@@ -112,11 +119,22 @@ class SourceModel:
         """Product-measure probability P(word); empty word -> 1.
 
         The symbol probabilities are multiplied left to right from 1.0,
-        the order dictionary.word_levels also uses.
+        the order dictionary.word_levels also uses. A finite source looks
+        each symbol up in a symbol -> probability dict in one pass, after
+        operator.index, the coercion a tuple index applies. A symbol that
+        this pass rejects (negative, out of range, not an integer) sends
+        the word through check_word and the probability tuple, which
+        raise what they always raised.
         """
         if self.kind == FINITE:
-            self.check_word(word)
-            return math.prod(map(self.probs.__getitem__, word), start=1.0)
+            try:
+                return math.prod(
+                    map(self._prob_of.__getitem__, map(operator.index, word)),
+                    start=1.0,
+                )
+            except (KeyError, TypeError):
+                self.check_word(word)
+                return math.prod(map(self.probs.__getitem__, word), start=1.0)
         prob = 1.0
         for sym in word:
             prob *= self.symbol_prob(sym)

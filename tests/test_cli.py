@@ -539,7 +539,8 @@ def test_report_files_chain_through_the_codec(files, tmp_path, capsys):
     ]
     for argv in steps:
         assert cli.main(argv) == 0, argv
-    assert json.loads(open(paths["d.json"]).read())["tool"] == "vvcode"
+    with open(paths["d.json"]) as f:
+        assert json.load(f)["tool"] == "vvcode"
     assert read_stream_text(paths["back.txt"]) == read_stream_text(stream)
 
 

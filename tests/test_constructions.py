@@ -1,16 +1,20 @@
 """Tunstall and Huffman constructions and the checking constructors against
 reference copies of their word-tuple forms.
 
-tunstall_build grows its trie while it expands words, and huffman_build
-keeps index nodes; the references below are the plain constructions (a
-heap of word tuples handed to a constructor that checks every symbol and
-builds the trie one symbol at a time, and a Huffman tree of dict nodes).
-Every dictionary and codebook must come out equal, and FiniteDictionary
-and PhraseCodebook must raise exactly the reference constructors' errors.
+tunstall_build keys its heap by integer word codes and grows its trie
+while it expands words, and huffman_build keeps index nodes; the
+references below are the plain constructions (a heap of word tuples that
+numbers one trie state per pop, its words handed to a constructor that
+checks every symbol and builds the trie one symbol at a time, and a
+Huffman tree of dict nodes). Every dictionary, automaton and codebook must
+come out equal, and FiniteDictionary and PhraseCodebook must raise exactly
+the reference constructors' errors.
 """
 
+import hashlib
 import heapq
 import itertools
+import json
 import math
 import re
 from collections import deque
@@ -35,6 +39,7 @@ from vvcode.dictionary import (
     pattern_source,
 )
 from vvcode.errors import ImproperDictionaryError
+from vvcode.formats import save_dictionary
 from vvcode.source import canon_key, sort_words
 
 
@@ -78,19 +83,24 @@ def ref_finite_dictionary(alphabet_size, words):
     return words, trans
 
 
-def ref_tunstall_words(source, target_size):
-    """Tunstall's words from a heap of word tuples, in heap order."""
+def ref_tunstall(source, target_size):
+    """Tunstall from a heap of word tuples, one trie state per pop: (the
+    words in heap order, the trie transitions)."""
     k = source.alphabet_size
-    heap = [(-source.probs[i], 1, (i,)) for i in range(k)]
+    trans = [dict.fromkeys(range(k), TO_WORD)]
+    heap = [(-source.probs[i], 1, (i,), 0) for i in range(k)]
     heapq.heapify(heap)
     count = k
     while count + (k - 1) <= target_size:
-        neg_p, _, w = heapq.heappop(heap)
+        neg_p, _, w, q = heapq.heappop(heap)
+        state = len(trans)
+        trans[q][w[-1]] = state
+        trans.append(dict.fromkeys(range(k), TO_WORD))
         for b in range(k):
             child = w + (b,)
-            heapq.heappush(heap, (neg_p * source.probs[b], len(child), child))
+            heapq.heappush(heap, (neg_p * source.probs[b], len(child), child, state))
         count += k - 1
-    return [w for _, _, w in heap]
+    return [w for _, _, w, _ in heap], trans
 
 
 def ref_codebook_check(phrases, codewords):
@@ -199,9 +209,14 @@ def check_pattern(d):
 
 def check_constructions(source, size, pattern=True):
     k = source.alphabet_size
-    ref_words, ref_trans = ref_finite_dictionary(k, ref_tunstall_words(source, size))
+    heap_words, heap_trans = ref_tunstall(source, size)
+    ref_words, ref_trans = ref_finite_dictionary(k, heap_words)
     d = tunstall_build(source, size)
     assert d.words == ref_words
+    # states numbered in pop order, each state's edges in insertion order
+    assert [list(t.items()) for t in d.transitions] == [
+        list(t.items()) for t in heap_trans
+    ]
     assert d.word_set == frozenset(ref_words)
     assert d.max_word_length() == max(map(len, ref_words))
     assert d.is_complete()
@@ -255,6 +270,17 @@ def test_tunstall_build_runs_no_checking_constructor(monkeypatch):
     monkeypatch.setattr(FiniteDictionary, "__init__", refuse)
     d = tunstall_build(SourceModel.finite([0.9, 0.1]), 64)
     assert len(d.words) == 64
+
+
+def test_tunstall_4096_matches_pinned_digests():
+    d = tunstall_build(SourceModel.finite([0.9, 0.1]), 4096)
+    report = json.dumps(save_dictionary(d), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "ca638d363730e145afbde5d06d484a2359225e0bdf5d56e1ce669c0becf27e5d"
+    )
+    assert hashlib.sha256(repr(d.transitions).encode()).hexdigest() == (
+        "9ab8d33b5b5311494d9b04cd1e0461a6c1f5c95b0d75eb8e9e19c64af2b25cf8"
+    )
 
 
 def test_huffman_single_phrase_matches_the_reference():

@@ -1,7 +1,11 @@
 """Source model: entropy, word probabilities, sampling, tails."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +80,63 @@ def test_word_prob_multiplicative(probs, data):
     assert s.word_prob(u + v) == pytest.approx(
         s.word_prob(u) * s.word_prob(v), rel=1e-12
     )
+
+
+def ref_word_prob(source, word):
+    """A finite source's word probability as a range check and a product
+    over the probability tuple."""
+    k = len(source.probs)
+    if word and (min(word) < 0 or max(word) >= k):
+        raise ValueError(f"word {list(word)} has symbols outside alphabet size {k}")
+    return math.prod(map(source.probs.__getitem__, word), start=1.0)
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or the type and message it raises."""
+    try:
+        return "ok", f(*args)
+    except Exception as e:  # noqa: BLE001 - the error itself is compared
+        return type(e), str(e)
+
+
+@st.composite
+def finite_words(draw):
+    """(source, word): a finite source and a word over its symbols, at times
+    with one odd symbol in it."""
+    weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=6))
+    total = sum(weights)
+    probs = [w / total for w in weights]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    k = len(probs)
+    word = draw(st.lists(st.integers(0, k - 1), max_size=40))
+    odd = draw(st.sampled_from([None, -1, k, True, np.int64(min(1, k - 1)),
+                                1.0, "1"]))
+    if odd is not None:
+        word.insert(draw(st.integers(0, len(word))), odd)
+    return SourceModel.finite(probs), tuple(word)
+
+
+@given(case=finite_words())
+@settings(max_examples=300, deadline=None)
+def test_word_prob_matches_the_reference(case):
+    source, word = case
+    assert outcome(source.word_prob, word) == outcome(ref_word_prob, source, word)
+
+
+def test_word_prob_lookup_is_not_part_of_the_value():
+    s = SourceModel.finite([0.5, 0.3, 0.2])
+    assert [f.name for f in dataclasses.fields(s)] == ["kind", "probs", "p"]
+    assert repr(s) == "SourceModel(kind='finite', probs=(0.5, 0.3, 0.2), p=0.0)"
+    assert s == SourceModel.finite([0.5, 0.3, 0.2])
+    assert hash(s) == hash(SourceModel.finite([0.5, 0.3, 0.2]))
+    assert b"_prob_of" not in pickle.dumps(s)
+    for source in (s, SourceModel.geometric(0.3)):
+        for twin in (copy.copy(source), copy.deepcopy(source),
+                     pickle.loads(pickle.dumps(source))):
+            assert twin == source and hash(twin) == hash(source)
+            assert repr(twin) == repr(source)
+            assert twin.word_prob((2, 1, 0)) == source.word_prob((2, 1, 0))
+            assert outcome(twin.word_prob, (3,)) == outcome(source.word_prob, (3,))
 
 
 def test_constructor_rejects_bad_probs():
