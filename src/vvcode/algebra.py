@@ -33,6 +33,9 @@ from .dictionary import (
 from .errors import ConeHypothesisError, ResourceBudgetError
 from .source import SourceModel, Word, sort_words
 
+# The largest |T_n| enumerated or summed. It bounds the size of T_n, not the
+# work: the truncation series walks T_n's dead prefixes once per distinct
+# probability, so a frontier near the bound can cost far fewer steps.
 MAX_FRONTIER_WORDS = 1_000_000
 
 

@@ -172,17 +172,27 @@ def word_levels(
     width: int,
     frontier: int | None = None,
 ):
-    """Walk d's automaton one length at a time: yield (j, words, rest) for
-    j = 1, 2, ... until no prefix of length j leads on.
+    """Walk d's automaton one length at a time: yield (j, words, rest, dead)
+    for j = 1, 2, ... until no prefix of length j leads on.
 
     A node is (P(prefix), entry), and a child's P is its parent's P times
     the symbol's probability (see the module docstring). words are the
-    nodes of the members of length j, rest those of the length-j prefixes
-    that lead on: the live ones and, when a frontier budget is given, the
-    dead ones too, whose completions the next length expands. rest is then
-    T_j, and a T_j larger than the budget raises ResourceBudgetError before
-    it is built. Symbols run over range(width), and a state's listed
-    symbols past it are taken too.
+    nodes of the members of length j, rest those of the live length-j
+    prefixes. Symbols run over range(width), and a state's listed symbols
+    past it are taken too.
+
+    dead is empty unless a frontier budget is given. It then maps P to the
+    number of DEAD length-j prefixes of that probability, so that rest and
+    dead together are T_j. A dead prefix's subtree depends on its P alone,
+    so each distinct P is expanded once per length: P*p_s for each symbol s,
+    with the count carried over, and each DEAD edge out of a live node adds
+    1. Each P is the product a walk of that one prefix would reach, bit for
+    bit: equal floats are the same number (a P is never -0.0), and a NaN
+    equals nothing, so it keeps an entry of its own. A sum over T_j takes
+    c copies of a term as its exact sum c*x, which measures._powers splits
+    into terms scaled by powers of two. The budget bounds |T_j|, the live
+    prefixes plus the sum of the counts, not the entries walked, and a T_j
+    larger than it raises ResourceBudgetError before it is built.
     """
     sp = _SymbolProbs(source)
     trans, defaults = d.transitions, d.defaults
@@ -195,38 +205,48 @@ def word_levels(
     found, n_rest = {}, {}
 
     def edges(q):
-        if q == TO_DEAD:
-            pairs = [(s, TO_DEAD) for s in symbols]
-        else:
-            t, default = trans[q], defaults[q]
-            pairs = [(s, t.get(s, default)) for s in symbols]
-            pairs += [(s, e) for s, e in t.items() if s >= width]
-            if frontier is None:
-                pairs = [(s, e) for s, e in pairs if e != TO_DEAD]
+        t, default = trans[q], defaults[q]
+        pairs = [(s, t.get(s, default)) for s in symbols]
+        pairs += [(s, e) for s, e in t.items() if s >= width]
+        if frontier is None:
+            pairs = [(s, e) for s, e in pairs if e != TO_DEAD]
         found[q] = pairs
         n_rest[q] = sum(e != TO_WORD for _, e in pairs)
         return pairs
 
-    rest = [(1.0, d.start)]
+    rest, dead = [(1.0, d.start)], {}
     j = 0
-    while rest:
+    while rest or dead:
         j += 1
-        if frontier is not None:
+        words, nxt, nxt_dead = [], [], {}
+        if frontier is None:
+            for p, q in rest:
+                pairs = found.get(q)
+                if pairs is None:
+                    listed_here = listed and defaults[q] == TO_DEAD
+                    pairs = trans[q].items() if listed_here else edges(q)
+                for s, e in pairs:
+                    (words if e == TO_WORD else nxt).append((p * sp[s], e))
+        else:
             for n in rest:
                 if n[1] not in found:
                     edges(n[1])
-            if sum(n_rest[n[1]] for n in rest) > frontier:
+            size = sum(n_rest[n[1]] for n in rest) + width * sum(dead.values())
+            if size > frontier:
                 raise frontier_budget_error(j, frontier)
-        words, nxt = [], []
-        for p, q in rest:
-            pairs = found.get(q)
-            if pairs is None:
-                listed_here = listed and defaults[q] == TO_DEAD
-                pairs = trans[q].items() if listed_here else edges(q)
-            for s, e in pairs:
-                (words if e == TO_WORD else nxt).append((p * sp[s], e))
-        yield j, words, nxt
-        rest = nxt
+            for p, q in rest:
+                for s, e in found[q]:
+                    if e == TO_DEAD:
+                        x = p * sp[s]
+                        nxt_dead[x] = nxt_dead.get(x, 0) + 1
+                    else:
+                        (words if e == TO_WORD else nxt).append((p * sp[s], e))
+            for p, c in dead.items():
+                for s in symbols:
+                    x = p * sp[s]
+                    nxt_dead[x] = nxt_dead.get(x, 0) + c
+        yield j, words, nxt, nxt_dead
+        rest, dead = nxt, nxt_dead
 
 
 def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbols):
@@ -358,21 +378,21 @@ class _MeasureWalk:
         self.levels = list(itertools.islice(self.more, depth))
         # the prefixes that lead on, by length: those shorter than depth,
         # and the live ones at depth (none if the walk ended before it)
-        inner = [[(1.0, d.start)]] + [rest for _, _, rest in self.levels]
+        inner = [[(1.0, d.start)]] + [rest for _, _, rest, _ in self.levels]
         self.shorter = inner[:depth]
         self.live = inner[depth] if depth < len(inner) else []
 
     def _sums(self, levels):
         """exact_word_measures of the words in levels, term for term; an
         unpriced word raises word_prob's error for the least one."""
-        probs = [n[0] for _, words, _ in levels for n in words]
+        probs = [n[0] for _, words, _, _ in levels for n in words]
         mass = math.fsum(probs)
         if mass != mass:
-            j = next(j for j, words, _ in levels if any(n[0] != n[0] for n in words))
+            j = next(j for j, words, _, _ in levels if any(n[0] != n[0] for n in words))
             for w in self.d.member_words(j, self.width):
                 if len(w) == j:
                     self.source.check_word(w)
-        lbar = math.fsum(n[0] * j for j, words, _ in levels for n in words)
+        lbar = math.fsum(n[0] * j for j, words, _, _ in levels for n in words)
         h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
         return mass, lbar, h
 
@@ -393,7 +413,7 @@ class _MeasureWalk:
             for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
             if default == TO_WORD
         }
-        terms = [n[0] for _, words, _ in self.levels for n in words]
+        terms = [n[0] for _, words, _, _ in self.levels for n in words]
         terms += [p * ends[q] for nodes in self.shorter for p, q in nodes if q in ends]
         # a word through a symbol the source lacks has no mass
         return min(1.0, math.fsum(p for p in terms if p == p))
@@ -430,7 +450,7 @@ class _MeasureWalk:
         if d.alphabet_size is not None and d.max_word_length() is not None:
             # finitely many words: walk the rest of them
             levels = list(self.more)
-            if not any(words for _, words, _ in levels):
+            if not any(words for _, words, _, _ in levels):
                 return TailStats.zero()
             return TailStats.exact(*self._sums(levels))
         sums = {TO_WORD: (1.0, 0.0, 0.0)}

@@ -15,7 +15,10 @@ and needs properness only.
 Every finite sum here is formed from the automaton by
 dictionary.word_levels: the partial sums walk it to the depth budget (and
 within the width budget on countable alphabets), and the truncation series
-walks it once to m_max, expanding dead prefixes into their completions.
+walks it once to m_max. T_m's dead prefixes come from that walk as a map
+from probability to count, each distinct probability expanded once per
+length, and a count of c copies of a term enters its sum as at most
+c.bit_length() terms of the same exact sum (_powers).
 phrase_measures and check_conservation run their queries in
 dictionary.shared_walks(), so the partial sums, P(T_depth) and the tails
 come from one walk.
@@ -302,24 +305,41 @@ class TruncationIdentityReport:
         }
 
 
+def _powers(c: int) -> list:
+    """2^i for each set bit i of c. The terms x*2^i have the exact sum of c
+    copies of x, since scaling by a power of two is exact, and math.fsum
+    rounds the exact sum of its terms: it returns the same for them as for
+    [x]*c."""
+    return [float(1 << i) for i in range(c.bit_length()) if c >> i & 1]
+
+
 def _truncation_series(d, source, m_max, max_symbol):
     """(m, (mass, lbar, entropy) of D_m) for m = 1..m_max.
 
     D_m is the members of length <= m and T_m. One walk to depth m_max
     yields each length's members and T_m (truncate's sets), and row m sums
     the members so far with T_m, the terms exact_word_measures would take.
+    T_m's dead prefixes come as P -> count, and a term's count of copies
+    enters its sum as the term times each of the count's _powers.
     """
     if m_max < 1:
         return
     levels = word_levels(d, source, d.member_width(max_symbol), MAX_FRONTIER_WORDS)
     mass, lbar, h = [], [], []  # the terms of the members so far
     for m in range(1, m_max + 1):
-        _, words, rest = next(levels, (m, (), ()))
+        _, words, rest, dead = next(levels, (m, (), (), {}))
         probs = [n[0] for n in words]
         mass += probs
         lbar += [p * m for p in probs]
         h += [p * math.log2(p) for p in probs if p > 0.0]
         t_m = [n[0] for n in rest]
+        t_lbar = [p * m for p in t_m]
+        t_h = [p * math.log2(p) for p in t_m if p > 0.0]
+        if dead:
+            dead = [(p, _powers(c)) for p, c in dead.items()]
+            t_m += [p * f for p, fs in dead for f in fs]
+            t_lbar += [p * m * f for p, fs in dead for f in fs]
+            t_h += [p * math.log2(p) * f for p, fs in dead if p > 0.0 for f in fs]
         row_mass = math.fsum(itertools.chain(mass, t_m))
         if row_mass != row_mass:
             # name the least length-m word the source cannot price, as
@@ -327,10 +347,9 @@ def _truncation_series(d, source, m_max, max_symbol):
             members = [w for w in d.member_words(m, max_symbol) if len(w) == m]
             for w in sort_words(members + uncovered_frontier(d, m, max_symbol)[0]):
                 source.check_word(w)
-        t_h = [p * math.log2(p) for p in t_m if p > 0.0]
         yield m, (
             row_mass,
-            math.fsum(itertools.chain(lbar, [p * m for p in t_m])),
+            math.fsum(itertools.chain(lbar, t_lbar)),
             -math.fsum(itertools.chain(h, t_h)),
         )
 

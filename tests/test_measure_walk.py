@@ -13,6 +13,8 @@ import functools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng, random_proper_dictionary
 from vvcode import (
@@ -30,7 +32,7 @@ from vvcode import (
     tunstall_build,
 )
 from vvcode import measures
-from vvcode.dictionary import Dictionary, TailStats
+from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary, TailStats
 from vvcode.errors import ResourceBudgetError
 
 FAIR = SourceModel.fair_bit()
@@ -237,3 +239,131 @@ def test_countable_alphabet_needs_a_width(monkeypatch):
         monkeypatch, d, GEOMETRIC, 3, 3, width=None, max_symbol=None
     )
     assert walk == [want, want, want, want]
+
+
+# -- T_m's dead prefixes, walked as P -> count -------------------------------
+
+
+def non_complete(rng, k, max_depth, n):
+    out = []
+    while len(out) < n:
+        d = random_proper_dictionary(rng, max_depth=max_depth, k=k)
+        if not d.is_complete():
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("source", [FAIR, BIASED, SKEWED], ids=["fair", "biased", "skewed"])
+def test_one_word_dictionary_is_nearly_all_dead_zone(monkeypatch, source):
+    # T_m is the 2^(m-1) strings that start with 1, every one of them dead
+    d = FiniteDictionary(2, [(0,)])
+    for depth in (1, 16):
+        assert_walk_matches_per_word(monkeypatch, d, source, depth, 16)
+
+
+def test_deep_dead_zones_of_random_dictionaries(monkeypatch):
+    rng = make_rng(13)
+    for d in non_complete(rng, 2, 4, 8):
+        for source in (FAIR, BIASED):
+            assert_walk_matches_per_word(monkeypatch, d, source, 3, 12)
+    for d in non_complete(rng, 3, 3, 6):
+        for source in (TERNARY, GEOMETRIC):
+            assert_walk_matches_per_word(monkeypatch, d, source, 3, 7)
+
+
+class CountableRunLength(Dictionary):
+    """{0, 10, 110, ...} over a countable alphabet: every symbol >= 2
+    leads out of the dictionary."""
+
+    def __init__(self):
+        self.transitions = [{1: 0, 0: TO_WORD}]
+        self.defaults = [TO_DEAD]
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_dead_zone_over_a_countable_alphabet(monkeypatch, width):
+    d = CountableRunLength()
+    assert d.classify((2,)) == DEAD
+    for depth in (1, 6):
+        assert_walk_matches_per_word(
+            monkeypatch, d, GEOMETRIC, depth, 6, width=width, max_symbol=width
+        )
+
+
+def test_dead_prefix_the_source_cannot_price(monkeypatch):
+    # symbol 2 is outside the fair source's alphabet, and here it leads
+    # only into dead prefixes: every row raises word_prob's error
+    rng = make_rng(14)
+    for d in non_complete(rng, 3, 3, 6):
+        walk = assert_walk_matches_per_word(monkeypatch, d, FAIR, 2, 5)
+        assert walk[2][0] == "raised"
+    d = FiniteDictionary(3, [(0,), (1, 0)])  # (2,) and (1, 2) are dead
+    walk = assert_walk_matches_per_word(monkeypatch, d, FAIR, 2, 5)
+    assert walk[2] == ("raised", ValueError, "word [2] has symbols outside alphabet size 2")
+
+
+def test_frontier_budget_in_the_dead_zone():
+    d = FiniteDictionary(2, [(0,)])
+    want = ("raised", ResourceBudgetError,
+            "frontier at depth 21 exceeds max_words=1000000")
+    assert outcome(lambda: truncate(d, 21, materialize=False)) == want
+    assert outcome(lambda: check_truncation_identity(d, FAIR, 21)) == want
+    assert outcome(lambda: convergence_scan(d, BIASED, 21)) == want
+    assert check_truncation_identity(d, FAIR, 20).all_ok
+
+
+@pytest.mark.parametrize("budget", [40, 300, 2000])
+def test_frontier_budget_at_the_depth_truncate_raises(monkeypatch, budget):
+    def budgeted_series(d, source, m_max, max_symbol):
+        for m in range(1, m_max + 1):
+            fs = truncate(d, m, max_symbol, max_words=budget, materialize=False)
+            yield m, per_word_measures(fs.d_n_words, source)
+
+    monkeypatch.setattr(measures, "MAX_FRONTIER_WORDS", budget)
+    rng = make_rng(15)
+    raised = 0
+    for d in non_complete(rng, 2, 5, 10) + [FiniteDictionary(2, [(0,)])]:
+        def run():
+            return [
+                outcome(lambda: check_truncation_identity(d, BIASED, 14)),
+                outcome(lambda: convergence_scan(d, BIASED, 14)),
+            ]
+
+        walk = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(measures, "_truncation_series", budgeted_series)
+            reference = run()
+        assert walk == reference
+        assert repr(walk) == repr(reference)
+        raised += isinstance(walk[0], tuple)
+    assert raised  # the budget was reached
+
+
+def copies(x, c):
+    return [x * f for f in measures._powers(c)]
+
+
+# The sums take the copies among other terms, so each copy must be exact:
+# a single rounded x*c would equal fsum([x] * c) alone but not beside y.
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=-1.0, max_value=64.0),
+    c=st.integers(1, 5000),
+    y=st.floats(min_value=-64.0, max_value=64.0),
+)
+@example(x=0.0, c=3, y=0.0)
+@example(x=5e-324, c=4095, y=0.0)
+@example(x=2.2250738585072014e-308, c=77, y=-0.0)  # the least normal float
+@example(x=0.1, c=3, y=-0.30000000000000004)
+@example(x=0.1, c=1, y=1.0)
+def test_copies_sum_like_the_repeated_term(x, c, y):
+    assert repr(math.fsum(copies(x, c))) == repr(math.fsum([x] * c))
+    assert repr(math.fsum(copies(x, c) + [y])) == repr(math.fsum([x] * c + [y]))
+    assert len(copies(x, c)) == bin(c).count("1")
+
+
+@pytest.mark.parametrize("c", [2**20 - 1, 2**20, 2**20 + 1, 1_000_000])
+@pytest.mark.parametrize("x", [0.1, 1 / 3, 5e-324, 0.9**17, -0.4689955935892812])
+def test_copies_near_the_frontier_budget(x, c):
+    for y in (0.0, -x * c, 1.0):
+        assert repr(math.fsum(copies(x, c) + [y])) == repr(math.fsum([x] * c + [y]))
