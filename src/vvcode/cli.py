@@ -126,7 +126,7 @@ def _emit_report(config: RunConfig, result, csv_text=None) -> None:
 
 def _cmd_check(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
-    result = {"proper": is_proper(d, config.depth, config.width)}
+    result = {"proper": is_proper(d)}
     complete = None
     if isinstance(d, FiniteDictionary):
         complete = is_complete(d)
@@ -183,7 +183,7 @@ def _cmd_cone(config: RunConfig) -> int:
 def _cmd_measure(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
-    pm = phrase_measures(d, s, config.depth, config.width)
+    pm = phrase_measures(d, s, config.depth)
     result = {
         "h_d_low": pm.entropy.low,
         "h_d_high": pm.entropy.high,
@@ -193,7 +193,7 @@ def _cmd_measure(config: RunConfig) -> int:
         "frontier_mass": pm.frontier_mass,
         "exhaustive": pm.exhaustive,
         "tails_exact": pm.tails_exact,
-        "possibly_divergent": pm.possibly_divergent,
+        "possibly_divergent": False,  # kept for format_version 1
         "note": pm.note,
     }
     _emit_report(config, result, report_csv(PHRASE_MEASURE_CSV_COLUMNS, [result]))
@@ -203,7 +203,7 @@ def _cmd_measure(config: RunConfig) -> int:
 def _cmd_verify(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
-    report = check_conservation(d, s, config.depth, config.tol, config.width)
+    report = check_conservation(d, s, config.depth, config.tol)
     result = report.as_dict()
     _emit_report(config, result, report_csv(MEASURE_CSV_COLUMNS, [result]))
     if report.verdict == "pass":
@@ -217,9 +217,8 @@ def _cmd_scan(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
     m_max = config.m_max or 12
-    report = convergence_scan(
-        d, s, m_max, config.width if d.alphabet_size is None else None, config.width
-    )
+    max_symbol = config.width if d.alphabet_size is None else None
+    report = convergence_scan(d, s, m_max, max_symbol)
     result = report.as_dict()
     _emit_report(config, result, report_csv(SCAN_CSV_COLUMNS, result["rows"]))
     if report.h_nondecreasing and report.lbar_nondecreasing:
@@ -292,13 +291,11 @@ def _cmd_simulate(config: RunConfig) -> int:
         hist = phrase_histogram(
             d, s, n, config.seed, depth=config.depth, width=config.width
         )
-        report = report_from_counts(
-            d, s, dict(hist.entries), config.seed, config.depth, config.width
-        )
+        report = report_from_counts(d, s, dict(hist.entries), config.seed, config.depth)
         result = {"sim": report.as_dict(), "histogram": hist.as_dict()}
         _emit_report(config, result, histogram_csv(hist))
     else:
-        report = simulate(d, s, n, config.seed, depth=config.depth, width=config.width)
+        report = simulate(d, s, n, config.seed, depth=config.depth)
         result = report.as_dict()
         _emit_report(config, result, report_csv(SIM_CSV_COLUMNS, [result]))
     return EXIT_OK

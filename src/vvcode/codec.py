@@ -40,12 +40,10 @@ from .errors import (
     StreamSymbolError,
     UnsupportedOperationError,
 )
-from .source import SourceModel, Word, canon_key, sort_words
+from .source import PROB_SUM_TOL, SourceModel, Word, canon_key, sort_words
 
 MAGIC = 0x56
 _MAGIC_BITS = format(MAGIC, "08b")
-
-PROB_SUM_TOL = 1e-9
 
 
 def kraft_sum(codewords) -> Fraction:

@@ -51,14 +51,16 @@ with math.fsum, which rounds the exact sum correctly and so does not
 depend on the order of its terms: the sums keep every bit of a word-by-word
 evaluation, at one multiply per edge instead of |w| per word.
 
-One walk to the depth budget (shared within ``shared_walks()``) gives the
-member sums and P(T_depth), summed directly as the live prefixes at depth
-plus the mass that shorter ones send to TO_DEAD. Tails: a finite
-automaton walks on through its longer words; any other closes each live
-prefix with its state's completion sums, computed children first, the
-fundamental matrix of an absorbing chain (Kemeny & Snell, 1960) for a DAG
-plus self-loops. Over a countable alphabet, the words through symbols >=
-width that a TO_WORD default ends add the source's closed-form tails.
+One walk to a depth (shared within ``shared_walks()``) gives P(T_depth),
+summed directly as the live prefixes at depth plus the mass that shorter
+ones send to TO_DEAD, and, for an automaton with finitely many words, the
+sums over its members up to that depth; the same walk goes on through the
+longer ones. Any other automaton (a countable alphabet, or a reachable
+self-loop) has its measures in closed form: the start state's completion
+sums, computed children first, the fundamental matrix of an absorbing
+chain (Kemeny & Snell, 1960) for a DAG plus self-loops. A state's unlisted
+symbols enter them as runs between its listed ones, each summed in closed
+form by the source, so a far listed symbol costs no enumeration.
 """
 
 from __future__ import annotations
@@ -270,51 +272,19 @@ def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbol
     return words, rest
 
 
-@dataclass(frozen=True)
-class TailStats:
-    """Mass / average-length / entropy contributions of unenumerated words.
-
-    Tails from the automaton are exact, low == high; phrase_measures
-    brackets an unbounded tail with infinite upper ends.
-    """
-
-    mass_low: float
-    mass_high: float
-    lbar_low: float
-    lbar_high: float
-    h_low: float
-    h_high: float
-
-    @classmethod
-    def zero(cls) -> "TailStats":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def exact(cls, mass: float, lbar: float, h: float) -> "TailStats":
-        return cls(mass, mass, lbar, lbar, h, h)
-
-
-def _default_mass(t: dict, source: SourceModel):
+def _unlisted_mass(t: dict, source: SourceModel):
     """The sums of P(s) and of -P(s)*log2 P(s) over the symbols s that a
-    state with transitions t does not list, summed directly."""
-    top = max(t, default=-1) + 1
-    k = source.alphabet_size
-    below = top if k is None else min(top, k)  # a finite source has no more
-    ps = [source.symbol_prob(s) for s in range(below) if s not in t]
-    return (
-        math.fsum(ps) + source.tail_mass(top),
-        math.fsum(-p * math.log2(p) for p in ps if p > 0.0)
-        + source.tail_surprisal_mass(top),
-    )
-
-
-def _unlisted_mass(t: dict, source: SourceModel) -> float:
-    """The sum of P(s) over the symbols s that a state with transitions t
-    does not list: each run between listed symbols in closed form, and the
-    tail past the last one, so a far listed symbol costs no enumeration."""
+    state with transitions t does not list: each run between listed
+    symbols in closed form, and the tail past the last one, so the cost
+    depends on the listed symbols alone."""
     bounds = [-1, *sorted(t)]
-    runs = [source.mass_between(a + 1, b) for a, b in zip(bounds, bounds[1:])]
-    return math.fsum(runs + [source.tail_mass(bounds[-1] + 1)])
+    runs = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+    top = bounds[-1] + 1
+    return (
+        math.fsum([source.mass_between(*r) for r in runs] + [source.tail_mass(top)]),
+        math.fsum([source.surprisal_between(*r) for r in runs]
+                  + [source.tail_surprisal_mass(top)]),
+    )
 
 
 def _children_first(d: "Dictionary") -> list:
@@ -360,20 +330,23 @@ def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
     if r >= 1.0:
         return None
     if d.defaults[q] == TO_WORD:  # each symbol not listed ends a word
-        dm, ds = _default_mass(t, source)
+        dm, ds = _unlisted_mass(t, source)
         m, l, s = m + dm, l + dm, s + ds
     g = 1.0 / (1.0 - r)
     return m * g, l * g + m * r * g * g, s * g + u * m * g * g
 
 
 class _MeasureWalk:
-    """One word_levels walk of d to `depth` over range(width), and the
-    measure sums read from it: the members up to depth, P(T_depth) and the
-    tails beyond the budget (see the module docstring)."""
+    """One word_levels walk of d to `depth` over the symbols that lead on
+    (a finite alphabet's, or a countable alphabet's listed ones), and the
+    sums read from it: P(T_depth), the covered mass and, for an automaton
+    with finitely many words, the members up to depth and past it (see the
+    module docstring)."""
 
-    def __init__(self, d: "Dictionary", depth: int, width: int, source: SourceModel):
+    def __init__(self, d: "Dictionary", depth: int, source: SourceModel):
         depth = max(depth, 0)
-        self.d, self.depth, self.width, self.source = d, depth, width, source
+        width = 0 if d.alphabet_size is None else d.alphabet_size
+        self.d, self.width, self.source = d, width, source
         self.more = word_levels(d, source, width)
         self.levels = list(itertools.islice(self.more, depth))
         # the prefixes that lead on, by length: those shorter than depth,
@@ -401,6 +374,15 @@ class _MeasureWalk:
         return self._sums(self.levels)
 
     @functools.cached_property
+    def longer(self):
+        """The sums over the members longer than depth, walking on to the
+        last of them; all 0.0 if there is none."""
+        levels = list(self.more)
+        if not any(words for _, words, _, _ in levels):
+            return 0.0, 0.0, 0.0
+        return self._sums(levels)
+
+    @functools.cached_property
     def covered(self) -> float:
         """The mass of the members up to depth, summed directly: the member
         nodes and, over a countable alphabet, the words that a shorter
@@ -409,7 +391,7 @@ class _MeasureWalk:
         if d.alphabet_size is not None:
             return min(1.0, self.members[0])
         ends = {
-            q: _unlisted_mass(t, self.source)
+            q: _unlisted_mass(t, self.source)[0]
             for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
             if default == TO_WORD
         }
@@ -426,7 +408,7 @@ class _MeasureWalk:
         # a state that lists every symbol of a same-size source costs nothing
         same = d.alphabet_size == source.alphabet_size
         dead = {
-            q: _default_mass(t, source)[0]
+            q: _unlisted_mass(t, source)[0]
             for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
             if default == TO_DEAD and not (same and len(t) == d.alphabet_size)
         }
@@ -436,48 +418,10 @@ class _MeasureWalk:
         k = source.alphabet_size
         if d.alphabet_size is not None and k is not None and d.alphabet_size > k:
             # as the member sums do, raise word_prob's error for a member of
-            # the budget that the source cannot price
+            # the walk that the source cannot price
             self.members
         # a prefix through a symbol the source lacks has no mass
         return min(1.0, math.fsum(p for p in terms if p == p))
-
-    @functools.cached_property
-    def tail(self) -> TailStats | None:
-        """The members beyond the budget: longer than depth or, over a
-        countable alphabet, through a symbol >= width. None where a
-        reachable self-loop has probability 1 (lbar diverges)."""
-        d, source = self.d, self.source
-        if d.alphabet_size is not None and d.max_word_length() is not None:
-            # finitely many words: walk the rest of them
-            levels = list(self.more)
-            if not any(words for _, words, _, _ in levels):
-                return TailStats.zero()
-            return TailStats.exact(*self._sums(levels))
-        sums = {TO_WORD: (1.0, 0.0, 0.0)}
-        for q in _children_first(d):
-            sums[q] = _completion(d, q, source, sums)
-            if sums[q] is None:
-                return None
-        # (P(prefix), |prefix|, sums of the words it leads to): each live
-        # prefix with all its completions, and each shorter prefix with
-        # the one-symbol words through symbols >= width that a TO_WORD
-        # default ends
-        closed = [(p, self.depth, sums[q]) for p, q in self.live]
-        if TO_WORD in d.defaults:
-            m_w = source.tail_mass(self.width)
-            past_width = (m_w, m_w, source.tail_surprisal_mass(self.width))
-            closed += [
-                (p, j, past_width)
-                for j, nodes in enumerate(self.shorter)
-                for p, q in nodes
-                if d.defaults[q] == TO_WORD
-            ]
-        closed = [c for c in closed if c[0] > 0.0]  # 0 * log 0 = 0; NaN: no mass
-        return TailStats.exact(
-            math.fsum(p * cm for p, _, (cm, _, _) in closed),
-            math.fsum(p * (j * cm + cl) for p, j, (cm, cl, _) in closed),
-            math.fsum(p * (cs - math.log2(p) * cm) for p, _, (cm, _, cs) in closed),
-        )
 
 
 _WALKS = contextvars.ContextVar("walks")
@@ -486,7 +430,7 @@ _WALKS = contextvars.ContextVar("walks")
 @contextlib.contextmanager
 def shared_walks():
     """Within the block (and blocks nested in it, on this thread), the
-    measure queries of a dictionary at one budget read one walk."""
+    measure queries of a dictionary at one depth read one walk."""
     token = _WALKS.set(_WALKS.get({}))
     try:
         yield
@@ -494,11 +438,11 @@ def shared_walks():
         _WALKS.reset(token)
 
 
-def _measure_walk(d, depth, width, source) -> _MeasureWalk:
+def _measure_walk(d, depth, source) -> _MeasureWalk:
     walks = _WALKS.get({})
-    key = (id(d), depth, width, source)  # d outlives the block: walks hold it
+    key = (id(d), depth, source)  # d outlives the block: walks hold it
     if key not in walks:
-        walks[key] = _MeasureWalk(d, depth, width, source)
+        walks[key] = _MeasureWalk(d, depth, source)
     return walks[key]
 
 
@@ -567,29 +511,29 @@ class Dictionary:
     def covered_mass(self, depth: int, source: SourceModel) -> float:
         """Sum of P(alpha) over members with |alpha| <= depth, summed from
         the walk that boundary_mass takes."""
-        return self._boundary_walk(depth, source).covered
-
-    def member_measures(self, depth: int, width, source: SourceModel):
-        """exact_word_measures of member_words(depth, width), summed from
-        the automaton walk (see the module docstring)."""
-        return _measure_walk(self, depth, self.member_width(width), source).members
+        return _measure_walk(self, depth, source).covered
 
     def boundary_mass(self, depth: int, source: SourceModel) -> float:
         """P(T_depth): mass of length-`depth` strings with no member prefix."""
-        return self._boundary_walk(depth, source).boundary
+        return _measure_walk(self, depth, source).boundary
 
-    def _boundary_walk(self, depth: int, source: SourceModel) -> _MeasureWalk:
-        # over a countable alphabet only listed symbols lead on: width 0
-        width = 0 if self.alphabet_size is None else self.alphabet_size
-        return _measure_walk(self, depth, width, source)
+    def finite_measures(self, depth: int, source: SourceModel):
+        """(mass, lbar, entropy) of a dictionary with finitely many words:
+        exact_word_measures of its members up to depth plus that of the
+        longer ones, both summed from the walk that boundary_mass takes."""
+        walk = _measure_walk(self, depth, source)
+        return tuple(a + b for a, b in zip(walk.members, walk.longer))
 
-    def tail_stats(self, depth, width, source) -> TailStats | None:
-        """Contributions of members outside the (depth, width) budget.
-
-        None means they are unbounded: a reachable self-loop has
-        probability 1, so lbar(D) diverges.
-        """
-        return _measure_walk(self, depth, self.member_width(width), source).tail
+    def completion_sums(self, source: SourceModel):
+        """(mass, lbar, entropy) of the whole dictionary: the start state's
+        completion sums. None where a reachable self-loop has probability
+        1, so lbar(D) diverges."""
+        sums = {TO_WORD: (1.0, 0.0, 0.0)}
+        for q in _children_first(self):
+            sums[q] = _completion(self, q, source, sums)
+            if sums[q] is None:
+                return None
+        return sums[self.start]
 
     def member_width(self, max_symbol: int | None) -> int:
         """The symbols member_words(..., max_symbol) runs over: range of the
@@ -982,12 +926,12 @@ def pattern_source(d: Dictionary) -> str | None:
     return "".join(out)
 
 
-def is_proper(d, depth: int = 32, max_symbol: int | None = None) -> bool:
+def is_proper(d) -> bool:
     """True iff no member word is a strict prefix of another.
 
     Every Dictionary is proper: a walk stops at the first prefix that ends
-    a word, so no member continues another (depth and max_symbol are not
-    needed for it). A raw iterable of words is checked in full.
+    a word, so no member continues another. A raw iterable of words is
+    checked in full.
     """
     return isinstance(d, Dictionary) or find_prefix_violation(d) is None
 

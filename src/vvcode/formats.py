@@ -3,7 +3,8 @@ symbol-stream files, and CSV report rows.
 
 Source spec:      {"kind": "finite", "probs": [...]} (numbers or decimal
                   strings) or {"kind": "geometric", "p": 0.5}. Probabilities
-                  are renormalized only when |sum - 1| <= 1e-9, else rejected.
+                  are renormalized only when |sum - 1| <= 1e-9, else rejected
+                  (SourceModel.finite does both).
 Dictionary spec:  {"kind": "finite", "alphabet_size": k, "words": [[...], ...]}
                   with words in canonical order, or
                   {"kind": "lazy", "family": "run_length"} /
@@ -28,12 +29,13 @@ CSV column orders (stable for spreadsheet diffing):
     sim report:     n_phrases, total_symbols, empirical_lbar, stderr_lbar,
                     empirical_entropy, theory_lbar, theory_hd, z_lbar, seed
     histogram:      word, count
+
+possibly_divergent is always False; the column stays for format_version 1.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
 import os
 from itertools import chain
@@ -54,8 +56,6 @@ from .errors import (
 )
 from .simulation import HistogramReport
 from .source import SourceModel, Word
-
-LOADER_SUM_TOL = 1e-9
 
 
 def load_json_file(path):
@@ -118,15 +118,6 @@ def load_source(spec) -> SourceModel:
         if not isinstance(raw, list) or not raw:
             raise InputFormatError("finite source needs a nonempty 'probs' list")
         probs = [_as_float(x, "probability value") for x in raw]
-        try:
-            total = math.fsum(probs)
-        except (OverflowError, ValueError) as exc:
-            raise InputFormatError(f"probabilities do not sum: {exc}") from exc
-        if not abs(total - 1.0) <= LOADER_SUM_TOL:  # NaN fails too
-            raise InputFormatError(
-                f"probabilities sum to {total!r}; |sum-1| exceeds {LOADER_SUM_TOL}"
-            )
-        probs = [p / total for p in probs]
         try:
             return SourceModel.finite(probs)
         except ValueError as exc:

@@ -1,11 +1,14 @@
 """Certified phrase-entropy and average-length measures.
 
 H(D) = -sum P(a) log2 P(a) and lbar(D) = sum P(a)|a| over the dictionary,
-evaluated as intervals: exact partial sums over an enumeration budget plus
-tail contributions. Dictionary.tail_stats gives exact tails for every
-automaton the families build (see the dictionary module docstring). Where
-it gives none (a reachable self-loop of probability 1, or a subclass that
-withholds them), the upper ends are infinite and flagged.
+evaluated as intervals. A dictionary with finitely many words sums them
+all, those up to the depth and then the longer ones; any other (a
+countable alphabet, or a reachable self-loop) takes the start state's
+completion sums, in closed form and with no budget (see the dictionary
+module docstring). Both give a single point. Where the completion has no
+bound (a reachable self-loop of probability 1), lbar(D) diverges: the
+intervals run from 0 to infinity and the note says so. The depth sets
+P(T_depth), the mass that no member of length <= depth covers.
 
 The conservation check compares H(D) against H(P)*lbar(D) and only issues
 pass/fail when the dictionary is ASC-certified at the working depth; the
@@ -13,15 +16,16 @@ truncation identity H(D_n) = H(P)*lbar(D_n) is exact at every finite stage
 and needs properness only.
 
 Every finite sum here is formed from the automaton by
-dictionary.word_levels: the partial sums walk it to the depth budget (and
-within the width budget on countable alphabets), and the truncation series
-walks it once to m_max. T_m's dead prefixes come from that walk as a map
-from probability to count, each distinct probability expanded once per
-length, and a count of c copies of a term enters its sum as at most
-c.bit_length() terms of the same exact sum (_powers).
+dictionary.word_levels: a finite dictionary's sums walk it to the depth
+and on to its last word, and the truncation series walks it once to m_max
+(within the width budget on countable alphabets). T_m's dead prefixes
+come from that walk as a map from probability to count, each distinct
+probability expanded once per length, and a count of c copies of a term
+enters its sum as at most c.bit_length() terms of the same exact sum
+(_powers).
 phrase_measures and check_conservation run their queries in
-dictionary.shared_walks(), so the partial sums, P(T_depth) and the tails
-come from one walk.
+dictionary.shared_walks(), so the member sums and P(T_depth) come from one
+walk.
 Each word probability is the walk's product P(prefix)*p_s, bit-identical
 to SourceModel.word_prob, and each sum is a math.fsum, which rounds the
 exact sum and so does not depend on the order of its terms. So the reports
@@ -39,7 +43,6 @@ from .dictionary import (
     DEFAULT_WIDTH,
     Dictionary,
     FiniteDictionary,
-    TailStats,
     exact_word_measures,
     is_asc,
     shared_walks,
@@ -79,29 +82,17 @@ class Interval:
         return max(other.low - self.high, self.low - other.high, 0.0)
 
 
-def budget_width(d: Dictionary, source: SourceModel, width: int) -> int | None:
-    """The symbols a (depth, width) budget enumerates: None over d's finite
-    alphabet, else width capped at a finite source's alphabet."""
-    if d.alphabet_size is not None:
-        return None
-    if source.alphabet_size is not None:
-        return min(width, source.alphabet_size)
-    return width
-
-
 @dataclass(frozen=True)
 class PhraseMeasures:
-    """Interval measures of one dictionary under one source at one budget."""
+    """Interval measures of one dictionary under one source, and P(T_depth)."""
 
     entropy: Interval
     length: Interval
     mass: Interval
     frontier_mass: float
     depth: int
-    width: int | None
     exhaustive: bool
     tails_exact: bool
-    possibly_divergent: bool
     note: str = ""
 
 
@@ -109,53 +100,38 @@ def phrase_measures(
     d: Dictionary,
     source: SourceModel,
     depth: int = 64,
-    width: int = DEFAULT_WIDTH,
-    divergence_ceiling: float = 1e6,
-    frontier_tol: float = 1e-9,
 ) -> PhraseMeasures:
-    """Bracket H(D), lbar(D) and the member mass at a (depth, width) budget.
+    """Bracket H(D), lbar(D) and the member mass, with P(T_depth).
 
-    The tails are d.tail_stats, exact; where it returns None the upper
-    ends are infinite and the note says so.
+    A dictionary with finitely many words (a finite alphabet and no
+    reachable self-loop) sums its members up to depth and the longer ones
+    from one walk; any other takes d.completion_sums. Where that is None
+    the intervals run from 0 to infinity and the note says so.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    eff_width = budget_width(d, source, width)
     with shared_walks():
-        partial_mass, partial_lbar, partial_h = d.member_measures(
-            depth, eff_width, source
-        )
+        if d.alphabet_size is not None and d.max_word_length() is not None:
+            sums = d.finite_measures(depth, source)
+        else:
+            sums = d.completion_sums(source)
         frontier_mass = d.boundary_mass(depth, source)
-        tails = d.tail_stats(depth, eff_width, source)
 
     note = ""
-    tails_exact = tails is not None
-    if tails is None:
-        tails = TailStats(
-            0.0, max(0.0, 1.0 - partial_mass), 0.0, INF, 0.0, INF
-        )
+    if sums is None:
+        unbounded = Interval(0.0, INF)
+        mass, length, entropy = Interval(0.0, 1.0), unbounded, unbounded
         note = "no certified tail bound for this family; upper ends unbounded"
-
-    entropy = Interval(partial_h + tails.h_low, partial_h + tails.h_high)
-    length = Interval(partial_lbar + tails.lbar_low, partial_lbar + tails.lbar_high)
-    mass = Interval(partial_mass + tails.mass_low, partial_mass + tails.mass_high)
-    possibly_divergent = (
-        length.high == INF
-        and partial_lbar > divergence_ceiling
-        and frontier_mass > frontier_tol
-    )
-    if possibly_divergent:
-        note = "possibly divergent: partial average length exceeded the ceiling"
+    else:
+        mass, length, entropy = (Interval(x, x) for x in sums)
     return PhraseMeasures(
         entropy=entropy,
         length=length,
         mass=mass,
         frontier_mass=frontier_mass,
         depth=depth,
-        width=eff_width,
-        exhaustive=d.fully_enumerated(depth, eff_width),
-        tails_exact=tails_exact,
-        possibly_divergent=possibly_divergent,
+        exhaustive=d.fully_enumerated(depth),
+        tails_exact=sums is not None,
         note=note,
     )
 
@@ -166,18 +142,14 @@ def dict_entropy(
     depth: int = 64,
     width: int = DEFAULT_WIDTH,
 ) -> Interval:
-    """Interval for H(D) = -sum P(alpha) log2 P(alpha) in bits."""
-    return phrase_measures(d, source, depth, width).entropy
+    """Interval for H(D) = -sum P(alpha) log2 P(alpha) in bits. width is
+    accepted for compatibility and changes nothing."""
+    return phrase_measures(d, source, depth).entropy
 
 
-def avg_length(
-    d: Dictionary,
-    source: SourceModel,
-    depth: int = 64,
-    width: int = DEFAULT_WIDTH,
-) -> Interval:
+def avg_length(d: Dictionary, source: SourceModel, depth: int = 64) -> Interval:
     """Interval for lbar(D) = sum P(alpha)|alpha| in symbols."""
-    return phrase_measures(d, source, depth, width).length
+    return phrase_measures(d, source, depth).length
 
 
 @dataclass(frozen=True)
@@ -195,7 +167,6 @@ class MeasureReport:
     verdict: str
     asc_status: str
     tol: float
-    possibly_divergent: bool = False
     note: str = ""
 
     def as_dict(self):
@@ -211,7 +182,7 @@ class MeasureReport:
             "verdict": self.verdict,
             "asc_status": self.asc_status,
             "tol": self.tol,
-            "possibly_divergent": self.possibly_divergent,
+            "possibly_divergent": False,  # kept for format_version 1
             "note": self.note,
         }
 
@@ -223,16 +194,17 @@ def check_conservation(
     tol: float = 1e-9,
     width: int = DEFAULT_WIDTH,
 ) -> MeasureReport:
-    """Verify H(D) = H(P)*lbar(D) numerically at the given budget.
+    """Verify H(D) = H(P)*lbar(D) numerically, certifying ASC at depth.
 
     Pass requires the ASC certificate (the conservation law's hypothesis);
     inputs yield an inconclusive verdict with a note rather than
-    evaluating the equation as if it applied.
+    evaluating the equation as if it applied. width is accepted for
+    compatibility and changes nothing.
     """
     verdict_note = ""
     with shared_walks():
         asc = is_asc(d, source, depth, tol)
-        pm = phrase_measures(d, source, depth, width)
+        pm = phrase_measures(d, source, depth)
     h_p = source.entropy()
     rhs = pm.length.scaled(h_p)
     residual = abs(pm.entropy.mid - h_p * pm.length.mid)
@@ -243,9 +215,6 @@ def check_conservation(
             "conservation hypothesis unmet: dictionary is not ASC-certified at "
             f"this depth (residual mass {asc.residual_mass:.3g})"
         )
-    elif pm.possibly_divergent:
-        verdict = INCONCLUSIVE
-        verdict_note = pm.note
     elif math.isfinite(slack) and residual <= tol + slack:
         verdict = PASS
     elif pm.entropy.gap_to(rhs) > tol:
@@ -266,7 +235,6 @@ def check_conservation(
         verdict=verdict,
         asc_status=asc.status,
         tol=tol,
-        possibly_divergent=pm.possibly_divergent,
         note=verdict_note,
     )
 
@@ -468,13 +436,12 @@ def convergence_scan(
     source: SourceModel,
     m_max: int,
     max_symbol: int | None = None,
-    width: int = DEFAULT_WIDTH,
 ) -> ScanReport:
     """Emit (m, H(D_m), lbar(D_m)) for m = 1..m_max with monotonicity flags.
 
     Truncation measures are nondecreasing in m for any proper dictionary
     (every extension adds P(alpha) >= 0); the final gaps compare against
-    the interval midpoints of the full-dictionary measures at depth m_max.
+    the interval midpoints of the full-dictionary measures.
     """
     h_p = source.entropy()
     rows = [
@@ -484,7 +451,7 @@ def convergence_scan(
     eps = 1e-12
     h_mono = all(b.h >= a.h - eps for a, b in zip(rows, rows[1:]))
     l_mono = all(b.lbar >= a.lbar - eps for a, b in zip(rows, rows[1:]))
-    pm = phrase_measures(d, source, depth=m_max, width=width)
+    pm = phrase_measures(d, source, depth=m_max)
     final_h_gap = abs(pm.entropy.mid - rows[-1].h) if rows else INF
     final_lbar_gap = abs(pm.length.mid - rows[-1].lbar) if rows else INF
     return ScanReport(

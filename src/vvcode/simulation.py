@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .dictionary import Dictionary, phrase_word, walk
 from .errors import SimulationAbortError
-from .measures import budget_width, phrase_measures
+from .measures import phrase_measures
 from .rng import XorShift64Star, float_block, stream_seed
 from .source import SourceModel, canon_key
 
@@ -154,7 +154,6 @@ def simulate(
     seed: int = 42,
     step_cap: int = DEFAULT_STEP_CAP,
     depth: int = 64,
-    width: int = 64,
     threads: int | None = None,
 ) -> SimReport:
     """Draw n_phrases complete phrases and report empirical vs theory.
@@ -167,7 +166,7 @@ def simulate(
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
-    return report_from_counts(d, source, counts, seed, depth, width)
+    return report_from_counts(d, source, counts, seed, depth)
 
 
 def report_from_counts(
@@ -176,7 +175,6 @@ def report_from_counts(
     counts,
     seed: int,
     depth: int = 64,
-    width: int = 64,
 ) -> SimReport:
     """The SimReport of sampled phrase counts (a word -> count mapping).
 
@@ -193,7 +191,7 @@ def report_from_counts(
         (c / n) * math.log2(c / n)
         for _, c in sorted(counts.items(), key=lambda kv: canon_key(kv[0]))
     )
-    pm = phrase_measures(d, source, depth=depth, width=width)
+    pm = phrase_measures(d, source, depth=depth)
     theory_lbar = pm.length.mid
     theory_hd = pm.entropy.mid
     top = sorted(counts.items(), key=lambda kv: (-kv[1], canon_key(kv[0])))[:5]
@@ -283,8 +281,9 @@ def phrase_histogram(
 ) -> HistogramReport:
     """Phrase counts plus a chi-square goodness-of-fit against P(alpha).
 
-    Bins are dictionary words with expected count >= 5; everything else
-    (including the unenumerated tail) pools into one bin. The p-value is
+    Bins are dictionary words up to depth, over a countable alphabet those
+    through symbols below width (and in a finite source's alphabet), with
+    expected count >= 5; everything else pools into one bin. The p-value is
     the closed-form chi-square tail for the integer dof (_chi2_sf). The
     phrases are those simulate draws for the same arguments; `threads`
     changes nothing.
@@ -293,7 +292,11 @@ def phrase_histogram(
         raise ValueError("n_phrases must be >= 1")
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     n = n_phrases
-    members = d.member_words(depth, budget_width(d, source, width))
+    if d.alphabet_size is not None:
+        width = None
+    elif source.alphabet_size is not None:
+        width = min(width, source.alphabet_size)
+    members = d.member_words(depth, width)
     binned = []
     for w in members:
         expect = n * source.word_prob(w)

@@ -17,7 +17,7 @@ from .rng import XorShift64Star, float_block
 
 Word = Tuple[int, ...]
 
-PROB_SUM_TOL = 1e-12  # constructor tolerance on |sum(probs) - 1|
+PROB_SUM_TOL = 1e-9  # tolerance on |sum(probs) - 1|, for sources and codebooks
 
 FINITE = "finite"
 GEOMETRIC = "geometric"
@@ -46,14 +46,7 @@ class SourceModel:
 
     def __post_init__(self):
         if self.kind == FINITE:
-            if not self.probs:
-                raise ValueError("finite source needs at least one symbol")
-            for q in self.probs:
-                if not (0.0 < q <= 1.0):
-                    raise ValueError(f"symbol probability {q} not in (0, 1]")
-            total = math.fsum(self.probs)
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"probabilities sum to {total}, not 1")
+            _checked_total(self.probs)
             # word_prob's lookup; an attribute, not a field, so it stays
             # out of ==, hash, repr and (through __reduce__) copies and pickles
             object.__setattr__(self, "_prob_of", dict(enumerate(self.probs)))
@@ -68,7 +61,14 @@ class SourceModel:
 
     @classmethod
     def finite(cls, probs) -> "SourceModel":
-        return cls(kind=FINITE, probs=tuple(float(q) for q in probs))
+        """The source over symbols 0..k-1 with these probabilities, each in
+        (0, 1] and summing to 1 within PROB_SUM_TOL, divided by their
+        math.fsum total: a total of exactly 1.0 keeps them as given. The
+        constructor only checks, so a copy or a pickle of the result is
+        equal to it."""
+        probs = tuple(float(q) for q in probs)
+        total = _checked_total(probs)
+        return cls(kind=FINITE, probs=tuple(q / total for q in probs))
 
     @classmethod
     def fair_bit(cls) -> "SourceModel":
@@ -157,6 +157,25 @@ class SourceModel:
         q_start = (1.0 - self.p) ** start
         return -q_start * math.expm1((stop - start) * math.log1p(-self.p))
 
+    def surprisal_between(self, start: int, stop: int) -> float:
+        """Sum of -P(i)*log2 P(i) over start <= i < stop.
+
+        For the geometric kind, -log2 P(i) = -log2 p - i*log2 q, so the sum
+        is M*(-log2 p) - log2(q)*(start*M + T), where M = mass_between(start,
+        stop) and T = sum of (i - start)*P(i), in closed form
+        (q*M - (stop - start)*p*q^stop)/p. T rounds worst where
+        (stop - start)*p is small, and there its share of the sum is about
+        that small too.
+        """
+        if self.kind == FINITE:
+            return -math.fsum(q * math.log2(q) for q in self.probs[start:stop])
+        p, q = self.p, 1.0 - self.p
+        mass = self.mass_between(start, stop)
+        if mass == 0.0:  # no symbols, or underflow: 0 * log 0 = 0
+            return 0.0
+        t = (q * mass - (stop - start) * p * q**stop) / p
+        return mass * -math.log2(p) - math.log2(q) * (start * mass + t)
+
     def tail_surprisal_mass(self, start: int) -> float:
         """Sum of -P(i)*log2 P(i) over i >= start (closed form for geometric)."""
         if self.kind == FINITE:
@@ -206,6 +225,20 @@ class SourceModel:
         # side="right" is bisect_right; u < 1 = cum[-1], so no index passes
         # the last symbol and needs no clip
         return np.searchsorted(cum, u, side="right")
+
+
+def _checked_total(probs) -> float:
+    """The math.fsum total of a finite source's probabilities, after
+    checking that each is in (0, 1] and the total within PROB_SUM_TOL of 1."""
+    if not probs:
+        raise ValueError("finite source needs at least one symbol")
+    for q in probs:
+        if not (0.0 < q <= 1.0):
+            raise ValueError(f"symbol probability {q} not in (0, 1]")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return total
 
 
 def _geometric_symbols(u, p: float):

@@ -177,6 +177,26 @@ def test_measure_json_and_csv(files, capsys):
     assert row.startswith("1.5,1.5,1.5,1.5,")
 
 
+@pytest.mark.parametrize("width", ["1", "64"])
+def test_lazy_measures_need_no_width(files, capsys, width):
+    he = str(files["tmp"] / "he1000.json")
+    with open(he, "w") as fh:
+        json.dump({"kind": "lazy", "family": "head_extension", "head": 1000}, fh)
+    source = ["--source", files["geom"], "--width", width]
+    code, rep = run_json(capsys, ["verify", "--dict", he] + source)
+    assert code == 0
+    assert rep["result"]["verdict"] == "pass"
+    assert (rep["result"]["h_d_low"], rep["result"]["lbar_low"]) == (2.0, 1.0)
+    code, rep = run_json(capsys, ["measure", "--dict", he] + source)
+    assert code == 0
+    assert rep["result"]["tails_exact"] is True
+    assert rep["result"]["possibly_divergent"] is False
+    assert (rep["result"]["h_d_high"], rep["result"]["lbar_high"]) == (2.0, 1.0)
+    # truncation and scan still enumerate symbols below the width
+    assert cli.main(["scan", "--dict", he] + source) == 2
+    assert cli.main(["truncate", "--dict", he, "--width", width]) == 2
+
+
 def test_scan_command(files, capsys):
     code, rep = run_json(
         capsys,

@@ -19,6 +19,7 @@ from vvcode import (
     is_complete,
     is_proper,
     parse,
+    phrase_measures,
     tunstall_build,
 )
 from vvcode.dictionary import DEAD, INTERNAL, WORD
@@ -27,7 +28,7 @@ from vvcode.errors import ImproperDictionaryError, UnsupportedOperationError
 
 def test_properness_examples(complete_dict, run_length):
     assert is_proper(complete_dict)
-    assert is_proper(run_length, depth=20)
+    assert is_proper(run_length)
     assert not is_proper([(0,), (0, 1)])
 
 
@@ -213,34 +214,27 @@ def test_boundary_mass_nonincreasing(corpus, fair):
         assert all(b <= a + 1e-15 for a, b in zip(masses, masses[1:]))
 
 
+def assert_whole_sums(d, source, words):
+    """d's measures are the sums over words, to a relative 1e-12."""
+    pm = phrase_measures(d, source, 6)
+    probs = [source.word_prob(w) for w in words]
+    want = (
+        math.fsum(probs),
+        math.fsum(p * len(w) for p, w in zip(probs, words)),
+        -math.fsum(p * math.log2(p) for p in probs if p > 0.0),
+    )
+    for got, w in zip((pm.mass, pm.length, pm.entropy), want):
+        assert got.low == got.high == pytest.approx(w, rel=1e-12)
+
+
 def test_tail_stats_run_length_series_oracle(run_length, biased):
-    depth = 6
-    ts = run_length.tail_stats(depth, None, biased)
-    words = [(1,) * k + (0,) for k in range(depth, 280)]
-    probs = [biased.word_prob(w) for w in words]
-    mass = math.fsum(probs)
-    lbar = math.fsum(p * len(w) for p, w in zip(probs, words))
-    h = -math.fsum(p * math.log2(p) for p in probs)
-    assert ts.mass_low == ts.mass_high == pytest.approx(mass, rel=1e-12)
-    assert ts.lbar_low == pytest.approx(lbar, rel=1e-12)
-    assert ts.h_low == pytest.approx(h, rel=1e-12)
+    assert_whole_sums(run_length, biased, [(1,) * k + (0,) for k in range(340)])
 
 
 def test_tail_stats_head_extension_enumeration_oracle(geometric_half):
+    # every word through a symbol past 1100 has P < 2^-1100, below a double
     he = head_extension(0)
-    width = 8
-    ts = he.tail_stats(2, width, geometric_half)
-    # oracle: enumerate far beyond the width budget and subtract
-    all_words = he.member_words(2, max_symbol=200)
-    missing = [w for w in all_words if max(w) >= width]
-    probs = [geometric_half.word_prob(w) for w in missing]
-    assert ts.mass_low == pytest.approx(math.fsum(probs), rel=1e-10)
-    assert ts.lbar_low == pytest.approx(
-        math.fsum(p * len(w) for p, w in zip(probs, missing)), rel=1e-10
-    )
-    assert ts.h_low == pytest.approx(
-        -math.fsum(p * math.log2(p) for p in probs), rel=1e-10
-    )
+    assert_whole_sums(he, geometric_half, he.member_words(2, max_symbol=1100))
 
 
 def test_kraft_mass_identity_for_certified_asc(corpus, fair):

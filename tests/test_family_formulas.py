@@ -4,8 +4,9 @@ Every family used to hand-write its own member enumeration and mass
 formulas. Those formulas are copied below as oracles, one function per
 query, and the queries that Dictionary computes from the automaton must
 agree with them: the member queries exactly, the sums to a relative 1e-12
-(tails) or 1e-9 (P(T_depth), down to tiny values), at depths up to 1100,
-where q**depth underflows, and widths 1 to 64.
+(the whole dictionary's, which the old forms give at depth 0) or 1e-9
+(P(T_depth), down to tiny values), at depths up to 1100, where q**depth
+underflows, and widths 1 to 64.
 
 The closed forms hold where the source's symbols are the dictionary's: the
 run-length family over binary sources (and plain run-length over ternary
@@ -26,6 +27,7 @@ from vvcode import (
     RunLengthDictionary,
     SourceModel,
     head_extension,
+    phrase_measures,
 )
 from vvcode.dictionary import ExtendedDictionary
 from vvcode.errors import ResourceBudgetError
@@ -171,12 +173,6 @@ def head_extensions(draw):
     return d
 
 
-def alphas(d):
-    while isinstance(d, ExtendedDictionary):
-        yield d.alpha
-        d = d.base
-
-
 def binary_slack(source):
     """What the run-length forms carry over a binary source: 1 - p0/(1 - q)."""
     if source.alphabet_size != 2:
@@ -197,14 +193,15 @@ def assert_masses(d, depth, source, slack=0.0):
                  1e-12, 2.0**-52 + 2 * slack)
 
 
-def assert_tails(d, depth, width, source):
-    got = d.tail_stats(depth, width, source)
-    assert got.mass_low == got.mass_high
-    assert got.lbar_low == got.lbar_high
-    assert got.h_low == got.h_high
-    want = old_tail_stats(d, depth, width, source)
-    for g, w in zip((got.mass_low, got.lbar_low, got.h_low), want):
-        assert_close(g, w, 1e-12)
+def assert_tails(d, depth, source):
+    """The measures at any depth are the whole dictionary's: the old tails
+    at depth 0, where no width enters."""
+    pm = phrase_measures(d, source, depth)
+    got = (pm.mass, pm.length, pm.entropy)
+    assert all(g.low == g.high for g in got)
+    want = old_tail_stats(d, 0, None, source)
+    for g, w in zip(got, want):
+        assert_close(g.low, w, 1e-12)
 
 
 def assert_member_queries(d, max_len, width):
@@ -228,25 +225,21 @@ def assert_member_queries(d, max_len, width):
 def test_run_length(source, depth):
     d = RunLengthDictionary()
     assert_masses(d, depth, source, binary_slack(source))
-    assert_tails(d, depth, None, source)
+    assert_tails(d, depth, source)
 
 
 @settings(max_examples=150, deadline=None)
 @given(d=run_length_family(), source=binary, depth=depths)
 def test_run_length_extensions(d, source, depth):
     assert_masses(d, depth, source, binary_slack(source))
-    assert_tails(d, depth, None, source)
+    assert_tails(d, depth, source)
 
 
 @settings(max_examples=150, deadline=None)
-@given(d=head_extensions(), source=geometric, depth=depths, width=widths)
-def test_nested_head_extensions(d, source, depth, width):
+@given(d=head_extensions(), source=geometric, depth=depths)
+def test_nested_head_extensions(d, source, depth):
     assert_masses(d, depth, source)
-    if any(max(alpha) >= width for alpha in alphas(d)):
-        with pytest.raises(ResourceBudgetError):
-            d.tail_stats(depth, width, source)
-    else:
-        assert_tails(d, depth, width, source)
+    assert_tails(d, depth, source)
 
 
 alphabet_cases = st.sampled_from([(2, binary), (3, ternary), (None, geometric)]).flatmap(
@@ -255,12 +248,12 @@ alphabet_cases = st.sampled_from([(2, binary), (3, ternary), (None, geometric)])
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=alphabet_cases, depth=depths, width=widths)
-def test_alphabet_dictionaries(case, depth, width):
+@given(case=alphabet_cases, depth=depths)
+def test_alphabet_dictionaries(case, depth):
     k, source = case
     d = AlphabetDictionary(k)
     assert_masses(d, depth, source)
-    assert_tails(d, depth, width, source)
+    assert_tails(d, depth, source)
 
 
 @settings(max_examples=150, deadline=None)

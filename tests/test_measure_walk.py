@@ -2,8 +2,8 @@
 word-by-word evaluation.
 
 The reference below prices each word with SourceModel.word_prob and sums
-with math.fsum over member_words (the partial sums and a finite
-dictionary's tails) and over truncate(...).d_n_words (the truncation
+with math.fsum over member_words (a finite dictionary's members up to the
+depth and past it) and over truncate(...).d_n_words (the truncation
 series). Patched in, it yields the reports a per-word implementation
 gives, and the walk's reports must equal them exactly: compared with ==
 and by repr, so that even the sign of a zero counts.
@@ -32,7 +32,7 @@ from vvcode import (
     tunstall_build,
 )
 from vvcode import measures
-from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary, TailStats
+from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary
 from vvcode.errors import ResourceBudgetError
 
 FAIR = SourceModel.fair_bit()
@@ -62,15 +62,11 @@ def per_word_measures(words, source):
     return mass, lbar, h
 
 
-def per_word_member_measures(self, depth, width, source):
-    return per_word_measures(self.member_words(depth, width), source)
-
-
-def per_word_tail_stats(self, depth, width, source):
-    rest = [w for w in self.words if len(w) > depth]
-    if not rest:
-        return TailStats.zero()
-    return TailStats.exact(*per_word_measures(rest, source))
+def per_word_finite_measures(self, depth, source):
+    members = per_word_measures(self.member_words(depth), source)
+    longer = [w for w in self.member_words(self.max_word_length()) if len(w) > depth]
+    rest = per_word_measures(longer, source) if longer else (0.0, 0.0, 0.0)
+    return tuple(a + b for a, b in zip(members, rest))
 
 
 def per_word_series(d, source, m_max, max_symbol):
@@ -88,20 +84,19 @@ def outcome(call):
     return r.as_dict() if hasattr(r, "as_dict") else r
 
 
-def reports(d, source, depth, m_max, width=64, max_symbol=None):
+def reports(d, source, depth, m_max, max_symbol=None):
     return [
-        outcome(lambda: check_conservation(d, source, depth, width=width)),
-        outcome(lambda: phrase_measures(d, source, depth, width)),
+        outcome(lambda: check_conservation(d, source, depth)),
+        outcome(lambda: phrase_measures(d, source, depth)),
         outcome(lambda: check_truncation_identity(d, source, m_max, max_symbol=max_symbol)),
-        outcome(lambda: convergence_scan(d, source, m_max, max_symbol, width)),
+        outcome(lambda: convergence_scan(d, source, m_max, max_symbol)),
     ]
 
 
 def assert_walk_matches_per_word(monkeypatch, d, source, depth, m_max, **kw):
     walk = reports(d, source, depth, m_max, **kw)
     with monkeypatch.context() as mp:
-        mp.setattr(Dictionary, "member_measures", per_word_member_measures)
-        mp.setattr(FiniteDictionary, "tail_stats", per_word_tail_stats)
+        mp.setattr(Dictionary, "finite_measures", per_word_finite_measures)
         mp.setattr(measures, "_truncation_series", per_word_series)
         reference = reports(d, source, depth, m_max, **kw)
     assert walk == reference
@@ -164,7 +159,7 @@ def test_finite_dictionary_over_a_geometric_source(monkeypatch):
 def test_lazy_families(monkeypatch, d, source):
     for depth in (1, 2, 3, 64):
         assert_walk_matches_per_word(
-            monkeypatch, d, source, depth, 6, width=8, max_symbol=8
+            monkeypatch, d, source, depth, 6, max_symbol=8
         )
 
 
@@ -173,7 +168,7 @@ def test_countable_alphabet_widths(monkeypatch, width):
     d = AlphabetDictionary(None)
     for depth in (1, 64):
         assert_walk_matches_per_word(
-            monkeypatch, d, GEOMETRIC, depth, 4, width=width, max_symbol=width
+            monkeypatch, d, GEOMETRIC, depth, 4, max_symbol=width
         )
 
 
@@ -185,7 +180,6 @@ def test_word_prob_is_not_called(monkeypatch):
     monkeypatch.setattr(SourceModel, "word_prob", refuse)
     d.covered_mass(5, BIASED)
     d.boundary_mass(5, BIASED)
-    d.tail_stats(5, None, BIASED)
     phrase_measures(d, BIASED, 5)
     phrase_measures(RunLengthDictionary(), BIASED, 5)
     check_truncation_identity(d, BIASED, 8)
@@ -215,13 +209,14 @@ def test_first_unpriced_word_is_named(monkeypatch):
 
 
 def test_width_that_misses_the_extension_word(monkeypatch):
+    # the measures need no width; truncation and scan enumerate within it
     d = head_extension(70)
     want = ("raised", ResourceBudgetError,
             "width budget 64 does not cover extension word [70]")
-    walk = assert_walk_matches_per_word(
-        monkeypatch, d, GEOMETRIC, 3, 3, width=64, max_symbol=64
-    )
-    assert walk[1:] == [want, want, want]
+    walk = assert_walk_matches_per_word(monkeypatch, d, GEOMETRIC, 3, 3, max_symbol=64)
+    assert walk[0]["verdict"] == "pass"
+    assert walk[1].tails_exact and walk[1].length.high < math.inf
+    assert walk[2:] == [want, want]
 
 
 def test_frontier_budget():
@@ -232,13 +227,14 @@ def test_frontier_budget():
 
 
 def test_countable_alphabet_needs_a_width(monkeypatch):
+    # only truncation and scan enumerate symbols; the measures need no width
     d = AlphabetDictionary(None)
     want = ("raised", ResourceBudgetError,
             "width budget required to enumerate over a countable alphabet")
-    walk = assert_walk_matches_per_word(
-        monkeypatch, d, GEOMETRIC, 3, 3, width=None, max_symbol=None
-    )
-    assert walk == [want, want, want, want]
+    walk = assert_walk_matches_per_word(monkeypatch, d, GEOMETRIC, 3, 3, max_symbol=None)
+    assert walk[0]["verdict"] == "pass"
+    assert walk[1].tails_exact and walk[1].length.high < math.inf
+    assert walk[2:] == [want, want]
 
 
 # -- T_m's dead prefixes, walked as P -> count -------------------------------
@@ -286,7 +282,7 @@ def test_dead_zone_over_a_countable_alphabet(monkeypatch, width):
     assert d.classify((2,)) == DEAD
     for depth in (1, 6):
         assert_walk_matches_per_word(
-            monkeypatch, d, GEOMETRIC, depth, 6, width=width, max_symbol=width
+            monkeypatch, d, GEOMETRIC, depth, 6, max_symbol=width
         )
 
 

@@ -27,14 +27,6 @@ from vvcode.measures import Interval
 H_BIASED = 0.4689955935892812  # -0.9 log2 0.9 - 0.1 log2 0.1
 
 
-class _NoTailRunLength(RunLengthDictionary):
-    """Run-length family with its certified tails withheld; exercises the
-    unbounded-interval path."""
-
-    def tail_stats(self, depth, width, source):
-        return None
-
-
 def run_length_series_oracle(source, terms=300):
     """Independent oracle: direct series sums for the run-length family."""
     words = [(1,) * k + (0,) for k in range(terms)]
@@ -77,33 +69,24 @@ def test_run_length_measures_match_series_oracle(fair, biased, run_length):
         )
 
 
-def test_unbounded_interval_flagged(fair):
-    d = _NoTailRunLength()
-    pm = phrase_measures(d, fair, depth=16)
-    assert pm.entropy.high == math.inf
-    assert pm.length.high == math.inf
+def test_unbounded_interval_flagged():
+    # run-length's loop on 1 has probability 1.0: no completion sums, and
+    # no member walk either, so the intervals run from 0
+    pm = phrase_measures(RunLengthDictionary(), SourceModel.finite([1e-300, 1.0]), 16)
+    assert (pm.entropy.low, pm.entropy.high) == (0.0, math.inf)
+    assert (pm.length.low, pm.length.high) == (0.0, math.inf)
+    assert (pm.mass.low, pm.mass.high) == (0.0, 1.0)
     assert "no certified tail bound" in pm.note
-    partial_h = RunLengthDictionary().member_measures(16, None, fair)[2]
-    assert pm.entropy.low == pytest.approx(partial_h, rel=1e-12)
-
-
-def test_possibly_divergent_flag(fair):
-    d = _NoTailRunLength()
-    pm = phrase_measures(d, fair, depth=16, divergence_ceiling=1.5)
-    assert pm.possibly_divergent
-    report = check_conservation(_NoTailRunLength(), fair, depth=16)
-    assert report.verdict in ("inconclusive", "pass")  # tails unbounded
-    pm2 = phrase_measures(RunLengthDictionary(), fair, 16, divergence_ceiling=1.5)
-    assert not pm2.possibly_divergent  # certified tails, no divergence claim
 
 
 @pytest.mark.parametrize(
     "d", [RunLengthDictionary(), extend(RunLengthDictionary(), (0,))], ids=repr
 )
 def test_self_loop_of_probability_one_is_unbounded(d):
-    # the probabilities sum to 1 + 1e-13, inside the source's own check;
-    # run-length's loop on 1 then has probability 1.0 and lbar diverges
-    source = SourceModel.finite([1e-13, 1.0])
+    # the probabilities' fsum is exactly 1.0, so they stay as given and
+    # run-length's loop on 1 has probability 1.0: lbar diverges
+    source = SourceModel.finite([1e-300, 1.0])
+    assert source.probs == (1e-300, 1.0)
     pm = phrase_measures(d, source)
     assert pm.length.high == math.inf and pm.entropy.high == math.inf
     assert not pm.tails_exact
@@ -282,3 +265,68 @@ def test_extension_of_underflowing_word_adds_no_surprisal():
     report = check_conservation(head_extension(60), skewed)
     assert report.verdict == "pass"
     assert report.residual < 1e-15
+
+
+# -- lazy families: the start state's completion sums, with no budget ---------
+
+
+@pytest.mark.parametrize("head", [0, 3, 70, 1000, 10**6])
+def test_head_extension_measures_are_the_extension_identity(head, geometric_half):
+    # D = (A \ {h}) u hA: lbar = 1 + P(h) and H(D) = H(P) * (1 + P(h))
+    lbar = 1.0 + geometric_half.symbol_prob(head)
+    pm = phrase_measures(head_extension(head), geometric_half)
+    assert pm.tails_exact
+    assert pm.length.low == pm.length.high == pytest.approx(lbar, rel=1e-12)
+    assert pm.entropy.low == pm.entropy.high == pytest.approx(
+        geometric_half.entropy() * lbar, rel=1e-12
+    )
+    assert pm.mass.low == pm.mass.high == pytest.approx(1.0, rel=1e-12)
+
+
+LAZY = [
+    (RunLengthDictionary(), SourceModel.finite([0.9, 0.1])),
+    (extend(RunLengthDictionary(), (1, 0)), SourceModel.fair_bit()),
+    (head_extension(0), SourceModel.geometric(0.5)),
+    (head_extension(70), SourceModel.geometric(0.3)),
+    (extend(head_extension(3), (3, 500)), SourceModel.geometric(0.5)),
+    (AlphabetDictionary(None), SourceModel.geometric(0.999999)),
+]
+
+
+@pytest.mark.parametrize("d, source", LAZY, ids=[repr(d) for d, _ in LAZY])
+def test_lazy_measures_do_not_depend_on_the_depth(d, source):
+    def measures_at(depth):
+        pm = phrase_measures(d, source, depth)
+        return repr((pm.entropy, pm.length, pm.mass, pm.tails_exact, pm.note))
+
+    assert measures_at(1) == measures_at(64) == measures_at(1000)
+
+
+@pytest.mark.parametrize("width", [1, 8, 64, 10**6])
+def test_lazy_families_need_no_width(width, geometric_half):
+    d = extend(head_extension(1000), (1000, 70))
+    report = check_conservation(d, geometric_half, width=width)
+    assert report.verdict == "pass"
+    assert dict_entropy(d, geometric_half, width=width) == Interval(
+        report.h_d_low, report.h_d_high
+    )
+
+
+def test_unlisted_symbols_cost_no_enumeration(monkeypatch, geometric_half):
+    # a state's unlisted symbols are runs in closed form: a far listed
+    # symbol prices as many symbols as a near one
+    calls = []
+    symbol_prob = SourceModel.symbol_prob
+
+    def counted(self, i):
+        calls.append(i)
+        return symbol_prob(self, i)
+
+    monkeypatch.setattr(SourceModel, "symbol_prob", counted)
+    priced = []
+    for head in (10, 10**6):
+        calls.clear()
+        report = check_conservation(head_extension(head), geometric_half)
+        assert report.verdict == "pass"
+        priced.append(len(calls))
+    assert priced[0] == priced[1] < 10

@@ -136,6 +136,15 @@ def test_simulate_head_extension_countable(geometric_half):
     assert abs(rep.empirical_lbar - 1.5) <= 4 * rep.stderr_lbar
 
 
+def test_simulate_head_extension_past_the_width(geometric_half):
+    # the theory needs no symbol budget: the extension word [70] lies past
+    # the old default width of 64
+    rep = simulate(head_extension(70), geometric_half, 2_000, seed=4)
+    lbar = 1.0 + geometric_half.symbol_prob(70)
+    assert rep.theory_lbar == pytest.approx(lbar, rel=1e-12)
+    assert rep.theory_hd == pytest.approx(geometric_half.entropy() * lbar, rel=1e-12)
+
+
 # -- the block sampler against a chunk-by-chunk reference --------------------
 
 CHUNK = 4096  # phrases per RNG sub-stream

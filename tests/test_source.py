@@ -154,6 +154,77 @@ def test_constructor_rejects_bad_probs():
         SourceModel(kind="weird")
 
 
+def test_finite_normalises_by_the_fsum_total():
+    # within PROB_SUM_TOL of 1 the probabilities are divided by their total
+    s = SourceModel.finite([0.5, 0.5 + 5e-10])
+    total = math.fsum([0.5, 0.5 + 5e-10])
+    assert s.probs == (0.5 / total, (0.5 + 5e-10) / total)
+    with pytest.raises(ValueError):
+        SourceModel.finite([0.5, 0.5 + 5e-9])
+    # a total of exactly 1.0 keeps them as given
+    assert SourceModel.finite([0.7, 0.2, 0.1]).probs == (0.7, 0.2, 0.1)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and twin.probs == s.probs
+
+
+def vectors():
+    rng = np.random.default_rng(7)
+    yield [1e-13, 1.0]
+    for k in (2, 3, 5, 17):
+        for _ in range(25):
+            x = rng.random(k) + 1e-3
+            yield list(x / x.sum())
+
+
+def test_finite_and_the_loader_agree_bit_for_bit():
+    from vvcode.formats import load_source
+
+    for probs in vectors():
+        a = SourceModel.finite(probs)
+        b = load_source({"kind": "finite", "probs": probs})
+        assert a == b
+        assert [q.hex() for q in a.probs] == [q.hex() for q in b.probs]
+
+
+def test_one_source_one_run_length_answer():
+    # [1e-13, 1.0] sums to 1 + 1e-13: both paths divide by it, so the loop
+    # on 1 has probability below 1 and lbar is finite on both
+    from vvcode import RunLengthDictionary, phrase_measures
+    from vvcode.formats import load_source
+
+    reports = [
+        phrase_measures(RunLengthDictionary(), source)
+        for source in (SourceModel.finite([1e-13, 1.0]),
+                       load_source({"kind": "finite", "probs": [1e-13, 1.0]}))
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0].tails_exact and math.isfinite(reports[0].length.high)
+
+
+SURPRISAL_SOURCES = [
+    SourceModel.finite([0.5, 0.3, 0.2]),
+    SourceModel.finite([1.0 / 7] * 7),
+    SourceModel.geometric(0.5),
+    SourceModel.geometric(0.3),
+    SourceModel.geometric(1e-3),
+    SourceModel.geometric(1e-6),
+    SourceModel.geometric(0.999999),
+]
+
+
+@pytest.mark.parametrize("source", SURPRISAL_SOURCES, ids=repr)
+def test_surprisal_between_is_the_direct_sum(source):
+    k = source.alphabet_size
+    for start in (0, 1, 5, 70, 1000, 10**4, 10**6):
+        assert source.surprisal_between(start, start) == 0.0
+        for n in (1, 2, 3, 10, 100, 1000):
+            stop = start + n if k is None else min(start + n, k)
+            ps = [source.symbol_prob(i) for i in range(start, stop)]
+            direct = -math.fsum(p * math.log2(p) for p in ps if p > 0.0)
+            got = source.surprisal_between(start, start + n)
+            assert got == pytest.approx(direct, rel=1e-12, abs=0.0), (start, n)
+
+
 def test_sample_stream_empty_and_deterministic(fair):
     assert fair.sample_stream(1, 0) == []
     a = fair.sample_stream(123, 1000)
