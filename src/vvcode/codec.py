@@ -15,14 +15,26 @@ so every finite stream round-trips exactly.
 
 Bits move as '0'/'1' strings, never one call per bit. encode joins the
 fields and the phrases' codewords into one string and packs it with a
-single int conversion. decode unpacks the input into one string, reads
-each phrase by looking up the slices at the codebook's distinct codeword
-lengths, shortest first (a prefix-free code matches at most one), and
-reads varints and remainder symbols as slices. Decode work is bounded by
-the input length: a phrase count above the bits left, a remainder wider
-than the bits left, or (over a unary alphabet, at 0 bits per symbol) a
-remainder as long as the one dictionary word raises CorruptBitstreamError
-before any symbol is produced.
+single int conversion. decode unpacks the input into one string and reads
+varints and remainder symbols as slices.
+
+Decoding the phrases is parsing the bits with a dictionary: a prefix-free
+code's codewords are a FiniteDictionary over {0, 1}, the code trie, and
+dictionary.walk's rule decides when it reads them in C. Until the bits a
+codebook has decoded reach COMPILE_SYMBOLS_PER_STATE per trie state, each
+phrase is found by looking up the slices at the codebook's distinct
+codeword lengths, shortest first (a prefix-free code matches at most one),
+so a one-off decode builds no trie. After that, the trie's pattern is
+compiled once and cached on the codebook, and one re.findall over the bits
+as text (bit b is the character chr(b)) returns the codewords; the first
+phrase-count of them map to their phrases' text, which is joined and read
+back as symbols in C. Where those are not all codewords, the loop reads
+the same bits again and raises what it always raised, so both paths give
+the same symbols and the same errors. Decode work is bounded by the input
+length: a phrase count above the bits left, a remainder wider than the
+bits left, or (over a unary alphabet, at 0 bits per symbol) a remainder as
+long as the one dictionary word raises CorruptBitstreamError before any
+symbol is produced.
 """
 
 from __future__ import annotations
@@ -33,7 +45,14 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dictionary import TO_WORD, FiniteDictionary, phrase_key, walk
+from .dictionary import (
+    COMPILE_SYMBOLS_PER_STATE,
+    TO_WORD,
+    FiniteDictionary,
+    _word_pattern,
+    phrase_key,
+    walk,
+)
 from .errors import (
     CodebookMismatchError,
     CorruptBitstreamError,
@@ -44,6 +63,7 @@ from .source import PROB_SUM_TOL, SourceModel, Word, canon_key, sort_words
 
 MAGIC = 0x56
 _MAGIC_BITS = format(MAGIC, "08b")
+_BIT_TEXT = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' to chr(0)/chr(1)
 
 
 def kraft_sum(codewords) -> Fraction:
@@ -135,6 +155,38 @@ class PhraseCodebook:
             )
             object.__setattr__(self, "_table", table)
         return table
+
+    def _compiled_code(self, n_bits: int):
+        """decode's (pattern, phrase text by codeword text, longest codeword
+        length), or None while the loop reads alone.
+
+        The code trie, a FiniteDictionary over {0, 1} whose words are the
+        codewords, goes through walk's rule: n_bits joins the bits this
+        codebook has decoded, and _word_pattern compiles the trie's pattern
+        once they reach COMPILE_SYMBOLS_PER_STATE per trie state (never for
+        a trie deeper than MAX_PATTERN_DEPTH). A prefix-free binary code of
+        n words has at least n - 1 trie states, so the trie itself waits
+        until the bits reach COMPILE_SYMBOLS_PER_STATE per n - 1 states,
+        and is then built once. A phrase with a symbol that is not a code
+        point has no text, and its codebook keeps the loop.
+        """
+        code = getattr(self, "_code", None)
+        if code is None:
+            seen = getattr(self, "_decoded", 0) + n_bits
+            if seen < COMPILE_SYMBOLS_PER_STATE * max(1, len(self.codewords) - 1):
+                object.__setattr__(self, "_decoded", seen)
+                return None
+            bit_words = [tuple(map(int, c)) for c in self.codewords]
+            texts = list(map(phrase_key, self.phrases))
+            text_of = None
+            if all(isinstance(t, str) for t in texts):
+                text_of = dict(zip(map(phrase_key, bit_words), texts))
+            code = (FiniteDictionary(2, bit_words), text_of)
+            object.__setattr__(self, "_code", code)
+            n_bits = seen
+        trie, text_of = code
+        pattern = _word_pattern(trie, n_bits) if text_of else None
+        return pattern and (pattern, text_of, trie.max_word_length())
 
     def expected_length(self, source: SourceModel) -> float:
         """Mean codeword length under the source's phrase probabilities."""
@@ -364,23 +416,15 @@ def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
             f"phrase count {n_phrases} exceeds the {total - pos} bits left", pos
         )
 
-    # prefix-freeness leaves at most one codeword that starts at pos
-    phrase_of, lengths = cb._decode_table()
-    out = []
-    for _ in range(n_phrases):
-        for n in lengths:
-            ph = phrase_of.get(bits[pos : pos + n])
-            if ph is not None:
-                break
-        else:
-            if total - pos < lengths[-1]:
-                raise CorruptBitstreamError("unexpected end of stream", pos)
-            raise CorruptBitstreamError("bits match no codeword", pos)
-        out.extend(ph)
-        pos += n
+    k = d.alphabet_size
+    code = cb._compiled_code(total - pos) if n_phrases else None
+    read = code and _read_codewords(code, bits, pos, n_phrases, k)
+    if read:
+        out, pos = read
+    else:
+        out, pos = _read_phrases(cb, bits, pos, n_phrases)
 
     rem_len, pos = _read_varint(bits, pos)
-    k = d.alphabet_size
     width = symbol_bit_width(k)
     end = pos + rem_len * width
     if end > total:
@@ -407,3 +451,44 @@ def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
     if "1" in bits[pos:]:
         raise CorruptBitstreamError("nonzero padding bits", pos)
     return out
+
+
+def _read_phrases(cb: PhraseCodebook, bits: str, pos: int, n_phrases: int) -> tuple:
+    """The loop path: (symbols of n_phrases phrases from bit pos, next pos).
+    Prefix-freeness leaves at most one codeword that starts at pos."""
+    phrase_of, lengths = cb._decode_table()
+    total = len(bits)
+    out = []
+    for _ in range(n_phrases):
+        for n in lengths:
+            ph = phrase_of.get(bits[pos : pos + n])
+            if ph is not None:
+                break
+        else:
+            if total - pos < lengths[-1]:
+                raise CorruptBitstreamError("unexpected end of stream", pos)
+            raise CorruptBitstreamError("bits match no codeword", pos)
+        out.extend(ph)
+        pos += n
+    return out, pos
+
+
+def _read_codewords(code, bits: str, pos: int, n_phrases: int, k: int):
+    """The compiled path: (symbols of n_phrases phrases from bit pos, next
+    pos), or None where the bits from pos do not start with n_phrases
+    codewords.
+
+    findall reads no further than n_phrases of the longest codeword. Where
+    no codeword matches, the pattern's last branch takes the rest of the
+    text, which is no codeword, so the first n_phrases matches are
+    codewords exactly when the last of them is one.
+    """
+    pattern, text_of, longest = code
+    bit_text = bits[pos : pos + n_phrases * longest].encode("ascii").translate(_BIT_TEXT)
+    found = pattern.findall(bit_text.decode("latin-1"))
+    del found[n_phrases:]
+    if len(found) < n_phrases or found[-1] not in text_of:
+        return None
+    text = "".join(map(text_of.__getitem__, found))
+    symbols = list(text.encode("latin-1")) if k <= 256 else list(map(ord, text))
+    return symbols, pos + sum(map(len, found))

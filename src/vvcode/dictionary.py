@@ -17,14 +17,14 @@ Classification of an arbitrary prefix against a dictionary:
 * DEAD     -- neither; no extension of the prefix is a member.
 
 Every dictionary compiles one automaton at construction, and all walks
-(classify, cursors, parse, encode, sampling, frontiers, completeness) read
-it. State q has a dict ``transitions[q]`` from symbol to entry and an entry
-``defaults[q]`` for every other symbol. A listed entry is the next
-internal state (an index >= 0) or TO_WORD; a default is TO_WORD or
-TO_DEAD, and a negative symbol is DEAD in every state. The only cycles
-are self-loops (a state listed as its own entry). The per-state default
-is what lets countable alphabets share the representation: "every symbol
-ends a word" needs no table of symbols.
+(classify, cursors, parse, encode, decode, sampling, frontiers,
+completeness) read it. State q has a dict ``transitions[q]`` from symbol
+to entry and an entry ``defaults[q]`` for every other symbol. A listed
+entry is the next internal state (an index >= 0) or TO_WORD; a default is
+TO_WORD or TO_DEAD, and a negative symbol is DEAD in every state. The
+only cycles are self-loops (a state listed as its own entry). The
+per-state default is what lets countable alphabets share the
+representation: "every symbol ends a word" needs no table of symbols.
 
 ``walk`` segments a stream in C once a dictionary has walked enough
 symbols: the automaton becomes one regular expression over the stream's
@@ -39,7 +39,9 @@ parser recurses once per group) or whose pattern runs out of stack in
 re.compile anyway, as it can for a caller that is deep in the stack or has
 lowered the recursion limit. The walk's result does not depend on
 which path ran, so a dictionary stays safe to share: two callers racing on
-the symbol count or the cache at worst compile late or twice.
+the symbol count or the cache at worst compile late or twice. codec.decode
+reads a bitstream the same way: a codebook's codewords are a dictionary
+over {0, 1}, whose pattern _word_pattern compiles under the same rule.
 
 The measure sums read the automaton too. ``word_levels`` walks it one
 length at a time and prices each edge with one multiply, P(prefix)*p_s,
@@ -180,8 +182,8 @@ def word_levels(
     A node is (P(prefix), entry), and a child's P is its parent's P times
     the symbol's probability (see the module docstring). words are the
     nodes of the members of length j, rest those of the live length-j
-    prefixes. Symbols run over range(width), and a state's listed symbols
-    past it are taken too.
+    prefixes. Symbols run over range(width), and over a countable alphabet
+    a state's listed symbols past it are taken too.
 
     dead is empty unless a frontier budget is given. It then maps P to the
     number of DEAD length-j prefixes of that probability, so that rest and
@@ -194,26 +196,26 @@ def word_levels(
     c copies of a term as its exact sum c*x, which measures._powers splits
     into terms scaled by powers of two. The budget bounds |T_j|, the live
     prefixes plus the sum of the counts, not the entries walked, and a T_j
-    larger than it raises ResourceBudgetError before it is built.
+    larger than it raises ResourceBudgetError as soon as the prefixes
+    counted so far exceed it, so at most one state's edges past it.
     """
     sp = _SymbolProbs(source)
     trans, defaults = d.transitions, d.defaults
     symbols = range(width)
-    # A member walk over a finite alphabet takes a state's listed edges
-    # where its default is TO_DEAD (they are all below width). Other states
-    # enumerate the symbols once: their edges are cached in found, and how
-    # many of them do not end a word in n_rest.
-    listed = frontier is None and d.alphabet_size is not None
-    found, n_rest = {}, {}
+    finite = d.alphabet_size is not None
 
     def edges(q):
+        """q's edges as (symbol, entry) pairs, TO_DEAD ones only in a
+        frontier walk. A finite alphabet's listed symbols all lie below
+        width, so the loops below take a state's transitions instead where
+        its default is TO_DEAD in a member walk, or where it lists every
+        symbol."""
         t, default = trans[q], defaults[q]
         pairs = [(s, t.get(s, default)) for s in symbols]
-        pairs += [(s, e) for s, e in t.items() if s >= width]
+        if not finite:
+            pairs += [(s, e) for s, e in t.items() if s >= width]
         if frontier is None:
             pairs = [(s, e) for s, e in pairs if e != TO_DEAD]
-        found[q] = pairs
-        n_rest[q] = sum(e != TO_WORD for _, e in pairs)
         return pairs
 
     rest, dead = [(1.0, d.start)], {}
@@ -223,26 +225,25 @@ def word_levels(
         words, nxt, nxt_dead = [], [], {}
         if frontier is None:
             for p, q in rest:
-                pairs = found.get(q)
-                if pairs is None:
-                    listed_here = listed and defaults[q] == TO_DEAD
-                    pairs = trans[q].items() if listed_here else edges(q)
-                for s, e in pairs:
+                listed = finite and defaults[q] == TO_DEAD
+                for s, e in trans[q].items() if listed else edges(q):
                     (words if e == TO_WORD else nxt).append((p * sp[s], e))
         else:
-            for n in rest:
-                if n[1] not in found:
-                    edges(n[1])
-            size = sum(n_rest[n[1]] for n in rest) + width * sum(dead.values())
+            # |T_j| so far: the dead prefixes counted, then the live ones
+            size = width * sum(dead.values())
             if size > frontier:
                 raise frontier_budget_error(j, frontier)
             for p, q in rest:
-                for s, e in found[q]:
+                t = trans[q]
+                for s, e in t.items() if finite and len(t) == width else edges(q):
                     if e == TO_DEAD:
                         x = p * sp[s]
                         nxt_dead[x] = nxt_dead.get(x, 0) + 1
+                        size += 1
                     else:
                         (words if e == TO_WORD else nxt).append((p * sp[s], e))
+                if size + len(nxt) > frontier:
+                    raise frontier_budget_error(j, frontier)
             for p, c in dead.items():
                 for s in symbols:
                     x = p * sp[s]
@@ -772,7 +773,8 @@ def parse(d: Dictionary, stream):
 
 def walk(d: Dictionary, seq):
     """The automaton walk behind parse, encode and the sampler:
-    (phrases, begin, dead).
+    (phrases, begin, dead). decode reads codewords with the same compiled
+    pattern rule (_word_pattern) over its code trie.
 
     phrases are the words read greedily from seq (a list or tuple of ints,
     or a 1-D numpy integer array), each as its phrase_key; begin is where

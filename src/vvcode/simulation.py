@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .dictionary import Dictionary, phrase_word, walk
+from .dictionary import Dictionary, phrase_word, subtree_walk, walk
 from .errors import SimulationAbortError
 from .measures import phrase_measures
 from .rng import XorShift64Star, float_block, stream_seed
@@ -293,10 +293,12 @@ def phrase_histogram(
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     n = n_phrases
     if d.alphabet_size is not None:
-        width = None
-    elif source.alphabet_size is not None:
-        width = min(width, source.alphabet_size)
-    members = d.member_words(depth, width)
+        members = d.member_words(depth)
+    else:
+        if source.alphabet_size is not None:
+            width = min(width, source.alphabet_size)
+        # an extension word through a symbol past width is pooled, not binned
+        members = subtree_walk(d, (), d.start, depth, range(width))[0]
     binned = []
     for w in members:
         expect = n * source.word_prob(w)

@@ -323,6 +323,19 @@ def test_simulate_histogram_sim_block_equals_simulate(files, capsys):
     assert sum(len(w) * c for w, c in counts.items()) == plain["result"]["total_symbols"]
 
 
+def test_simulate_histogram_with_an_extension_word_past_width(files, capsys):
+    # head 1000 lies past the default --width 64; the histogram pools it
+    head = files["tmp"] / "head_1000.json"
+    head.write_text(json.dumps({"kind": "lazy", "family": "head_extension", "head": 1000}))
+    base = ["simulate", "--dict", str(head), "--source", files["geom"], "-n", "1000"]
+    code, plain = run_json(capsys, base)
+    assert code == 0
+    code, both = run_json(capsys, base + ["--histogram"])
+    assert code == 0
+    assert both["result"]["sim"] == plain["result"]
+    assert both["result"]["histogram"]["n_phrases"] == 1000
+
+
 def test_verify_underflowing_word_probabilities(files, capsys):
     # P(b) = p * (1e-6)^b underflows to 0.0 from b = 54, inside the default
     # width 64; 0 * log2(0) counts as 0, not as a domain error

@@ -24,7 +24,8 @@ from vvcode import (
     parse,
     tunstall_build,
 )
-from vvcode.dictionary import COMPILE_SYMBOLS_PER_STATE, pattern_source
+from vvcode import codec
+from vvcode.dictionary import COMPILE_SYMBOLS_PER_STATE, MAX_PATTERN_DEPTH, pattern_source
 from vvcode.errors import (
     CodebookMismatchError,
     CorruptBitstreamError,
@@ -491,3 +492,173 @@ def test_a_matched_codebook_still_rejects_another_dictionary():
     assert encode(d, cb, [0, 1, 0, 1]) == data
     with pytest.raises(CodebookMismatchError):
         encode(FiniteDictionary(2, [(0,), (1,)]), cb, [0])
+
+
+def reference_decode(d, cb, data) -> list:
+    """The per-phrase decoder: each phrase looked up by the slices at the
+    codebook's distinct codeword lengths, shortest first."""
+    cb._check_matches(d)
+    bits = codec.bytes_to_bits(data)
+    total = len(bits)
+    if total < 8:
+        raise CorruptBitstreamError("unexpected end of stream", 0)
+    if bits[:8] != format(codec.MAGIC, "08b"):
+        raise CorruptBitstreamError("bad magic byte", 0)
+    n_phrases, pos = codec._read_varint(bits, 8)
+    if n_phrases > total - pos:
+        raise CorruptBitstreamError(
+            f"phrase count {n_phrases} exceeds the {total - pos} bits left", pos
+        )
+    phrase_of = dict(zip(cb.codewords, cb.phrases))
+    lengths = sorted({len(c) for c in cb.codewords})
+    out = []
+    for _ in range(n_phrases):
+        for n in lengths:
+            ph = phrase_of.get(bits[pos : pos + n])
+            if ph is not None:
+                break
+        else:
+            if total - pos < lengths[-1]:
+                raise CorruptBitstreamError("unexpected end of stream", pos)
+            raise CorruptBitstreamError("bits match no codeword", pos)
+        out.extend(ph)
+        pos += n
+    rem_len, pos = codec._read_varint(bits, pos)
+    k = d.alphabet_size
+    width = codec.symbol_bit_width(k)
+    end = pos + rem_len * width
+    if end > total:
+        raise CorruptBitstreamError("unexpected end of stream", pos)
+    if width:
+        syms = [int(bits[i : i + width], 2) for i in range(pos, end, width)]
+        if syms and max(syms) >= k:
+            i = next(i for i, s in enumerate(syms) if s >= k)
+            raise CorruptBitstreamError(
+                f"remainder symbol {syms[i]} out of range", pos + (i + 1) * width
+            )
+        out.extend(syms)
+    elif rem_len >= d.max_word_length():
+        raise CorruptBitstreamError(
+            f"remainder length {rem_len} reaches the dictionary word length", pos
+        )
+    else:
+        out.extend([0] * rem_len)
+    pos = end
+    if total - pos >= 8:
+        raise CorruptBitstreamError("dangling bytes after padding", pos)
+    if "1" in bits[pos:]:
+        raise CorruptBitstreamError("nonzero padding bits", pos)
+    return out
+
+
+def _outcome(call):
+    """The symbols a decode returns, or its error's message and bit offset."""
+    try:
+        return "symbols", call()
+    except CorruptBitstreamError as exc:
+        return "error", str(exc), exc.bit_offset
+
+
+def _phrase_stream(d, seed, n_phrases):
+    """n_phrases of d's words drawn at random, one after another."""
+    rng = make_rng(seed)
+    return [s for _ in range(n_phrases) for s in d.words[rng.next_u64() % len(d.words)]]
+
+
+def _compiled_case(case):
+    """A fresh case whose codebook has compiled its code trie's pattern."""
+    d, cb, source = LAYOUT_CASES[case]()
+    data = encode(d, cb, _phrase_stream(d, 1, 4000))
+    for _ in range(100):
+        decode(d, cb, data)
+        if cb._compiled_code(0):
+            return d, cb, source
+    raise AssertionError(f"{case}: the code trie's pattern did not compile")
+
+
+PARITY_CASES = ["huffman_biased_16", "huffman_biased_256", "fixed_biased_64",
+                "huffman_ternary", "fixed_ternary", "incomplete", "unary"]
+COMPILED = {}  # one compiled case per name, shared by the examples
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["loop", "compiled"])
+@pytest.mark.parametrize("case", PARITY_CASES)
+@given(seed=st.integers(0, 2**32), length=st.integers(0, 600),
+       flip=st.integers(0, 2**16), cut=st.integers(0, 2**16),
+       tail=st.binary(min_size=1, max_size=8), junk=st.binary(max_size=24))
+@settings(max_examples=40, deadline=None)
+def test_decode_paths_match_the_per_phrase_decoder(case, compiled, seed, length,
+                                                    flip, cut, tail, junk):
+    if compiled:
+        if case not in COMPILED:
+            COMPILED[case] = _compiled_case(case)
+        d, cb, source = COMPILED[case]
+    else:
+        # short enough that one decode of a fresh codebook stays on the loop
+        length %= 150
+        d, cb, source = LAYOUT_CASES[case]()
+    stream = (_phrase_stream(d, seed, length // 4) if seed % 2
+              else source.sample_stream(seed, length))
+    good = encode(d, cb, stream)
+    flipped = bytearray(good)
+    flipped[(flip >> 3) % len(good)] ^= 1 << (flip & 7)
+    for data in (good, bytes(flipped), good[: cut % len(good)], good + tail,
+                 good[:2] + junk, b"\x56" + junk):
+        want = _outcome(lambda: reference_decode(d, cb, data))
+        if not compiled:
+            d, cb, _ = LAYOUT_CASES[case]()
+        assert _outcome(lambda: decode(d, cb, data)) == want
+        assert bool(cb._compiled_code(0)) == compiled
+    assert decode(d, cb, good) == stream
+
+
+def test_a_first_short_decode_builds_no_code_trie(biased):
+    # the CLI decodes once per process: it keeps the per-phrase loop
+    d = tunstall_build(biased, 256)
+    cb = huffman_build([(w, biased.word_prob(w)) for w in d.words])
+    stream = biased.sample_stream(3, 40_000)
+    data = encode(d, cb, stream)
+    assert decode(d, cb, data) == stream
+    assert "_code" not in vars(cb)
+    assert "_table" in vars(cb)
+
+
+def test_the_code_trie_pattern_compiles_once_at_the_threshold(biased):
+    d = tunstall_build(biased, 16)
+    cb = huffman_build([(w, biased.word_prob(w)) for w in d.words])
+    # the code trie's states are the codewords' distinct proper prefixes
+    states = len({c[:i] for c in cb.codewords for i in range(len(c))})
+    threshold = COMPILE_SYMBOLS_PER_STATE * states
+    stream = _phrase_stream(d, 5, 100)
+    data = encode(d, cb, stream)
+    n_bits = 8 * len(data) - 16  # after the magic byte and a one-byte count
+    calls = -(-threshold // n_bits)
+    for _ in range(calls - 1):
+        assert decode(d, cb, data) == stream
+        code = vars(cb).get("_code")
+        assert code is None or code[0]._pattern is None
+    assert decode(d, cb, data) == stream  # this call reaches the threshold
+    trie, _ = vars(cb)["_code"]
+    assert len(trie.transitions) == states
+    pattern = trie._pattern
+    assert pattern
+    for _ in range(3):
+        assert decode(d, cb, data) == stream
+        assert vars(cb)["_code"][0] is trie
+        assert trie._pattern is pattern  # built once, then reused
+
+
+def test_a_code_trie_deeper_than_the_pattern_bound_keeps_the_loop():
+    # the chain code 1^i 0 nests 299 groups deep, past MAX_PATTERN_DEPTH:
+    # the trie is built, its pattern never
+    d = tunstall_build(SourceModel.finite([0.999, 0.001]), 300)
+    codes = ["1" * i + "0" for i in range(len(d.words) - 1)] + ["1" * (len(d.words) - 1)]
+    cb = PhraseCodebook.from_pairs(zip(d.words, codes))
+    assert len(d.words) - 1 > MAX_PATTERN_DEPTH
+    stream = _phrase_stream(d, 2, 300)
+    data = encode(d, cb, stream)
+    for _ in range(1 + COMPILE_SYMBOLS_PER_STATE * len(d.words) // (8 * len(data))):
+        assert decode(d, cb, data) == stream
+    trie, _ = vars(cb)["_code"]
+    assert trie._pattern is False
+    assert cb._compiled_code(0) is None

@@ -210,6 +210,17 @@ def test_counts_match_chunk_reference_past_the_code_points():
     )
 
 
+def test_histogram_pools_an_extension_word_past_width():
+    # the words through 1000 lie past the default width 64: they pool into
+    # the rest bin, as they do (expected count far below 5) at width 1001
+    d, source = head_extension(1000), SourceModel.geometric(0.5)
+    rep = phrase_histogram(d, source, 1000, seed=42)
+    wide = phrase_histogram(d, source, 1000, seed=42, width=1001)
+    assert rep == wide
+    assert sum(c for _, c in rep.entries) == 1000
+    assert rep.dof >= 1 and 0.0 < rep.p_value <= 1.0
+
+
 def first_phrases(d, source, seed, length):
     """Chunk 0's stream walked by hand: (complete phrases, pending prefix)."""
     stream = source.sample_stream(stream_seed(seed, 0), length)
