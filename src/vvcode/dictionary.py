@@ -44,18 +44,24 @@ reads a bitstream the same way: a codebook's codewords are a dictionary
 over {0, 1}, whose pattern _word_pattern compiles under the same rule.
 
 The measure sums read the automaton too. ``word_levels`` walks it one
-length at a time and prices each edge with one multiply, P(prefix)*p_s,
-starting from 1.0 at the start state. SourceModel.word_prob multiplies a
-word's symbol probabilities in the same order from the same 1.0, so every
-P(w) the walk reaches is bit-identical to word_prob(w). The member sums
-then add the same terms as exact_word_measures (P, P*|w| and P*log2 P)
-with math.fsum, which rounds the exact sum correctly and so does not
-depend on the order of its terms: the sums keep every bit of a word-by-word
-evaluation, at one multiply per edge instead of |w| per word.
+length at a time, starting from 1.0 at the start state, and yields each
+level as parallel lists: the probabilities of the members of that length
+as bare floats, and the probability and state of each live prefix. An
+edge costs one multiply, P(prefix)*p_s, and one append; a finite source
+that has every symbol of the dictionary's alphabet prices s as probs[s].
+SourceModel.word_prob multiplies a word's symbol probabilities in the same
+order from the same 1.0, so every P(w) the walk reaches is bit-identical
+to word_prob(w). ``measure_sums``, which exact_word_measures calls too,
+then adds the same terms (P, P*|w| and P*log2 P) with math.fsum over C
+maps. fsum rounds the exact sum correctly and so does not depend on the
+order of its terms: the sums keep every bit of a word-by-word evaluation,
+at one multiply per edge instead of |w| per word.
 
 One walk to a depth (shared within ``shared_walks()``) gives P(T_depth),
 summed directly as the live prefixes at depth plus the mass that shorter
-ones send to TO_DEAD, and, for an automaton with finitely many words, the
+ones send to TO_DEAD (none, and no state is scanned for it, where the
+source's alphabet is the dictionary's and every state lists every symbol),
+and, for an automaton with finitely many words, the
 sums over its members up to that depth; the same walk goes on through the
 longer ones. Any other automaton (a countable alphabet, or a reachable
 self-loop) has its measures in closed form: the start state's completion
@@ -72,12 +78,14 @@ import contextvars
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 from .errors import (
     ImproperDictionaryError,
     ResourceBudgetError,
+    SymbolTypeError,
     UnsupportedOperationError,
 )
 from .source import SourceModel, Word, sort_words
@@ -115,12 +123,20 @@ def find_prefix_violation(words):
 
 
 def _check_words(alphabet_size: int, ws) -> None:
-    """Raise ValueError for the first empty, out-of-range or duplicate word."""
+    """Raise ValueError for the first empty, out-of-range or duplicate word,
+    and SymbolTypeError for a symbol that is not an integer index (one that
+    operator.index refuses, as a float or a string)."""
     seen = set()
     for w in ws:
         if not w:
             raise ValueError("empty word is not a valid dictionary member")
         for s in w:
+            try:
+                operator.index(s)
+            except TypeError:
+                raise SymbolTypeError(
+                    f"symbol {s!r} in word {list(w)!r} is not an integer"
+                ) from None
             if not (0 <= s < alphabet_size):
                 raise ValueError(
                     f"symbol {s} out of range for alphabet size {alphabet_size}"
@@ -136,6 +152,20 @@ def frontier_budget_error(depth: int, max_words: int) -> ResourceBudgetError:
     )
 
 
+def measure_sums(probs, lengths):
+    """(mass, lbar, entropy) of words with probabilities probs (a list of
+    floats, each >= 0.0 or NaN) and lengths `lengths` (an iterable in the
+    same order): the math.fsum of the P, of the P*|w| and of the
+    -P*log2 P. A P that underflowed to 0.0 adds 0*log2(0) = 0 to the
+    entropy, and a NaN adds nothing; a list whose every P passes 0.0 < P
+    (no 0.0, and no NaN to make its float sum NaN) is taken as it is."""
+    mass = math.fsum(probs)
+    lbar = math.fsum(map(operator.mul, probs, lengths))
+    total = sum(probs)
+    pos = probs if all(probs) and total == total else [p for p in probs if p > 0.0]
+    return mass, lbar, -math.fsum(map(operator.mul, pos, map(math.log2, pos)))
+
+
 def exact_word_measures(words, source: SourceModel):
     """(mass, lbar, entropy) as exact finite sums over an explicit word set.
 
@@ -143,10 +173,7 @@ def exact_word_measures(words, source: SourceModel):
     entropy; every other term is summed as is.
     """
     probs = [source.word_prob(w) for w in words]
-    mass = math.fsum(probs)
-    lbar = math.fsum(p * len(w) for p, w in zip(probs, words))
-    h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
-    return mass, lbar, h
+    return measure_sums(probs, map(len, words))
 
 
 class _SymbolProbs(dict):
@@ -176,39 +203,50 @@ def word_levels(
     width: int,
     frontier: int | None = None,
 ):
-    """Walk d's automaton one length at a time: yield (j, words, rest, dead)
-    for j = 1, 2, ... until no prefix of length j leads on.
+    """Walk d's automaton one length at a time: yield
+    (j, probs, live_probs, live_states, dead) for j = 1, 2, ... until no
+    prefix of length j leads on.
 
-    A node is (P(prefix), entry), and a child's P is its parent's P times
-    the symbol's probability (see the module docstring). words are the
-    nodes of the members of length j, rest those of the live length-j
-    prefixes. Symbols run over range(width), and over a countable alphabet
-    a state's listed symbols past it are taken too.
+    Each level is parallel lists of bare floats and states. probs holds
+    P(w) for the members w of length j; live_probs and live_states hold
+    P(prefix) and the automaton state of each live length-j prefix, in the
+    same order. A child's P is its parent's P times the symbol's
+    probability (see the module docstring), so an edge costs one multiply
+    and one append to the list it lands in. Symbols run over range(width),
+    and over a countable alphabet a state's listed symbols past it are
+    taken too. A finite source that has every symbol of d's finite
+    alphabet prices them from its probability tuple, indexed by symbol;
+    any other pair looks each symbol up once in a _SymbolProbs.
 
     dead is empty unless a frontier budget is given. It then maps P to the
-    number of DEAD length-j prefixes of that probability, so that rest and
-    dead together are T_j. A dead prefix's subtree depends on its P alone,
-    so each distinct P is expanded once per length: P*p_s for each symbol s,
-    with the count carried over, and each DEAD edge out of a live node adds
-    1. Each P is the product a walk of that one prefix would reach, bit for
-    bit: equal floats are the same number (a P is never -0.0), and a NaN
-    equals nothing, so it keeps an entry of its own. A sum over T_j takes
-    c copies of a term as its exact sum c*x, which measures._powers splits
-    into terms scaled by powers of two. The budget bounds |T_j|, the live
-    prefixes plus the sum of the counts, not the entries walked, and a T_j
-    larger than it raises ResourceBudgetError as soon as the prefixes
-    counted so far exceed it, so at most one state's edges past it.
+    number of DEAD length-j prefixes of that probability, so that the live
+    prefixes and dead together are T_j. A dead prefix's subtree depends on
+    its P alone, so each distinct P is expanded once per length: P*p_s for
+    each symbol s, with the count carried over, and each DEAD edge out of a
+    live prefix adds 1. Each P is the product a walk of that one prefix
+    would reach, bit for bit: equal floats are the same number (a P is
+    never -0.0), and a NaN equals nothing, so it keeps an entry of its own.
+    A sum over T_j takes c copies of a term as its exact sum c*x, which
+    measures._powers splits into terms scaled by powers of two. The budget
+    bounds |T_j|, the live prefixes plus the sum of the counts, not the
+    entries walked, and a T_j larger than it raises ResourceBudgetError as
+    soon as the prefixes counted so far exceed it, so at most one state's
+    edges past it.
     """
-    sp = _SymbolProbs(source)
     trans, defaults = d.transitions, d.defaults
     symbols = range(width)
     finite = d.alphabet_size is not None
+    k = source.alphabet_size
+    if finite and k is not None and d.alphabet_size <= k:
+        sp = source.probs
+    else:
+        sp = _SymbolProbs(source)
 
     def edges(q):
         """q's edges as (symbol, entry) pairs, TO_DEAD ones only in a
         frontier walk. A finite alphabet's listed symbols all lie below
-        width, so the loops below take a state's transitions instead where
-        its default is TO_DEAD in a member walk, or where it lists every
+        width, so the loops below take a state's transitions instead in a
+        member walk where every default is TO_DEAD, or where it lists every
         symbol."""
         t, default = trans[q], defaults[q]
         pairs = [(s, t.get(s, default)) for s in symbols]
@@ -218,38 +256,49 @@ def word_levels(
             pairs = [(s, e) for s, e in pairs if e != TO_DEAD]
         return pairs
 
-    rest, dead = [(1.0, d.start)], {}
+    # a member walk over a finite alphabet where no state's default ends a
+    # word takes each state's transitions
+    listed = frontier is None and finite and TO_WORD not in defaults
+    rest_p, rest_q, dead = [1.0], [d.start], {}
     j = 0
-    while rest or dead:
+    while rest_p or dead:
         j += 1
-        words, nxt, nxt_dead = [], [], {}
+        probs, nxt_p, nxt_q, nxt_dead = [], [], [], {}
+        add_word, add_p, add_q = probs.append, nxt_p.append, nxt_q.append
         if frontier is None:
-            for p, q in rest:
-                listed = finite and defaults[q] == TO_DEAD
+            for p, q in zip(rest_p, rest_q):
                 for s, e in trans[q].items() if listed else edges(q):
-                    (words if e == TO_WORD else nxt).append((p * sp[s], e))
+                    x = p * sp[s]
+                    if e < 0:  # TO_WORD: a member walk takes no TO_DEAD edge
+                        add_word(x)
+                    else:
+                        add_p(x)
+                        add_q(e)
         else:
             # |T_j| so far: the dead prefixes counted, then the live ones
             size = width * sum(dead.values())
             if size > frontier:
                 raise frontier_budget_error(j, frontier)
-            for p, q in rest:
+            for p, q in zip(rest_p, rest_q):
                 t = trans[q]
                 for s, e in t.items() if finite and len(t) == width else edges(q):
-                    if e == TO_DEAD:
-                        x = p * sp[s]
+                    x = p * sp[s]
+                    if e >= 0:
+                        add_p(x)
+                        add_q(e)
+                    elif e == TO_WORD:
+                        add_word(x)
+                    else:
                         nxt_dead[x] = nxt_dead.get(x, 0) + 1
                         size += 1
-                    else:
-                        (words if e == TO_WORD else nxt).append((p * sp[s], e))
-                if size + len(nxt) > frontier:
+                if size + len(nxt_p) > frontier:
                     raise frontier_budget_error(j, frontier)
             for p, c in dead.items():
                 for s in symbols:
                     x = p * sp[s]
                     nxt_dead[x] = nxt_dead.get(x, 0) + c
-        yield j, words, nxt, nxt_dead
-        rest, dead = nxt, nxt_dead
+        yield j, probs, nxt_p, nxt_q, nxt_dead
+        rest_p, rest_q, dead = nxt_p, nxt_q, nxt_dead
 
 
 def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbols):
@@ -350,25 +399,27 @@ class _MeasureWalk:
         self.d, self.width, self.source = d, width, source
         self.more = word_levels(d, source, width)
         self.levels = list(itertools.islice(self.more, depth))
-        # the prefixes that lead on, by length: those shorter than depth,
-        # and the live ones at depth (none if the walk ended before it)
-        inner = [[(1.0, d.start)]] + [rest for _, _, rest, _ in self.levels]
+        # the prefixes that lead on, by length, as (probabilities, states):
+        # those shorter than depth, and the live ones at depth (none if the
+        # walk ended before it)
+        inner = [([1.0], [d.start])] + [(ps, qs) for _, _, ps, qs, _ in self.levels]
         self.shorter = inner[:depth]
-        self.live = inner[depth] if depth < len(inner) else []
+        self.live = inner[depth][0] if depth < len(inner) else []
 
     def _sums(self, levels):
         """exact_word_measures of the words in levels, term for term; an
         unpriced word raises word_prob's error for the least one."""
-        probs = [n[0] for _, words, _, _ in levels for n in words]
-        mass = math.fsum(probs)
-        if mass != mass:
-            j = next(j for j, words, _, _ in levels if any(n[0] != n[0] for n in words))
+        probs = list(itertools.chain.from_iterable(lv[1] for lv in levels))
+        lengths = itertools.chain.from_iterable(
+            itertools.repeat(j, len(ps)) for j, ps, *_ in levels
+        )
+        sums = measure_sums(probs, lengths)
+        if sums[0] != sums[0]:
+            j = next(j for j, ps, *_ in levels if any(p != p for p in ps))
             for w in self.d.member_words(j, self.width):
                 if len(w) == j:
                     self.source.check_word(w)
-        lbar = math.fsum(n[0] * j for j, words, _, _ in levels for n in words)
-        h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
-        return mass, lbar, h
+        return sums
 
     @functools.cached_property
     def members(self):
@@ -379,15 +430,15 @@ class _MeasureWalk:
         """The sums over the members longer than depth, walking on to the
         last of them; all 0.0 if there is none."""
         levels = list(self.more)
-        if not any(words for _, words, _, _ in levels):
+        if not any(lv[1] for lv in levels):
             return 0.0, 0.0, 0.0
         return self._sums(levels)
 
     @functools.cached_property
     def covered(self) -> float:
         """The mass of the members up to depth, summed directly: the member
-        nodes and, over a countable alphabet, the words that a shorter
-        prefix's TO_WORD default ends (its unlisted symbols)."""
+        probabilities and, over a countable alphabet, the words that a
+        shorter prefix's TO_WORD default ends (its unlisted symbols)."""
         d = self.d
         if d.alphabet_size is not None:
             return min(1.0, self.members[0])
@@ -396,8 +447,9 @@ class _MeasureWalk:
             for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
             if default == TO_WORD
         }
-        terms = [n[0] for _, words, _, _ in self.levels for n in words]
-        terms += [p * ends[q] for nodes in self.shorter for p, q in nodes if q in ends]
+        terms = list(itertools.chain.from_iterable(lv[1] for lv in self.levels))
+        terms += [p * ends[q] for ps, qs in self.shorter
+                  for p, q in zip(ps, qs) if q in ends]
         # a word through a symbol the source lacks has no mass
         return min(1.0, math.fsum(p for p in terms if p == p))
 
@@ -406,18 +458,20 @@ class _MeasureWalk:
         """P(T_depth): the live prefixes at depth, and the mass that
         shorter prefixes send to TO_DEAD."""
         d, source = self.d, self.source
-        # a state that lists every symbol of a same-size source costs nothing
-        same = d.alphabet_size == source.alphabet_size
-        dead = {
-            q: _unlisted_mass(t, source)[0]
-            for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
-            if default == TO_DEAD and not (same and len(t) == d.alphabet_size)
-        }
-        terms = [n[0] for n in self.live]
-        if dead:
-            terms += [p * dead[q] for nodes in self.shorter for p, q in nodes if q in dead]
-        k = source.alphabet_size
-        if d.alphabet_size is not None and k is not None and d.alphabet_size > k:
+        k, n = d.alphabet_size, source.alphabet_size
+        terms = self.live
+        # a state that lists every symbol of a same-size source sends
+        # nothing to TO_DEAD, so where every state does, none is scanned
+        if not (k == n and min(map(len, d.transitions)) == k):
+            dead = {
+                q: _unlisted_mass(t, source)[0]
+                for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
+                if default == TO_DEAD and not (k == n and len(t) == k)
+            }
+            if dead:
+                terms = terms + [p * dead[q] for ps, qs in self.shorter
+                                 for p, q in zip(ps, qs) if q in dead]
+        if k is not None and n is not None and k > n:
             # as the member sums do, raise word_prob's error for a member of
             # the walk that the source cannot price
             self.members

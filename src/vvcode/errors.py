@@ -41,6 +41,10 @@ class CodebookMismatchError(VVCodeError, ValueError):
     """A codebook's phrases are not the words of the dictionary it codes."""
 
 
+class SymbolTypeError(VVCodeError, ValueError):
+    """A dictionary word holds a symbol that is not an integer index."""
+
+
 class StreamSymbolError(VVCodeError, ValueError):
     """A stream to encode holds a symbol outside the dictionary's alphabet."""
 

@@ -16,13 +16,15 @@ truncation identity H(D_n) = H(P)*lbar(D_n) is exact at every finite stage
 and needs properness only.
 
 Every finite sum here is formed from the automaton by
-dictionary.word_levels: a finite dictionary's sums walk it to the depth
-and on to its last word, and the truncation series walks it once to m_max
-(within the width budget on countable alphabets). T_m's dead prefixes
-come from that walk as a map from probability to count, each distinct
-probability expanded once per length, and a count of c copies of a term
-enters its sum as at most c.bit_length() terms of the same exact sum
-(_powers).
+dictionary.word_levels, whose levels are lists of bare probabilities: a
+finite dictionary's sums walk it to the depth and on to its last word and
+add them up with dictionary.measure_sums, and the truncation series walks
+it once to m_max (within the width budget on countable alphabets) and
+reads each level's member and live-prefix probabilities directly. T_m's
+dead prefixes come from that walk as a map from probability to count, each
+distinct probability expanded once per length, and a count of c copies of
+a term enters its sum as at most c.bit_length() terms of the same exact
+sum (_powers).
 phrase_measures and check_conservation run their queries in
 dictionary.shared_walks(), so the member sums and P(T_depth) come from one
 walk.
@@ -285,27 +287,26 @@ def _truncation_series(d, source, m_max, max_symbol):
     """(m, (mass, lbar, entropy) of D_m) for m = 1..m_max.
 
     D_m is the members of length <= m and T_m. One walk to depth m_max
-    yields each length's members and T_m (truncate's sets), and row m sums
-    the members so far with T_m, the terms exact_word_measures would take.
-    T_m's dead prefixes come as P -> count, and a term's count of copies
-    enters its sum as the term times each of the count's _powers.
+    yields each length's member probabilities and T_m (truncate's sets),
+    and row m sums the members so far with T_m, the terms
+    exact_word_measures would take. T_m's dead prefixes come as P -> count,
+    and a term's count of copies enters its sum as the term times each of
+    the count's _powers.
     """
     if m_max < 1:
         return
     levels = word_levels(d, source, d.member_width(max_symbol), MAX_FRONTIER_WORDS)
     mass, lbar, h = [], [], []  # the terms of the members so far
     for m in range(1, m_max + 1):
-        _, words, rest, dead = next(levels, (m, (), (), {}))
-        probs = [n[0] for n in words]
+        _, probs, t_m, _, dead = next(levels, (m, [], [], [], {}))
         mass += probs
         lbar += [p * m for p in probs]
         h += [p * math.log2(p) for p in probs if p > 0.0]
-        t_m = [n[0] for n in rest]
         t_lbar = [p * m for p in t_m]
         t_h = [p * math.log2(p) for p in t_m if p > 0.0]
         if dead:
             dead = [(p, _powers(c)) for p, c in dead.items()]
-            t_m += [p * f for p, fs in dead for f in fs]
+            t_m = t_m + [p * f for p, fs in dead for f in fs]
             t_lbar += [p * m * f for p, fs in dead for f in fs]
             t_h += [p * math.log2(p) * f for p, fs in dead if p > 0.0 for f in fs]
         row_mass = math.fsum(itertools.chain(mass, t_m))

@@ -16,6 +16,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import re
 from collections import deque
 from fractions import Fraction
@@ -38,7 +39,7 @@ from vvcode.dictionary import (
     find_prefix_violation,
     pattern_source,
 )
-from vvcode.errors import ImproperDictionaryError
+from vvcode.errors import ImproperDictionaryError, SymbolTypeError
 from vvcode.formats import save_dictionary
 from vvcode.source import canon_key, sort_words
 
@@ -59,6 +60,12 @@ def ref_finite_dictionary(alphabet_size, words):
         if not w:
             raise ValueError("empty word is not a valid dictionary member")
         for s in w:
+            try:
+                operator.index(s)
+            except TypeError:
+                raise SymbolTypeError(
+                    f"symbol {s!r} in word {list(w)!r} is not an integer"
+                ) from None
             if not (0 <= s < alphabet_size):
                 raise ValueError(
                     f"symbol {s} out of range for alphabet size {alphabet_size}"
