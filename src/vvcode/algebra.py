@@ -17,6 +17,7 @@ report whether enumeration was exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from math import fsum
 
@@ -31,12 +32,28 @@ from .dictionary import (
     subtree_walk,
 )
 from .errors import ConeHypothesisError, ResourceBudgetError
-from .source import SourceModel, Word, sort_words
+from .source import SourceModel, sort_words
 
 # The largest |T_n| enumerated or summed. It bounds the size of T_n, not the
 # work: the truncation series walks T_n's dead prefixes once per distinct
 # probability, so a frontier near the bound can cost far fewer steps.
 MAX_FRONTIER_WORDS = 1_000_000
+
+
+def _frontier_walk(d: Dictionary, depth: int, max_symbol: int | None, max_words: int):
+    """(members of length <= depth, T_depth) in canonical order, from one
+    frontier subtree_walk over the symbols below the width budget. A T_depth
+    of more than max_words words raises before any of it is built; then
+    each dead prefix the walk kept expands to all its completions."""
+    if depth < 1:
+        raise ValueError("frontier depth must be >= 1")
+    symbols = range(d._width_for(max_symbol))
+    words, rest = subtree_walk(d, (), d.start, depth, symbols, frontier=True)
+    if rest and sum(len(symbols) ** (depth - len(w)) for w, _ in rest) > max_words:
+        raise frontier_budget_error(depth, max_words)
+    return words, [
+        w + tail for w, _ in rest for tail in product(symbols, repeat=depth - len(w))
+    ]
 
 
 def uncovered_frontier(
@@ -45,67 +62,39 @@ def uncovered_frontier(
     max_symbol: int | None = None,
     max_words: int = MAX_FRONTIER_WORDS,
 ):
-    """Enumerate T_depth; returns (words, exhaustive).
-
-    Depth-first over the automaton, pruning only below member words. DEAD
-    is absorbing: a dead prefix's whole subtree belongs to the frontier.
-    Countable alphabets are scanned for symbols < max_symbol and flagged
-    non-exhaustive. Words come out in canonical order, since they share
-    one length and the walk takes symbols in increasing order.
-    """
-    if depth < 1:
-        raise ValueError("frontier depth must be >= 1")
-    k = d.alphabet_size
-    width = d._width_for(max_symbol)
-    trans, defaults = d.transitions, d.defaults
-    symbols = range(width)
-    backwards = symbols[::-1]  # pushed in reverse, popped in increasing order
-    out = []
-    stack = [((), d.start)]
-    while stack:
-        prefix, state = stack.pop()
-        rest = depth - len(prefix)
-        if rest and state != TO_DEAD:
-            t, default = trans[state], defaults[state]
-            for s in backwards:
-                nxt = t.get(s, default)
-                if nxt != TO_WORD:
-                    stack.append((prefix + (s,), nxt))
-            continue
-        # a length-depth string, or a dead prefix and all its completions
-        if len(out) + width**rest > max_words:
-            raise frontier_budget_error(depth, max_words)
-        if rest:
-            out.extend(prefix + tail for tail in product(symbols, repeat=rest))
-        else:
-            out.append(prefix)
-    return out, k is not None
+    """Enumerate T_depth in canonical order; returns (words, exhaustive).
+    DEAD is absorbing: a dead prefix's whole subtree belongs to the
+    frontier. Countable alphabets are scanned for symbols < max_symbol and
+    flagged non-exhaustive."""
+    return _frontier_walk(d, depth, max_symbol, max_words)[1], d.alphabet_size is not None
 
 
 @dataclass(frozen=True)
 class FrontierSets:
-    """T_n, D_n_perp and D_n at one depth.
-
-    d_n is the materialized dictionary over finite alphabets and None over
-    countable ones (d_n_words still carries the budgeted enumeration).
-    """
+    """T_n, D_n_perp and D_n at one depth. d_n, the dictionary of d_n_words,
+    is built on first use over a finite alphabet, and is None over a
+    countable one."""
 
     n: int
     t_n: tuple
     d_n_perp: tuple
     d_n_words: tuple
-    d_n: FiniteDictionary | None
+    alphabet_size: int | None
     exhaustive: bool
 
+    @cached_property
+    def d_n(self) -> FiniteDictionary | None:
+        k = self.alphabet_size
+        return None if k is None else FiniteDictionary(k, self.d_n_words)
+
     def as_dict(self):
-        obj = {
+        return {
             "n": self.n,
             "t_n": [list(w) for w in self.t_n],
             "d_n_perp": [list(w) for w in self.d_n_perp],
             "d_n": [list(w) for w in self.d_n_words],
             "exhaustive": self.exhaustive,
         }
-        return obj
 
 
 def truncate(
@@ -113,32 +102,23 @@ def truncate(
     depth: int,
     max_symbol: int | None = None,
     max_words: int = MAX_FRONTIER_WORDS,
-    materialize: bool = True,
 ) -> FrontierSets:
-    """Compute T_n, D_n_perp, D_n at n = depth.
+    """Compute T_n, D_n_perp, D_n at n = depth, from one frontier walk.
 
     n = 1 reduces to the special case T_1 = {a in A : a not in D} and
-    D_1 = A. materialize=False skips building the D_n trie (the word list
-    is still returned); measure loops over many depths use it.
+    D_1 = A.
     """
-    t_n, exhaustive = uncovered_frontier(d, depth, max_symbol, max_words)
-    members = d.member_words(depth, max_symbol)
-    exact_len = [w for w in members if len(w) == depth]
+    members, t_n = _frontier_walk(d, depth, max_symbol, max_words)
+    d.member_width(max_symbol)  # raises where member_words would
     shorter = [w for w in members if len(w) < depth]
-    d_n_perp = tuple(sort_words(exact_len + t_n))
-    d_n_words = tuple(sort_words(shorter + list(d_n_perp)))
-    if d.alphabet_size is not None:
-        d_n = FiniteDictionary(d.alphabet_size, d_n_words) if materialize else None
-    else:
-        d_n = None
-        exhaustive = False
+    d_n_perp = tuple(sort_words(members[len(shorter):] + t_n))
     return FrontierSets(
         n=depth,
         t_n=tuple(t_n),
         d_n_perp=d_n_perp,
-        d_n_words=d_n_words,
-        d_n=d_n,
-        exhaustive=exhaustive,
+        d_n_words=tuple(shorter) + d_n_perp,
+        alphabet_size=d.alphabet_size,
+        exhaustive=d.alphabet_size is not None,
     )
 
 
@@ -173,27 +153,25 @@ class ConeResult:
         }
 
 
-def _check_cone_hypothesis(d: Dictionary, beta: Word):
-    cur = d.cursor()
-    for ell, s in enumerate(beta[:-1], 1):
-        if cur.step(s) == WORD:
-            raise ConeHypothesisError(
-                f"cone prefix {list(beta)} has the shorter dictionary prefix "
-                f"{list(beta[:ell])}; the cone-mass identity does not apply"
-            )
-
-
 def _cone_walk(d: Dictionary, beta, depth_budget: int, max_symbol: int | None):
     """(cone(...), open prefixes): one walk of beta's subtree, over the
     symbols below member_width(max_symbol), finds the cone's members and
     its open prefixes, the length-depth_budget extensions of beta classified
-    INTERNAL (members lie beyond them)."""
+    INTERNAL (members lie beyond them). Reading beta checks the cone-mass
+    hypothesis: a member that is a proper prefix of beta raises."""
     beta = tuple(beta)
     if depth_budget < len(beta):
         raise ValueError("depth budget shorter than the cone prefix")
-    _check_cone_hypothesis(d, beta)
+    entry = d.start
+    for ell, s in enumerate(beta):
+        if entry == TO_WORD:
+            raise ConeHypothesisError(
+                f"cone prefix {list(beta)} has the shorter dictionary prefix "
+                f"{list(beta[:ell])}; the cone-mass identity does not apply"
+            )
+        entry = TO_DEAD if entry == TO_DEAD else d.next_entry(entry, s)
     symbols = range(d.member_width(max_symbol))
-    words, rest = subtree_walk(d, beta, d.entry_after(beta), depth_budget, symbols)
+    words, rest = subtree_walk(d, beta, entry, depth_budget, symbols)
     if not all(s in symbols for s in beta):
         words = []  # as in member_words, no word through a symbol past width
     open_prefixes = [w for w, _ in rest]

@@ -50,6 +50,7 @@ from .dictionary import (
     TO_WORD,
     FiniteDictionary,
     _word_pattern,
+    index_word,
     phrase_key,
     walk,
 )
@@ -75,8 +76,8 @@ def kraft_sum(codewords) -> Fraction:
 class PhraseCodebook:
     """Bijection between dictionary phrases and binary codewords.
 
-    Phrases are kept in canonical order; codewords are '0'/'1' strings,
-    verified prefix-free with Kraft sum <= 1.
+    Phrases are kept in canonical order, each symbol as a plain int;
+    codewords are '0'/'1' strings, verified prefix-free with Kraft sum <= 1.
     """
 
     phrases: tuple
@@ -87,6 +88,12 @@ class PhraseCodebook:
             raise ValueError("codebook needs at least one phrase")
         if len(self.phrases) != len(self.codewords):
             raise ValueError("phrase/codeword count mismatch")
+        try:  # symbols are stored as plain ints; checked in C first
+            plain = all(type(s) is int for s in set().union(*self.phrases))
+        except TypeError:
+            plain = False
+        if not plain:
+            object.__setattr__(self, "phrases", tuple(map(index_word, self.phrases)))
         if len(set(self.phrases)) != len(self.phrases):
             raise ValueError("duplicate phrases in codebook")
         cs = self.codewords
@@ -214,9 +221,9 @@ def tunstall_build(source: SourceModel, target_size: int) -> FiniteDictionary:
     numeric order of the codes is lexicographic order of the words, so the
     heap pops in canonical order without building a word tuple. Extending
     a word turns its edge into a fresh state whose k edges all end words.
-    The result is proper and complete by construction, so the trie and its
-    words, listed breadth-first with symbols ascending (which is canonical
-    order), make the dictionary without FiniteDictionary's checks."""
+    The result is proper and complete by construction, so _from_trie takes
+    the trie unchecked and reads its words off with subtree_walk, level by
+    level with symbols ascending, which is canonical order."""
     k = source.alphabet_size
     if k is None:
         raise UnsupportedOperationError(
@@ -243,21 +250,7 @@ def tunstall_build(source: SourceModel, target_size: int) -> FiniteDictionary:
         for b in symbols:
             heapq.heappush(heap, (neg_p * probs[b], n + 1, code + b, state))
         count += k - 1
-    # breadth-first, one length at a time: each level's prefixes come in
-    # lexicographic order, and only one level of them is kept alive
-    words = []
-    level = [((), trans[0])]
-    while level:
-        deeper = []
-        for prefix, edges in level:
-            for s, e in edges.items():
-                w = prefix + (s,)
-                if e == TO_WORD:
-                    words.append(w)
-                else:
-                    deeper.append((w, trans[e]))
-        level = deeper
-    return FiniteDictionary._from_trie(k, tuple(words), trans)
+    return FiniteDictionary._from_trie(k, trans)
 
 
 def huffman_build(phrase_probs) -> PhraseCodebook:

@@ -4,11 +4,10 @@ A dictionary is a prefix-free set of nonempty words over the source
 alphabet. A finite dictionary is a trie, with its words kept beside it in
 canonical order: the constructor checks the words while it inserts them,
 and codec.tunstall_build grows the trie itself and hands it over
-unchecked, its words read off the trie breadth-first with symbols
-ascending, which is canonical order without a sort. Infinite families
-(run-length, single-word extensions over countable alphabets) are
-constructors of an automaton and nothing more: every query, the measures
-included, is the base class reading it.
+unchecked, its words read off the trie by subtree_walk in canonical order
+without a sort. Infinite families (run-length, single-word extensions over
+countable alphabets) are constructors of an automaton and nothing more:
+every query, the measures included, is the base class reading it.
 
 Classification of an arbitrary prefix against a dictionary:
 
@@ -17,7 +16,7 @@ Classification of an arbitrary prefix against a dictionary:
 * DEAD     -- neither; no extension of the prefix is a member.
 
 Every dictionary compiles one automaton at construction, and all walks
-(classify, cursors, parse, encode, decode, sampling, frontiers,
+(classify, parse, encode, decode, sampling, members, frontiers, cones,
 completeness) read it. State q has a dict ``transitions[q]`` from symbol
 to entry and an entry ``defaults[q]`` for every other symbol. A listed
 entry is the next internal state (an index >= 0) or TO_WORD; a default is
@@ -25,6 +24,8 @@ TO_WORD or TO_DEAD, and a negative symbol is DEAD in every state. The
 only cycles are self-loops (a state listed as its own entry). The
 per-state default is what lets countable alphabets share the
 representation: "every symbol ends a word" needs no table of symbols.
+``subtree_walk`` is the one walk that turns the automaton into word
+tuples: members, cones, the frontier T_n and a Tunstall trie's words.
 
 ``walk`` segments a stream in C once a dictionary has walked enough
 symbols: the automaton becomes one regular expression over the stream's
@@ -122,28 +123,37 @@ def find_prefix_violation(words):
     return None
 
 
-def _check_words(alphabet_size: int, ws) -> None:
+def _symbol_index(s, w) -> int:
+    """operator.index(s): a plain int for an int, a bool or a numpy integer.
+    SymbolTypeError names a symbol it refuses (a float or a string)."""
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise SymbolTypeError(f"symbol {s!r} in word {list(w)!r} is not an integer") from None
+
+
+def index_word(w) -> Word:
+    """w with each symbol as _symbol_index gives it."""
+    return tuple([_symbol_index(s, w) for s in w])
+
+
+def _check_words(alphabet_size: int, ws) -> list:
     """Raise ValueError for the first empty, out-of-range or duplicate word,
-    and SymbolTypeError for a symbol that is not an integer index (one that
-    operator.index refuses, as a float or a string)."""
+    and SymbolTypeError for a symbol that is not an integer index; return
+    the words as index_word gives them."""
     seen = set()
     for w in ws:
         if not w:
             raise ValueError("empty word is not a valid dictionary member")
         for s in w:
-            try:
-                operator.index(s)
-            except TypeError:
-                raise SymbolTypeError(
-                    f"symbol {s!r} in word {list(w)!r} is not an integer"
-                ) from None
-            if not (0 <= s < alphabet_size):
+            if not (0 <= _symbol_index(s, w) < alphabet_size):
                 raise ValueError(
                     f"symbol {s} out of range for alphabet size {alphabet_size}"
                 )
         if w in seen:
             raise ValueError(f"duplicate word {list(w)}")
         seen.add(w)
+    return list(map(index_word, ws))
 
 
 def frontier_budget_error(depth: int, max_words: int) -> ResourceBudgetError:
@@ -301,22 +311,31 @@ def word_levels(
         rest_p, rest_q, dead = nxt_p, nxt_q, nxt_dead
 
 
-def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbols):
+def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbols,
+                 frontier: bool = False):
     """(words, rest): the members of length <= max_len that extend prefix,
     whose automaton entry is `entry`, in canonical length-lex order, and
     the (word, state) of each length-max_len extension of prefix that leads
-    on. The walk goes level by level and takes the symbols in `symbols`."""
+    on. The walk goes level by level and takes the symbols in `symbols`.
+    A frontier walk keeps each DEAD extension in rest too, as its shortest
+    dead prefix with state TO_DEAD, so rest lists T_max_len's subtrees in
+    lexicographic order."""
     words = [prefix] if entry == TO_WORD else []
-    rest = [(prefix, entry)] if entry >= 0 else []
+    rest = [(prefix, entry)] if entry >= 0 or frontier and entry == TO_DEAD else []
     for _ in range(max_len - len(prefix)):
+        if not rest:
+            break
         nxt = []
         for w, q in rest:
+            if q == TO_DEAD:
+                nxt.append((w, q))
+                continue
             t, default = d.transitions[q], d.defaults[q]
             for s in symbols:
                 e = t.get(s, default)
                 if e == TO_WORD:
                     words.append(w + (s,))
-                elif e >= 0:
+                elif e >= 0 or frontier:
                     nxt.append((w + (s,), e))
         rest = nxt
     return words, rest
@@ -538,9 +557,6 @@ class Dictionary:
         entry = self.entry_after(word)
         return INTERNAL if entry >= 0 else -entry
 
-    def cursor(self) -> "Cursor":
-        return Cursor(self)
-
     def member_words(self, max_len: int, max_symbol: int | None = None) -> list:
         """All members of length <= max_len (symbols < max_symbol when the
         alphabet is countable), in canonical length-lex order."""
@@ -605,23 +621,6 @@ class Dictionary:
         return max_symbol
 
 
-class Cursor:
-    """Incremental classify: step(sym) returns the class of the prefix read
-    so far. Past a WORD or DEAD prefix every step is DEAD."""
-
-    __slots__ = ("d", "entry")
-
-    def __init__(self, d: Dictionary):
-        self.d = d
-        self.entry = d.start
-
-    def step(self, sym: int) -> int:
-        entry = self.entry
-        entry = self.d.next_entry(entry, sym) if entry >= 0 else TO_DEAD
-        self.entry = entry
-        return INTERNAL if entry >= 0 else -entry
-
-
 class FiniteDictionary(Dictionary):
     """Explicit prefix-free word set over a finite alphabet of size k."""
 
@@ -646,7 +645,7 @@ class FiniteDictionary(Dictionary):
         except TypeError:
             valid = False
         if not valid:
-            _check_words(alphabet_size, ws)
+            ws = _check_words(alphabet_size, ws)
             word_set = frozenset(ws)
         words = sort_words(ws)
         # Trie states in canonical order: a shorter word comes first, so a
@@ -663,23 +662,27 @@ class FiniteDictionary(Dictionary):
                     raise ImproperDictionaryError(*find_prefix_violation(ws))
                 q = nxt
             trans[q][w[-1]] = TO_WORD
-        self._finish(alphabet_size, tuple(words), word_set, trans)
+        self._finish(alphabet_size, trans, tuple(words), word_set)
 
     @classmethod
-    def _from_trie(cls, alphabet_size: int, words: tuple, trans: list):
-        """The dictionary of a trie that is proper by construction, with
-        its words in canonical order; nothing is checked."""
+    def _from_trie(cls, alphabet_size: int, trans: list):
+        """The dictionary of a trie proper by construction, unchecked."""
         d = cls.__new__(cls)
-        d._finish(alphabet_size, words, frozenset(words), trans)
+        d._finish(alphabet_size, trans)
         return d
 
-    def _finish(self, alphabet_size, words, word_set, trans):
+    def _finish(self, alphabet_size, trans, words=None, word_set=None):
         self.alphabet_size = alphabet_size
+        self.transitions = trans
+        self.defaults = [TO_DEAD] * len(trans)
+        if words is None:
+            # canonical order; a trie is no deeper than its number of states
+            symbols = range(alphabet_size)
+            words = tuple(subtree_walk(self, (), self.start, len(trans), symbols)[0])
+            word_set = frozenset(words)
         self.words = words
         self.word_set = word_set
         self._max_len = len(words[-1])
-        self.transitions = trans
-        self.defaults = [TO_DEAD] * len(trans)
 
     def __repr__(self):
         return f"FiniteDictionary(k={self.alphabet_size}, words={len(self.words)})"
@@ -696,9 +699,6 @@ class FiniteDictionary(Dictionary):
 
     def member_words(self, max_len, max_symbol=None):
         return [w for w in self.words if len(w) <= max_len]
-
-    def fully_enumerated(self, max_len, max_symbol=None):
-        return max_len >= self._max_len
 
     def max_word_length(self):
         return self._max_len

@@ -40,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import MAX_FRONTIER_WORDS, uncovered_frontier
+from .algebra import MAX_FRONTIER_WORDS, truncate
 from .dictionary import (
     DEFAULT_WIDTH,
     Dictionary,
@@ -51,7 +51,7 @@ from .dictionary import (
     word_levels,
 )
 from .errors import UnsupportedOperationError
-from .source import SourceModel, sort_words
+from .source import SourceModel
 
 INF = float("inf")
 
@@ -313,8 +313,7 @@ def _truncation_series(d, source, m_max, max_symbol):
         if row_mass != row_mass:
             # name the least length-m word the source cannot price, as
             # word_prob would over truncate's sets
-            members = [w for w in d.member_words(m, max_symbol) if len(w) == m]
-            for w in sort_words(members + uncovered_frontier(d, m, max_symbol)[0]):
+            for w in truncate(d, m, max_symbol).d_n_perp:
                 source.check_word(w)
         yield m, (
             row_mass,

@@ -141,7 +141,7 @@ def test_criterion_5_structural_identities():
     corpus = build_corpus()
     # cache one truncation sweep per dictionary
     sweeps = {
-        i: {m: truncate(d, m, materialize=False) for m in range(1, 13)}
+        i: {m: truncate(d, m) for m in range(1, 13)}
         for i, d in enumerate(corpus)
     }
 

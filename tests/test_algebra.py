@@ -3,31 +3,39 @@ identities between them, checked against brute-force enumeration oracles."""
 
 import itertools
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng, random_proper_dictionary
 from vvcode import (
     AlphabetDictionary,
     ExtensionChain,
     FiniteDictionary,
+    RunLengthDictionary,
     SourceModel,
     chain_step,
     cone,
     cone_mass_bounds,
     extend,
+    head_extension,
     is_asc,
     is_complete,
     truncate,
+    uncovered_frontier,
 )
 from vvcode.errors import ConeHypothesisError, ResourceBudgetError
 
 
-def brute_frontier(d, n):
-    """Oracle: filter all of {0,1}^n against the full member list."""
-    members = [w for w in d.words if len(w) <= n]
+def brute_frontier(d, n, max_symbol=None):
+    """Oracle: filter all of range(width)^n against the member list, the
+    width being the alphabet's size or max_symbol."""
+    members = d.member_words(n, max_symbol)
+    width = d.alphabet_size or max_symbol
     out = []
-    for tup in itertools.product(range(2), repeat=n):
+    for tup in itertools.product(range(width), repeat=n):
         if not any(tup[: len(w)] == w for w in members):
             out.append(tup)
     return sorted(out, key=lambda w: (len(w), w))
@@ -81,8 +89,78 @@ def test_truncate_matches_brute_force(corpus):
             assert list(truncate(d, m).t_n) == brute_frontier(d, m)
 
 
+# finite alphabets, and countable ones with the symbol budget every member
+# of the extension words needs
+LAZY_FAMILIES = [
+    (RunLengthDictionary(), None),
+    (AlphabetDictionary(3), None),
+    (AlphabetDictionary(None), 3),
+    (head_extension(1), 3),
+    (extend(RunLengthDictionary(), (1, 1, 0)), None),
+    (extend(extend(RunLengthDictionary(), (1, 0)), (1, 0, 0)), None),
+    (extend(extend(head_extension(0), (0, 2)), (0, 2, 1)), 3),
+]
+
+
+@st.composite
+def frontier_cases(draw):
+    """(dictionary, depth, max_symbol): a random finite dictionary over 2 or
+    3 symbols, with dead zones and complete ones, or a lazy family."""
+    if draw(st.booleans()):
+        rng = make_rng(draw(st.integers(1, 2**32)))
+        d, max_symbol = random_proper_dictionary(rng, k=draw(st.integers(2, 3))), None
+    else:
+        d, max_symbol = draw(st.sampled_from(LAZY_FAMILIES))
+    return d, draw(st.integers(1, 6)), max_symbol
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=frontier_cases())
+def test_frontier_walk_matches_brute_force(case):
+    d, n, max_symbol = case
+    t_n = brute_frontier(d, n, max_symbol)
+    words, exhaustive = uncovered_frontier(d, n, max_symbol, max_words=len(t_n))
+    assert words == t_n
+    assert exhaustive == (d.alphabet_size is not None)
+    if t_n:  # the budget bounds |T_n| exactly
+        budget = len(t_n) - 1
+        msg = f"^frontier at depth {n} exceeds max_words={budget}$"
+        with pytest.raises(ResourceBudgetError, match=msg):
+            uncovered_frontier(d, n, max_symbol, max_words=budget)
+        with pytest.raises(ResourceBudgetError, match=msg):
+            truncate(d, n, max_symbol, max_words=budget)
+    members = d.member_words(n, max_symbol)
+    fs = truncate(d, n, max_symbol, max_words=len(t_n))
+    assert fs.t_n == tuple(t_n)
+    assert fs.d_n_perp == tuple(sorted(
+        [w for w in members if len(w) == n] + t_n, key=lambda w: (len(w), w)
+    ))
+    assert fs.d_n_words == tuple(sorted(members + t_n, key=lambda w: (len(w), w)))
+    assert fs.exhaustive == (d.alphabet_size is not None)
+    if d.alphabet_size is None:
+        assert fs.d_n is None
+    else:
+        assert fs.d_n.words == fs.d_n_words and is_complete(fs.d_n)
+
+
+def test_truncation_dictionary_is_built_once_on_first_use(run_length):
+    fs = truncate(run_length, 4)
+    assert "d_n" not in vars(fs)
+    assert fs.d_n is fs.d_n
+    assert fs.d_n.words == fs.d_n_words
+
+
+def test_truncate_needs_the_extension_word_in_the_width():
+    # the frontier walk takes symbols below the width alone, but the
+    # members need the extension word (5,) in it, as member_words does
+    d = head_extension(5)
+    assert uncovered_frontier(d, 2, 3) == ([], False)
+    with pytest.raises(ResourceBudgetError, match="does not cover extension word"):
+        truncate(d, 2, 3)
+
+
 def test_truncate_deeper_than_the_recursion_limit(run_length):
-    fs = truncate(run_length, 1500, materialize=False)
+    fs = truncate(run_length, 1500)
     assert fs.t_n == ((1,) * 1500,)
     assert len(fs.d_n_words) == 1501
 
@@ -141,6 +219,44 @@ def test_cone_of_dead_prefix_is_empty():
     d = FiniteDictionary(2, [(0,)])
     res = cone(d, (1, 0))
     assert res.words == () and res.exhaustive
+
+
+def test_cone_through_a_member_prefix_names_it(run_length):
+    msg = (
+        "cone prefix [1, 0, 1] has the shorter dictionary prefix [1, 0]; "
+        "the cone-mass identity does not apply"
+    )
+    with pytest.raises(ConeHypothesisError, match=re.escape(msg)):
+        cone(run_length, (1, 0, 1))
+    with pytest.raises(ConeHypothesisError, match=re.escape(msg)):
+        cone_mass_bounds(run_length, (1, 0, 1), SourceModel.fair_bit())
+    # over a countable alphabet the member (3,) is a TO_WORD default
+    with pytest.raises(ConeHypothesisError, match=r"shorter dictionary prefix \[3\]"):
+        cone(head_extension(0), (3, 1), max_symbol=4)
+    # beta may end on a member: the cone is that word alone
+    res = cone(run_length, (1, 0))
+    assert res.words == ((1, 0),) and res.exhaustive
+
+
+def test_cone_through_a_dead_prefix_is_empty(run_length, fair):
+    d = FiniteDictionary(2, [(0,), (1, 0)])
+    # (1, 1) is dead, so no later symbol of beta is read as a member
+    for beta in [(1, 1), (1, 1, 0), (1, 1, 1, 0, 1)]:
+        res = cone(d, beta, depth_budget=8)
+        assert res.words == () and res.exhaustive
+        assert cone_mass_bounds(d, beta, fair, depth_budget=8) == (0.0, 0.0)
+    # a symbol outside the alphabet is DEAD in every state
+    res = cone(run_length, (1, 2, 0))
+    assert res.words == () and res.exhaustive
+
+
+def test_cone_through_a_negative_symbol_is_empty(run_length, fair):
+    for beta in [(-1,), (1, -1), (1, -1, 0), (-1, 0, 1)]:
+        res = cone(run_length, beta, depth_budget=8)
+        assert res.words == () and res.exhaustive
+        assert cone_mass_bounds(run_length, beta, fair, depth_budget=8) == (0.0, 0.0)
+    res = cone(head_extension(0), (0, -1), max_symbol=4)
+    assert res.words == () and not res.exhaustive
 
 
 def test_cone_mass_bounds_run_length(run_length, biased):

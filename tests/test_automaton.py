@@ -1,7 +1,7 @@
 """Every dictionary family's automaton against brute-force oracles built
-from member_words alone: classify, cursors and the uncovered frontier; and
-walk, on either side of each choice between its compiled pattern and its
-loop, against a greedy walk written from classify."""
+from member_words alone: classify and the uncovered frontier; and walk, on
+either side of each choice between its compiled pattern and its loop,
+against a greedy walk written from classify."""
 
 import itertools
 import re
@@ -86,24 +86,17 @@ def _strings(symbols, max_len):
         yield from itertools.product(symbols, repeat=n)
 
 
-def _check_classify_and_cursor(d, members, strings):
+def _check_classify(d, members, strings):
     expected = oracle(members)
     for word in strings:
         assert d.classify(word) == expected(word), word
-        cur = d.cursor()
-        for i, s in enumerate(word):
-            c = cur.step(s)
-            assert c == expected(word[: i + 1]), word[: i + 1]
-            if c != INTERNAL:
-                assert all(cur.step(t) == DEAD for t in word[i + 1 :])
-                break
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_lazy_family_automaton_matches_oracle(name):
     d = FAMILIES[name]()
     members = _members(d, MAX_LEN + 3)
-    _check_classify_and_cursor(d, members, _strings(SYMBOLS, MAX_LEN))
+    _check_classify(d, members, _strings(SYMBOLS, MAX_LEN))
     width = d.alphabet_size or WIDTH
     for n in range(1, MAX_LEN + 1):
         words, exhaustive = uncovered_frontier(d, n, WIDTH)
@@ -117,7 +110,7 @@ def test_finite_automaton_matches_oracle(corpus):
         strings = itertools.chain(
             _strings((-1, 0, 1, 2), 3), _strings((0, 1), d.max_word_length() + 1)
         )
-        _check_classify_and_cursor(d, members, strings)
+        _check_classify(d, members, strings)
         for n in range(1, 8):
             words, exhaustive = uncovered_frontier(d, n)
             assert words == oracle_frontier(members, n, 2)

@@ -116,25 +116,6 @@ def test_parse_round_trip_property(seed, stream_seed_, length):
     assert all(ph in d.word_set for ph in phrases)
 
 
-@given(seed=st.integers(0, 2**32), length=st.integers(0, 40),
-       stream_seed_=st.integers(0, 2**32))
-@settings(max_examples=150, deadline=None)
-def test_cursor_matches_classify(seed, length, stream_seed_):
-    d = random_proper_dictionary(make_rng(seed))
-    prefix = SourceModel.fair_bit().sample_stream(stream_seed_, length)
-    cur = d.cursor()
-    walked_past_word = False
-    for i, s in enumerate(prefix):
-        c = cur.step(s)
-        if walked_past_word:
-            assert c == DEAD
-            continue
-        expected = d.classify(tuple(prefix[: i + 1]))
-        assert c == expected
-        if c in (WORD, DEAD):
-            walked_past_word = True
-
-
 def test_run_length_enumeration(run_length):
     assert run_length.member_words(5) == [
         (0,), (1, 0), (1, 1, 0), (1, 1, 1, 0), (1, 1, 1, 1, 0)

@@ -71,7 +71,7 @@ def per_word_finite_measures(self, depth, source):
 
 def per_word_series(d, source, m_max, max_symbol):
     for m in range(1, m_max + 1):
-        fs = truncate(d, m, max_symbol, materialize=False)
+        fs = truncate(d, m, max_symbol)
         yield m, per_word_measures(fs.d_n_words, source)
 
 
@@ -302,7 +302,7 @@ def test_frontier_budget_in_the_dead_zone():
     d = FiniteDictionary(2, [(0,)])
     want = ("raised", ResourceBudgetError,
             "frontier at depth 21 exceeds max_words=1000000")
-    assert outcome(lambda: truncate(d, 21, materialize=False)) == want
+    assert outcome(lambda: truncate(d, 21)) == want
     assert outcome(lambda: check_truncation_identity(d, FAIR, 21)) == want
     assert outcome(lambda: convergence_scan(d, BIASED, 21)) == want
     assert check_truncation_identity(d, FAIR, 20).all_ok
@@ -312,7 +312,7 @@ def test_frontier_budget_in_the_dead_zone():
 def test_frontier_budget_at_the_depth_truncate_raises(monkeypatch, budget):
     def budgeted_series(d, source, m_max, max_symbol):
         for m in range(1, m_max + 1):
-            fs = truncate(d, m, max_symbol, max_words=budget, materialize=False)
+            fs = truncate(d, m, max_symbol, max_words=budget)
             yield m, per_word_measures(fs.d_n_words, source)
 
     monkeypatch.setattr(measures, "MAX_FRONTIER_WORDS", budget)

@@ -9,6 +9,7 @@ dictionary over a source of its alphabet size) and the scan it replaces
 must agree bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,14 +24,19 @@ from test_measure_walk import (
 )
 from vvcode import (
     FiniteDictionary,
+    PhraseCodebook,
     SourceModel,
     check_conservation,
     check_extension_identities,
+    decode,
+    encode,
     exact_word_measures,
     extend,
+    fixed_codebook,
     phrase_measures,
 )
 from vvcode import dictionary
+from vvcode.formats import load_codebook, load_dictionary, save_dictionary
 from vvcode.errors import SymbolTypeError, VVCodeError
 
 # the longest truncation series per alphabet size: T_m has up to k^m words
@@ -205,3 +211,37 @@ def test_integer_like_symbols_are_accepted(one):
     for depth in (1, 64):
         got = check_conservation(d, source, depth).as_dict()
         assert repr(got) == repr(check_conservation(plain, source, depth).as_dict())
+
+
+def plain_ints(words):
+    return all(type(s) is int for w in words for s in w)
+
+
+@pytest.mark.parametrize("one", [True, np.int64(1), np.uint8(1), np.intp(1)],
+                         ids=lambda s: type(s).__name__)
+def test_integer_like_symbols_survive_the_file_round_trips(one):
+    d = FiniteDictionary(2, [(0,), (one, 0), (one, one)])
+    assert plain_ints(d.words) and plain_ints(d.word_set)
+    assert all(type(s) is int for t in d.transitions for s in t)
+    text = json.dumps(save_dictionary(d))
+    assert json.loads(text)["words"] == [[0], [1, 0], [1, 1]]
+    assert load_dictionary(json.loads(text)) == d
+
+    cb = fixed_codebook([(0,), (one, 0), (1, 1)])
+    assert plain_ints(cb.phrases)
+    back = load_codebook(json.loads(json.dumps(cb.as_dict())))
+    assert back == cb
+    plain = FiniteDictionary(2, [(0,), (1, 0), (1, 1)])
+    # a short stream decodes on the per-phrase loop, a long one compiled
+    for stream in ([1, 0, 1, 1, 0], [1, 0, 1, 1, 0] * 400):
+        out = decode(plain, cb, encode(plain, cb, stream))
+        assert out == stream and set(map(type, out)) == {int}
+
+
+def test_codebook_refuses_a_non_integer_symbol():
+    with pytest.raises(SymbolTypeError, match=r"^symbol 1\.0 in word \[1\.0\] is not"):
+        fixed_codebook([(0,), (1.0,)])
+    with pytest.raises(SymbolTypeError, match="^symbol '1' in word"):
+        PhraseCodebook.from_pairs([((0, 0), "0"), (("1",), "1")])
+    with pytest.raises(SymbolTypeError, match=r"^symbol \[1\] in word"):
+        PhraseCodebook((((0,)), ([1], 0)), ("0", "1"))
