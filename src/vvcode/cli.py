@@ -3,8 +3,10 @@
 Exit codes: 0 pass/success, 1 property-check fail, 2 usage/input error,
 3 inconclusive. Every report embeds the resolved run configuration and a
 format-version field, so re-running a stored configuration reproduces the
-report bit for bit. Defaults (depth 64, tol 1e-9, seed 42, width 64) are
-centralized here and echoed in every report.
+report bit for bit. Each subcommand takes --out and only the options its
+handler reads; the defaults (depth 64, tol 1e-9, seed 42, width 64 from
+dictionary.DEFAULT_WIDTH, format json) fill in the rest, and every report
+still echoes them all.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .algebra import cone, extend, truncate
 from .codec import decode, encode, fixed_codebook, huffman_build, tunstall_build
 from .dictionary import (
     CERTIFIED_NOT_COMPLETE,
+    DEFAULT_WIDTH,
     FiniteDictionary,
     UNDETERMINED,
     is_asc,
@@ -55,7 +58,6 @@ FORMAT_VERSION = 1
 DEFAULT_DEPTH = 64
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
-DEFAULT_WIDTH = 64
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,8 +118,6 @@ def _emit(text: str, out_path):
 
 def _emit_report(config: RunConfig, result, csv_text=None) -> None:
     if config.format == "csv":
-        if csv_text is None:
-            raise ValueError(f"--format csv is not supported for {config.command}")
         _emit(csv_text, config.out_path)
         return
     text = json.dumps(_report_envelope(config, result), indent=2, sort_keys=True)
@@ -340,56 +340,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"vvcode {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, dict_arg=False, source_arg=None, word_arg=False,
-            codebook_arg=False, io_args=False):
+    # options shared by subcommands, in help order; each subcommand takes
+    # --out and those its handler reads, "[--source]" as not required
+    options = {
+        "--dict": {"dest": "dict_path", "required": True},
+        "--source": {"dest": "source_path", "required": True},
+        "--word": {"required": True, "help": "symbol word, e.g. 110 or 1,1,0"},
+        "--codebook": {"dest": "codebook_path", "required": True},
+        "--in": {"dest": "in_path", "required": True},
+        "--bits": {"action": "store_true",
+                   "help": "treat stream files as raw bit files"},
+        "--depth": {"type": int, "default": DEFAULT_DEPTH},
+        "--width": {"type": int, "default": DEFAULT_WIDTH},
+        "--tol": {"type": float, "default": DEFAULT_TOL},
+        "--seed": {"type": int, "default": DEFAULT_SEED},
+        "--out": {"dest": "out_path"},
+        "--format": {"choices": ["json", "csv"], "default": "json"},
+    }
+
+    def add(name, help_text, flags):
         sp = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if dict_arg:
-            sp.add_argument("--dict", dest="dict_path", required=True)
-        if source_arg is not None:
-            sp.add_argument(
-                "--source", dest="source_path", required=source_arg == "required"
-            )
-        if word_arg:
-            sp.add_argument("--word", required=True,
-                            help="symbol word, e.g. 110 or 1,1,0")
-        if codebook_arg:
-            sp.add_argument("--codebook", dest="codebook_path", required=True)
-        if io_args:
-            sp.add_argument("--in", dest="in_path", required=True)
-            sp.add_argument("--bits", action="store_true",
-                            help="treat stream files as raw bit files")
-        sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-        sp.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--out", dest="out_path")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+        names = {"--out", *flags.split()}
+        for flag, kwargs in options.items():
+            if f"[{flag}]" in names:
+                sp.add_argument(flag, **{**kwargs, "required": False})
+            elif flag in names:
+                sp.add_argument(flag, **kwargs)
         return sp
 
     add("check", "properness / completeness / ASC certification",
-        dict_arg=True, source_arg="optional")
-    add("truncate", "frontier sets T_n, D_n_perp, D_n", dict_arg=True)
-    add("extend", "single-word extension D[alpha]", dict_arg=True, word_arg=True)
-    add("cone", "dictionary words with a given prefix", dict_arg=True, word_arg=True)
-    add("measure", "interval measures H(D), lbar(D)", dict_arg=True,
-        source_arg="required")
+        "--dict [--source] --depth --tol")
+    add("truncate", "frontier sets T_n, D_n_perp, D_n", "--dict --depth --width")
+    add("extend", "single-word extension D[alpha]", "--dict --word")
+    add("cone", "dictionary words with a given prefix",
+        "--dict --word --depth --width")
+    add("measure", "interval measures H(D), lbar(D)",
+        "--dict --source --depth --format")
     add("verify", "conservation check H(D) = H(P) lbar(D)",
-        dict_arg=True, source_arg="required")
+        "--dict --source --depth --tol --format")
     sp = add("scan", "truncation series H(D_m), lbar(D_m)",
-             dict_arg=True, source_arg="required")
+             "--dict --source --width --format")
     sp.add_argument("--m-max", dest="m_max", type=int, default=12)
     sp = add("tunstall", "greedy parsing dictionary for a finite source",
-             source_arg="required")
+             "--source")
     sp.add_argument("--size", type=int, required=True)
-    sp = add("codebook", "phrase codebook for a dictionary",
-             dict_arg=True, source_arg="optional")
+    sp = add("codebook", "phrase codebook for a dictionary", "--dict [--source]")
     sp.add_argument("--mode", choices=["huffman", "fixed"], default="huffman")
-    add("encode", "encode a symbol stream", dict_arg=True, codebook_arg=True,
-        io_args=True)
-    add("decode", "decode an encoded stream", dict_arg=True, codebook_arg=True,
-        io_args=True)
-    sp = add("simulate", "Monte Carlo phrase sampling", dict_arg=True,
-             source_arg="required")
+    add("encode", "encode a symbol stream", "--dict --codebook --in --bits")
+    add("decode", "decode an encoded stream", "--dict --codebook --in --bits")
+    sp = add("simulate", "Monte Carlo phrase sampling",
+             "--dict --source --depth --width --seed --format")
     sp.add_argument("-n", "--phrases", dest="n_phrases", type=int, default=10000)
     sp.add_argument("--histogram", action="store_true")
     return p

@@ -60,7 +60,7 @@ from .errors import (
     StreamSymbolError,
     UnsupportedOperationError,
 )
-from .source import PROB_SUM_TOL, SourceModel, Word, canon_key, sort_words
+from .source import PROB_SUM_TOL, SourceModel, Word, canon_key
 
 MAGIC = 0x56
 _MAGIC_BITS = format(MAGIC, "08b")
@@ -70,6 +70,17 @@ _BIT_TEXT = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' to chr(0)/chr(1)
 def kraft_sum(codewords) -> Fraction:
     """Exact sum of 2^-len over the codewords."""
     return sum(Fraction(1, 2 ** len(c)) for c in codewords)
+
+
+def _canon_sorted(pairs: list) -> list:
+    """(phrase, value) pairs in canonical phrase order. Only when two phrases
+    do not compare are all converted with index_word, which raises
+    SymbolTypeError for a symbol that is not an integer."""
+    try:
+        return sorted(pairs, key=lambda t: canon_key(t[0]))
+    except TypeError:
+        pairs = [(index_word(w), v) for w, v in pairs]
+        return sorted(pairs, key=lambda t: canon_key(t[0]))
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ class PhraseCodebook:
 
     @classmethod
     def from_pairs(cls, pairs) -> "PhraseCodebook":
-        pairs = sorted(((tuple(w), c) for w, c in pairs), key=lambda t: canon_key(t[0]))
+        pairs = _canon_sorted([(tuple(w), c) for w, c in pairs])
         return cls(
             phrases=tuple(w for w, _ in pairs),
             codewords=tuple(c for _, c in pairs),
@@ -279,7 +290,7 @@ def huffman_build(phrase_probs) -> PhraseCodebook:
     if len(items) == 1:
         return PhraseCodebook.from_pairs([(items[0][0], "0")])
 
-    items.sort(key=lambda t: canon_key(t[0]))
+    items = _canon_sorted(items)
     probs = [p for _, p in items]
     n = len(items)
     leaves = deque((probs[i], i) for i in sorted(range(n), key=probs.__getitem__))
@@ -311,12 +322,12 @@ def fixed_codebook(phrases) -> PhraseCodebook:
 
     Mirrors a literal variable-to-fixed string encoder.
     """
-    ws = sort_words(tuple(w) for w in phrases)
+    ws = _canon_sorted([(tuple(w), None) for w in phrases])
     if not ws:
         raise ValueError("cannot build a codebook over zero phrases")
     width = max(1, (len(ws) - 1).bit_length())
     return PhraseCodebook.from_pairs(
-        (w, format(i, f"0{width}b")) for i, w in enumerate(ws)
+        (w, format(i, f"0{width}b")) for i, (w, _) in enumerate(ws)
     )
 
 

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .dictionary import Dictionary, phrase_word, subtree_walk, walk
+from .dictionary import DEFAULT_WIDTH, Dictionary, phrase_word, subtree_walk, walk
 from .errors import SimulationAbortError
 from .measures import phrase_measures
 from .rng import XorShift64Star, float_block, stream_seed
@@ -276,7 +276,7 @@ def phrase_histogram(
     seed: int = 42,
     step_cap: int = DEFAULT_STEP_CAP,
     depth: int = 64,
-    width: int = 64,
+    width: int = DEFAULT_WIDTH,
     threads: int | None = None,
 ) -> HistogramReport:
     """Phrase counts plus a chi-square goodness-of-fit against P(alpha).

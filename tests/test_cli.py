@@ -182,7 +182,7 @@ def test_lazy_measures_need_no_width(files, capsys, width):
     he = str(files["tmp"] / "he1000.json")
     with open(he, "w") as fh:
         json.dump({"kind": "lazy", "family": "head_extension", "head": 1000}, fh)
-    source = ["--source", files["geom"], "--width", width]
+    source = ["--source", files["geom"]]
     code, rep = run_json(capsys, ["verify", "--dict", he] + source)
     assert code == 0
     assert rep["result"]["verdict"] == "pass"
@@ -193,7 +193,7 @@ def test_lazy_measures_need_no_width(files, capsys, width):
     assert rep["result"]["possibly_divergent"] is False
     assert (rep["result"]["h_d_high"], rep["result"]["lbar_high"]) == (2.0, 1.0)
     # truncation and scan still enumerate symbols below the width
-    assert cli.main(["scan", "--dict", he] + source) == 2
+    assert cli.main(["scan", "--dict", he, *source, "--width", width]) == 2
     assert cli.main(["truncate", "--dict", he, "--width", width]) == 2
 
 
@@ -669,14 +669,89 @@ def test_main_keeps_no_state_between_calls(files, capsys):
     assert rep["config"]["depth"] == cli.DEFAULT_DEPTH
 
 
+def subparsers(root):
+    (commands,) = [a for a in root._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_help_is_what_the_default_formatter_prints(monkeypatch, columns):
     # build_parser reads the terminal width once for all its formatters
     monkeypatch.setenv("COLUMNS", columns)
     root = cli.build_parser()
-    (commands,) = [a for a in root._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    for parser in (root, *commands.choices.values()):
+    for parser in (root, *subparsers(root).values()):
         text = parser.format_help()
         parser.formatter_class = argparse.HelpFormatter
         assert text == parser.format_help()
+
+
+# -- each subcommand takes only the options its handler reads ----------------
+
+SUBCOMMAND_OPTIONS = {
+    "check": "--dict --source --depth --tol --out",
+    "truncate": "--dict --depth --width --out",
+    "extend": "--dict --word --out",
+    "cone": "--dict --word --depth --width --out",
+    "measure": "--dict --source --depth --out --format",
+    "verify": "--dict --source --depth --tol --out --format",
+    "scan": "--dict --source --width --out --format --m-max",
+    "tunstall": "--source --out --size",
+    "codebook": "--dict --source --out --mode",
+    "encode": "--dict --codebook --in --bits --out",
+    "decode": "--dict --codebook --in --bits --out",
+    "simulate": "--dict --source --depth --width --seed --out --format "
+                "-n --phrases --histogram",
+}
+# the fewest arguments each subcommand parses with
+REQUIRED_ARGS = {
+    "check": "--dict d.json",
+    "truncate": "--dict d.json",
+    "extend": "--dict d.json --word 0",
+    "cone": "--dict d.json --word 0",
+    "measure": "--dict d.json --source s.json",
+    "verify": "--dict d.json --source s.json",
+    "scan": "--dict d.json --source s.json",
+    "tunstall": "--source s.json --size 4",
+    "codebook": "--dict d.json",
+    "encode": "--dict d.json --codebook c.json --in x.txt",
+    "decode": "--dict d.json --codebook c.json --in x.vv",
+    "simulate": "--dict d.json --source s.json",
+}
+REPORT_OPTIONS = {"--depth": "3", "--width": "3", "--tol": "0.5", "--seed": "7",
+                  "--format": "csv"}
+UNTAKEN = [(name, flag) for name, opts in SUBCOMMAND_OPTIONS.items()
+           for flag in REPORT_OPTIONS if flag not in opts.split()]
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_OPTIONS)
+def test_subcommand_option_set(name):
+    parser = subparsers(cli.build_parser())[name]
+    got = [s for a in parser._actions for s in a.option_strings
+           if a.dest != "help"]
+    assert got == SUBCOMMAND_OPTIONS[name].split()
+
+
+def test_the_parser_has_60_options():
+    commands = subparsers(cli.build_parser())
+    assert list(commands) == list(SUBCOMMAND_OPTIONS)
+    assert sum(a.dest != "help" for p in commands.values() for a in p._actions) == 60
+    assert len(UNTAKEN) == 43
+
+
+@pytest.mark.parametrize("name, flag", UNTAKEN)
+def test_an_option_the_handler_does_not_read_is_refused(capsys, name, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, *REQUIRED_ARGS[name].split(), flag, REPORT_OPTIONS[flag]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {REPORT_OPTIONS[flag]}" in err
+
+
+def test_reports_echo_the_defaults_of_options_not_taken(files, capsys):
+    defaults = {"depth": 64, "width": 64, "tol": 1e-9, "seed": 42, "format": "json"}
+    for argv in (["tunstall", "--source", files["fair"], "--size", "4"],
+                 ["extend", "--dict", files["complete"], "--word", "0"]):
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert {k: rep["config"][k] for k in defaults} == defaults

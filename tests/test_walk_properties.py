@@ -33,9 +33,10 @@ from vvcode import (
     exact_word_measures,
     extend,
     fixed_codebook,
+    huffman_build,
     phrase_measures,
 )
-from vvcode import dictionary
+from vvcode import codec, dictionary
 from vvcode.formats import load_codebook, load_dictionary, save_dictionary
 from vvcode.errors import SymbolTypeError, VVCodeError
 
@@ -245,3 +246,33 @@ def test_codebook_refuses_a_non_integer_symbol():
         PhraseCodebook.from_pairs([((0, 0), "0"), (("1",), "1")])
     with pytest.raises(SymbolTypeError, match=r"^symbol \[1\] in word"):
         PhraseCodebook((((0,)), ([1], 0)), ("0", "1"))
+
+
+CODEBOOK_BUILDERS = {
+    "from_pairs": lambda ws: PhraseCodebook.from_pairs(zip(ws, ["0", "1"])),
+    "fixed_codebook": fixed_codebook,
+    "huffman_build": lambda ws: huffman_build([(w, 0.5) for w in ws]),
+}
+
+
+@pytest.mark.parametrize("build", CODEBOOK_BUILDERS.values(),
+                         ids=CODEBOOK_BUILDERS.keys())
+@pytest.mark.parametrize("bad", ["1", None, [1]], ids=repr)
+def test_codebooks_refuse_a_symbol_that_does_not_compare(build, bad):
+    # a phrase as long as an int phrase is compared with it by the
+    # canonical sort, before the codebook checks its symbols
+    for ws in ([(0,), (bad,)], [(bad,), (0,)]):
+        with pytest.raises(SymbolTypeError) as exc:
+            build(ws)
+        assert str(exc.value) == f"symbol {bad!r} in word {[bad]!r} is not an integer"
+
+
+@pytest.mark.parametrize("build", CODEBOOK_BUILDERS.values(),
+                         ids=CODEBOOK_BUILDERS.keys())
+def test_plain_int_codebooks_convert_no_phrase(build, monkeypatch):
+    def refuse(w):
+        raise AssertionError(f"index_word called on {w!r}")
+
+    monkeypatch.setattr(codec, "index_word", refuse)
+    cb = build([(1,), (0,)])
+    assert cb.phrases == ((0,), (1,))
