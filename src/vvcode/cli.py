@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import shutil
 import sys
 from dataclasses import asdict, dataclass
+from gettext import gettext
 
 from . import __version__
 from .algebra import cone, extend, truncate
@@ -47,6 +47,7 @@ from .formats import (
     read_bit_stream,
     read_stream_text,
     report_csv,
+    report_json,
     save_dictionary,
     write_bit_stream,
     write_stream_text,
@@ -95,6 +96,11 @@ class RunConfig:
             raise ValueError("--width must be >= 1")
         if self.tol <= 0:
             raise ValueError("--tol must be positive")
+        if self.command not in _SUBCOMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
+        takes = _SUBCOMMANDS[self.command][2].split()
+        if self.format == "csv" and "--format" not in takes:
+            raise ValueError(f"{self.command} writes no CSV; it takes no --format")
 
 
 def _report_envelope(config: RunConfig, result) -> dict:
@@ -120,8 +126,7 @@ def _emit_report(config: RunConfig, result, csv_text=None) -> None:
     if config.format == "csv":
         _emit(csv_text, config.out_path)
         return
-    text = json.dumps(_report_envelope(config, result), indent=2, sort_keys=True)
-    _emit(text + "\n", config.out_path)
+    _emit(report_json(_report_envelope(config, result)) + "\n", config.out_path)
 
 
 def _cmd_check(config: RunConfig) -> int:
@@ -301,32 +306,67 @@ def _cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "truncate": _cmd_truncate,
-    "extend": _cmd_extend,
-    "cone": _cmd_cone,
-    "measure": _cmd_measure,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-    "tunstall": _cmd_tunstall,
-    "codebook": _cmd_codebook,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "simulate": _cmd_simulate,
+# the options subcommands take, in help order
+_OPTIONS = {
+    "--dict": {"dest": "dict_path", "required": True},
+    "--source": {"dest": "source_path", "required": True},
+    "--word": {"required": True, "help": "symbol word, e.g. 110 or 1,1,0"},
+    "--codebook": {"dest": "codebook_path", "required": True},
+    "--in": {"dest": "in_path", "required": True},
+    "--bits": {"action": "store_true",
+               "help": "treat stream files as raw bit files"},
+    "--depth": {"type": int, "default": DEFAULT_DEPTH},
+    "--width": {"type": int, "default": DEFAULT_WIDTH},
+    "--tol": {"type": float, "default": DEFAULT_TOL},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--out": {"dest": "out_path"},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+    "--m-max": {"dest": "m_max", "type": int, "default": 12},
+    "--size": {"type": int, "required": True},
+    "--mode": {"choices": ["huffman", "fixed"], "default": "huffman"},
+    "-n --phrases": {"dest": "n_phrases", "type": int, "default": 10000},
+    "--histogram": {"action": "store_true"},
+}
+
+# each subcommand: its handler, its help and the options its handler reads
+# besides --out, "[--source]" as not required
+_SUBCOMMANDS = {
+    "check": (_cmd_check, "properness / completeness / ASC certification",
+              "--dict [--source] --depth --tol"),
+    "truncate": (_cmd_truncate, "frontier sets T_n, D_n_perp, D_n",
+                 "--dict --depth --width"),
+    "extend": (_cmd_extend, "single-word extension D[alpha]", "--dict --word"),
+    "cone": (_cmd_cone, "dictionary words with a given prefix",
+             "--dict --word --depth --width"),
+    "measure": (_cmd_measure, "interval measures H(D), lbar(D)",
+                "--dict --source --depth --format"),
+    "verify": (_cmd_verify, "conservation check H(D) = H(P) lbar(D)",
+               "--dict --source --depth --tol --format"),
+    "scan": (_cmd_scan, "truncation series H(D_m), lbar(D_m)",
+             "--dict --source --width --format --m-max"),
+    "tunstall": (_cmd_tunstall, "greedy parsing dictionary for a finite source",
+                 "--source --size"),
+    "codebook": (_cmd_codebook, "phrase codebook for a dictionary",
+                 "--dict [--source] --mode"),
+    "encode": (_cmd_encode, "encode a symbol stream",
+               "--dict --codebook --in --bits"),
+    "decode": (_cmd_decode, "decode an encoded stream",
+               "--dict --codebook --in --bits"),
+    "simulate": (_cmd_simulate, "Monte Carlo phrase sampling",
+                 "--dict --source --depth --width --seed --format --phrases "
+                 "--histogram"),
 }
 
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved configuration; returns the process exit code."""
     config.validate()
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown command {config.command!r}")
-    return handler(config)
+    return _SUBCOMMANDS[config.command][0](config)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers(command=None):
+    """The root parser and its subparsers by name: every subcommand's, or
+    only ``command``'s."""
     # argparse makes a help formatter to check every argument it adds, and
     # each formatter asks the terminal for its width; ask it once here
     formatter = functools.partial(
@@ -339,65 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"vvcode {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    # options shared by subcommands, in help order; each subcommand takes
-    # --out and those its handler reads, "[--source]" as not required
-    options = {
-        "--dict": {"dest": "dict_path", "required": True},
-        "--source": {"dest": "source_path", "required": True},
-        "--word": {"required": True, "help": "symbol word, e.g. 110 or 1,1,0"},
-        "--codebook": {"dest": "codebook_path", "required": True},
-        "--in": {"dest": "in_path", "required": True},
-        "--bits": {"action": "store_true",
-                   "help": "treat stream files as raw bit files"},
-        "--depth": {"type": int, "default": DEFAULT_DEPTH},
-        "--width": {"type": int, "default": DEFAULT_WIDTH},
-        "--tol": {"type": float, "default": DEFAULT_TOL},
-        "--seed": {"type": int, "default": DEFAULT_SEED},
-        "--out": {"dest": "out_path"},
-        "--format": {"choices": ["json", "csv"], "default": "json"},
-    }
-
-    def add(name, help_text, flags):
+    for name, (_handler, help_text, flags) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
         sp = sub.add_parser(name, help=help_text, formatter_class=formatter)
         names = {"--out", *flags.split()}
-        for flag, kwargs in options.items():
-            if f"[{flag}]" in names:
-                sp.add_argument(flag, **{**kwargs, "required": False})
-            elif flag in names:
-                sp.add_argument(flag, **kwargs)
-        return sp
+        for flag, kwargs in _OPTIONS.items():
+            *alias, long_flag = flag.split()
+            if f"[{long_flag}]" in names:
+                sp.add_argument(*alias, long_flag, **{**kwargs, "required": False})
+            elif long_flag in names:
+                sp.add_argument(*alias, long_flag, **kwargs)
+    return p, sub.choices
 
-    add("check", "properness / completeness / ASC certification",
-        "--dict [--source] --depth --tol")
-    add("truncate", "frontier sets T_n, D_n_perp, D_n", "--dict --depth --width")
-    add("extend", "single-word extension D[alpha]", "--dict --word")
-    add("cone", "dictionary words with a given prefix",
-        "--dict --word --depth --width")
-    add("measure", "interval measures H(D), lbar(D)",
-        "--dict --source --depth --format")
-    add("verify", "conservation check H(D) = H(P) lbar(D)",
-        "--dict --source --depth --tol --format")
-    sp = add("scan", "truncation series H(D_m), lbar(D_m)",
-             "--dict --source --width --format")
-    sp.add_argument("--m-max", dest="m_max", type=int, default=12)
-    sp = add("tunstall", "greedy parsing dictionary for a finite source",
-             "--source")
-    sp.add_argument("--size", type=int, required=True)
-    sp = add("codebook", "phrase codebook for a dictionary", "--dict [--source]")
-    sp.add_argument("--mode", choices=["huffman", "fixed"], default="huffman")
-    add("encode", "encode a symbol stream", "--dict --codebook --in --bits")
-    add("decode", "decode an encoded stream", "--dict --codebook --in --bits")
-    sp = add("simulate", "Monte Carlo phrase sampling",
-             "--dict --source --depth --width --seed --format")
-    sp.add_argument("-n", "--phrases", dest="n_phrases", type=int, default=10000)
-    sp.add_argument("--histogram", action="store_true")
-    return p
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``vvcode`` parser, with every subcommand or only ``command``."""
+    return _parsers(command)[0]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its subcommand first parses with that subparser
+    # alone; -h, --version and a missing or unknown command see them all
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser, subparsers = _parsers(command)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # the subcommand's usage line shows the flags it does take
+        report = subparsers[command] if command else parser
+        report.error(gettext("unrecognized arguments: %s") % " ".join(extras))
     fields = {f for f in RunConfig.__dataclass_fields__}
     kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     config = RunConfig(**kwargs)

@@ -746,6 +746,9 @@ def test_an_option_the_handler_does_not_read_is_refused(capsys, name, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} {REPORT_OPTIONS[flag]}" in err
+    # the subcommand's usage line, which lists the flags it does take
+    assert err.startswith(f"usage: vvcode {name} [-h] ")
+    assert f"\nvvcode {name}: error: unrecognized arguments: " in err
 
 
 def test_reports_echo_the_defaults_of_options_not_taken(files, capsys):
@@ -755,3 +758,117 @@ def test_reports_echo_the_defaults_of_options_not_taken(files, capsys):
         code, rep = run_json(capsys, argv)
         assert code == 0
         assert {k: rep["config"][k] for k in defaults} == defaults
+
+
+@pytest.mark.parametrize("name", [n for n, opts in SUBCOMMAND_OPTIONS.items()
+                                  if "--format" not in opts.split()])
+def test_csv_on_a_subcommand_without_format_is_refused(name):
+    # argparse refuses --format there; a RunConfig built in code is refused
+    # by validate, before any file is read
+    with pytest.raises(ValueError, match=f"^{name} writes no CSV"):
+        cli.run(cli.RunConfig(command=name, source_path="no_such.json",
+                              dict_path="no_such.json", size=4, format="csv"))
+
+
+def test_csv_on_a_subcommand_with_format_is_accepted():
+    for name in ("measure", "verify", "scan", "simulate"):
+        cli.RunConfig(command=name, format="csv").validate()
+    with pytest.raises(ValueError, match="unknown command 'nope'"):
+        cli.run(cli.RunConfig(command="nope", format="csv"))
+
+
+# -- one call builds one subparser -------------------------------------------
+
+FLAG_VALUES = {"--dict": "d.json", "--source": "s.json", "--word": "1,0",
+               "--codebook": "c.json", "--in": "x.txt", "--bits": None,
+               "--depth": "3", "--width": "5", "--tol": "0.5", "--seed": "7",
+               "--out": "o.json", "--format": "csv", "--m-max": "9",
+               "--size": "8", "--mode": "fixed", "-n": "11", "--phrases": "13",
+               "--histogram": None}
+
+
+def every_flag(name):
+    argv = [name]
+    for flag in SUBCOMMAND_OPTIONS[name].split():
+        argv += [flag] if FLAG_VALUES[flag] is None else [flag, FLAG_VALUES[flag]]
+    return argv
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_OPTIONS)
+def test_one_subparser_parses_like_the_full_parser(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = cli.build_parser(name), cli.build_parser()
+    assert list(subparsers(one)) == [name]
+    for argv in ([name, *REQUIRED_ARGS[name].split()], every_flag(name)):
+        assert one.parse_args(argv) == full.parse_args(argv)
+    assert (subparsers(one)[name].format_help()
+            == subparsers(full)[name].format_help())
+
+
+ROOT_USAGE = """\
+usage: vvcode [-h] [--version]
+              {check,truncate,extend,cone,measure,verify,scan,tunstall,codebook,encode,decode,simulate}
+              ...
+"""
+ROOT_HELP = ROOT_USAGE + """
+Variable-to-variable length source coding toolkit
+
+positional arguments:
+  {check,truncate,extend,cone,measure,verify,scan,tunstall,codebook,encode,decode,simulate}
+    check               properness / completeness / ASC certification
+    truncate            frontier sets T_n, D_n_perp, D_n
+    extend              single-word extension D[alpha]
+    cone                dictionary words with a given prefix
+    measure             interval measures H(D), lbar(D)
+    verify              conservation check H(D) = H(P) lbar(D)
+    scan                truncation series H(D_m), lbar(D_m)
+    tunstall            greedy parsing dictionary for a finite source
+    codebook            phrase codebook for a dictionary
+    encode              encode a symbol stream
+    decode              decode an encoded stream
+    simulate            Monte Carlo phrase sampling
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+CHOICES = ", ".join(repr(name) for name in SUBCOMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["-h"], 0, ROOT_HELP, ""),
+    (["--help", "verify"], 0, ROOT_HELP, ""),
+    (["--version"], 0, f"vvcode {cli.__version__}\n", ""),
+    ([], 2, "", ROOT_USAGE + "vvcode: error: the following arguments are "
+                             "required: command\n"),
+    (["bogus", "--depth", "5"], 2, "", ROOT_USAGE + "vvcode: error: argument "
+     f"command: invalid choice: 'bogus' (choose from {CHOICES})\n"),
+    (["--bogus", "verify", "--dict", "d.json", "--source", "s.json"], 2, "",
+     ROOT_USAGE + "vvcode: error: unrecognized arguments: --bogus\n"),
+])
+def test_root_parser_output_is_pinned(monkeypatch, capsys, argv, code, out, err):
+    # a call that does not start with a subcommand builds the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_subcommand_call_builds_one_subparser(files, monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert cli.main(["simulate", "--dict", files["complete"], "--source",
+                     files["fair"], "-n", "100", "--histogram"]) == 0
+    assert built == ["simulate"]
+    capsys.readouterr()
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    assert built == list(SUBCOMMAND_OPTIONS)
