@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import shutil
 import sys
 from dataclasses import asdict, dataclass
@@ -47,7 +48,6 @@ from .formats import (
     read_bit_stream,
     read_stream_text,
     report_csv,
-    report_json,
     save_dictionary,
     write_bit_stream,
     write_stream_text,
@@ -126,7 +126,8 @@ def _emit_report(config: RunConfig, result, csv_text=None) -> None:
     if config.format == "csv":
         _emit(csv_text, config.out_path)
         return
-    _emit(report_json(_report_envelope(config, result)) + "\n", config.out_path)
+    text = json.dumps(_report_envelope(config, result), indent=2, sort_keys=True)
+    _emit(text + "\n", config.out_path)
 
 
 def _cmd_check(config: RunConfig) -> int:

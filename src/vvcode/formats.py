@@ -1,5 +1,5 @@
 """File interfaces: JSON specs for sources, dictionaries and codebooks,
-symbol-stream files, CSV report rows and the JSON report writer.
+symbol-stream files, and CSV report rows.
 
 Source spec:      {"kind": "finite", "probs": [...]} (numbers or decimal
                   strings) or {"kind": "geometric", "p": 0.5}. Probabilities
@@ -39,7 +39,6 @@ import json
 import operator
 import os
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from .codec import PhraseCodebook, bits_to_bytes, bytes_to_bits
 from .dictionary import (
@@ -352,61 +351,6 @@ SIM_CSV_COLUMNS = [
     "z_lbar",
     "seed",
 ]
-
-
-# the C encoder: with indent, json writes every value in Python
-_json_scalar = json.JSONEncoder().encode
-
-
-def report_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
-
-    A list of ints or of strs is one join; other lists and dicts are walked
-    item by item. Every other scalar goes through the C encoder, so bools,
-    floats, NaN and Infinity read as json writes them.
-    """
-    out = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _write_json(obj, newline, out):
-    # newline is a line break and the indentation of obj's own line
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            out += "[", inner, ("," + inner).join(map(int.__repr__, obj))
-        elif kinds == {str}:
-            out += "[", inner, ("," + inner).join(map(encode_basestring_ascii, obj))
-        else:
-            sep = "[" + inner
-            for item in obj:
-                out.append(sep)
-                _write_json(item, inner, out)
-                sep = "," + inner
-        out += newline, "]"
-    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out += sep, encode_basestring_ascii(key), ": "
-            _write_json(value, inner, out)
-            sep = "," + inner
-        out += newline, "}"
-    elif isinstance(obj, dict):
-        # keys that json converts to strings: its own writer, indented here
-        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
-    elif type(obj) is int:
-        out.append(int.__repr__(obj))
-    else:
-        out.append(_json_scalar(obj))
 
 
 def report_csv(columns, rows) -> str:

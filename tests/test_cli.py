@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -805,54 +806,59 @@ def test_one_subparser_parses_like_the_full_parser(name, monkeypatch):
             == subparsers(full)[name].format_help())
 
 
-ROOT_USAGE = """\
-usage: vvcode [-h] [--version]
-              {check,truncate,extend,cone,measure,verify,scan,tunstall,codebook,encode,decode,simulate}
-              ...
-"""
-ROOT_HELP = ROOT_USAGE + """
-Variable-to-variable length source coding toolkit
-
-positional arguments:
-  {check,truncate,extend,cone,measure,verify,scan,tunstall,codebook,encode,decode,simulate}
-    check               properness / completeness / ASC certification
-    truncate            frontier sets T_n, D_n_perp, D_n
-    extend              single-word extension D[alpha]
-    cone                dictionary words with a given prefix
-    measure             interval measures H(D), lbar(D)
-    verify              conservation check H(D) = H(P) lbar(D)
-    scan                truncation series H(D_m), lbar(D_m)
-    tunstall            greedy parsing dictionary for a finite source
-    codebook            phrase codebook for a dictionary
-    encode              encode a symbol stream
-    decode              decode an encoded stream
-    simulate            Monte Carlo phrase sampling
-
-options:
-  -h, --help            show this help message and exit
-  --version             show program's version number and exit
-"""
-CHOICES = ", ".join(repr(name) for name in SUBCOMMAND_OPTIONS)
+SUBCOMMAND_HELP = {
+    "check": "properness / completeness / ASC certification",
+    "truncate": "frontier sets T_n, D_n_perp, D_n",
+    "extend": "single-word extension D[alpha]",
+    "cone": "dictionary words with a given prefix",
+    "measure": "interval measures H(D), lbar(D)",
+    "verify": "conservation check H(D) = H(P) lbar(D)",
+    "scan": "truncation series H(D_m), lbar(D_m)",
+    "tunstall": "greedy parsing dictionary for a finite source",
+    "codebook": "phrase codebook for a dictionary",
+    "encode": "encode a symbol stream",
+    "decode": "decode an encoded stream",
+    "simulate": "Monte Carlo phrase sampling",
+}
 
 
-@pytest.mark.parametrize("argv, code, out, err", [
-    (["-h"], 0, ROOT_HELP, ""),
-    (["--help", "verify"], 0, ROOT_HELP, ""),
-    (["--version"], 0, f"vvcode {cli.__version__}\n", ""),
-    ([], 2, "", ROOT_USAGE + "vvcode: error: the following arguments are "
-                             "required: command\n"),
-    (["bogus", "--depth", "5"], 2, "", ROOT_USAGE + "vvcode: error: argument "
-     f"command: invalid choice: 'bogus' (choose from {CHOICES})\n"),
-    (["--bogus", "verify", "--dict", "d.json", "--source", "s.json"], 2, "",
-     ROOT_USAGE + "vvcode: error: unrecognized arguments: --bogus\n"),
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0),
+    (["--help", "verify"], 0),
+    (["--version"], 0),
+    ([], 2),
+    (["bogus", "--depth", "5"], 2),
+    (["--bogus", "verify", "--dict", "d.json", "--source", "s.json"], 2),
 ])
-def test_root_parser_output_is_pinned(monkeypatch, capsys, argv, code, out, err):
-    # a call that does not start with a subcommand builds the full parser
+def test_root_output_is_the_full_parsers(monkeypatch, capsys, argv, code):
+    # a call that does not start with a subcommand builds the full parser and
+    # prints what argparse's parse_args prints for it; argparse's wording and
+    # layout differ between Python releases, so they are not pinned here
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == code
-    assert capsys.readouterr() == (out, err)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == code
+    assert printed == capsys.readouterr()
+    assert printed.out or printed.err.startswith("usage: vvcode [-h] [--version]")
+
+
+def test_root_help_lists_every_subcommand(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    out = capsys.readouterr().out
+    assert out.startswith("usage: vvcode [-h] [--version]")
+    assert "{" + ",".join(SUBCOMMAND_HELP) + "}" in out
+    assert "\nVariable-to-variable length source coding toolkit\n" in out
+    for name, help_text in SUBCOMMAND_HELP.items():
+        assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.M)
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    assert capsys.readouterr().out == f"vvcode {cli.__version__}\n"
 
 
 def test_a_subcommand_call_builds_one_subparser(files, monkeypatch, capsys):
