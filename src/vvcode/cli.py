@@ -59,6 +59,8 @@ FORMAT_VERSION = 1
 DEFAULT_DEPTH = 64
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
+DEFAULT_M_MAX = 12
+DEFAULT_PHRASES = 10000
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -222,7 +224,7 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_scan(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
-    m_max = config.m_max or 12
+    m_max = DEFAULT_M_MAX if config.m_max is None else config.m_max
     max_symbol = config.width if d.alphabet_size is None else None
     report = convergence_scan(d, s, m_max, max_symbol)
     result = report.as_dict()
@@ -292,7 +294,7 @@ def _cmd_decode(config: RunConfig) -> int:
 def _cmd_simulate(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
-    n = config.n_phrases or 10000
+    n = DEFAULT_PHRASES if config.n_phrases is None else config.n_phrases
     if config.histogram:
         hist = phrase_histogram(
             d, s, n, config.seed, depth=config.depth, width=config.width
@@ -322,10 +324,10 @@ _OPTIONS = {
     "--seed": {"type": int, "default": DEFAULT_SEED},
     "--out": {"dest": "out_path"},
     "--format": {"choices": ["json", "csv"], "default": "json"},
-    "--m-max": {"dest": "m_max", "type": int, "default": 12},
+    "--m-max": {"dest": "m_max", "type": int, "default": DEFAULT_M_MAX},
     "--size": {"type": int, "required": True},
     "--mode": {"choices": ["huffman", "fixed"], "default": "huffman"},
-    "-n --phrases": {"dest": "n_phrases", "type": int, "default": 10000},
+    "-n --phrases": {"dest": "n_phrases", "type": int, "default": DEFAULT_PHRASES},
     "--histogram": {"action": "store_true"},
 }
 

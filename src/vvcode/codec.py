@@ -24,7 +24,10 @@ dictionary.walk's rule decides when it reads them in C. Until the bits a
 codebook has decoded reach COMPILE_SYMBOLS_PER_STATE per trie state, each
 phrase is found by looking up the slices at the codebook's distinct
 codeword lengths, shortest first (a prefix-free code matches at most one),
-so a one-off decode builds no trie. After that, the trie's pattern is
+so a one-off decode builds no trie. (A bisect of the sorted codewords,
+which dictionary.walk does for long words, was slower here: 1.14 times on
+Tunstall-256's Huffman code and 2.2 times on a fixed 8-bit code, where one
+probe finds each codeword.) After that, the trie's pattern is
 compiled once and cached on the codebook, and one re.findall over the bits
 as text (bit b is the character chr(b)) returns the codewords; the first
 phrase-count of them map to their phrases' text, which is joined and read

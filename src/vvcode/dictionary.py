@@ -32,17 +32,22 @@ symbols: the automaton becomes one regular expression over the stream's
 text (symbol s is the character chr(s); Kleene's theorem), and
 ``re.findall`` returns the greedy phrases. The pattern is compiled once
 the symbols walked with the dictionary reach COMPILE_SYMBOLS_PER_STATE per
-automaton state, and cached on the instance. The automaton loop still
-walks the pending tail after the last phrase, finds the DEAD index, walks
-every symbol from the first one that is not a code point on, and walks
-everything for an automaton that nests deeper than MAX_PATTERN_DEPTH (re's
-parser recurses once per group) or whose pattern runs out of stack in
-re.compile anyway, as it can for a caller that is deep in the stack or has
-lowered the recursion limit. The walk's result does not depend on
-which path ran, so a dictionary stays safe to share: two callers racing on
-the symbol count or the cache at worst compile late or twice. codec.decode
-reads a bitstream the same way: a codebook's codewords are a dictionary
-over {0, 1}, whose pattern _word_pattern compiles under the same rule.
+automaton state, and cached on the instance. Until then, and for an
+automaton that nests deeper than MAX_PATTERN_DEPTH (re's parser recurses
+once per group) or whose pattern runs out of stack in re.compile anyway,
+as it can for a caller that is deep in the stack or has lowered the
+recursion limit, a FiniteDictionary reads one phrase per bisect of its
+words' sorted texts (cached on the instance on first use), and hands over
+to the automaton loop where no word matches or once the mean phrase read
+is shorter than BISECT_MIN_MEAN symbols, for the loop walks short phrases
+faster. The loop walks the pending tail after the last phrase either path
+reads, finds the DEAD index, walks every symbol from the first one that
+is not a code point on, and walks everything for a lazy family that has
+not compiled. The walk's result does not depend on which path ran, so a
+dictionary stays safe to share: two callers racing on the symbol count or
+the caches at worst compile late or twice. codec.decode compiles under
+the same rule: a codebook's codewords are a dictionary over {0, 1}, whose
+pattern _word_pattern compiles once the codebook has decoded enough bits.
 
 The measure sums read the automaton too. ``word_levels`` walks it one
 length at a time, starting from 1.0 at the start state, and yields each
@@ -81,6 +86,7 @@ import itertools
 import math
 import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -107,6 +113,8 @@ DEFAULT_WIDTH = 64  # symbol budget for countable-alphabet enumerations
 
 COMPILE_SYMBOLS_PER_STATE = 256  # symbols walked per state before compiling
 MAX_PATTERN_DEPTH = 200  # deepest group nesting that walk compiles
+BISECT_BLOCK = 64  # phrases walk bisects between checks of their mean length
+BISECT_MIN_MEAN = 4  # shortest mean phrase walk keeps bisecting
 MAX_CODE_POINT = 0x10FFFF
 
 
@@ -527,7 +535,8 @@ class Dictionary:
     Subclasses set the automaton (start, transitions, defaults) in their
     constructor; see the module docstring for its encoding. Every query
     below reads it. The only state that changes later is walk's count of
-    symbols walked and its cached pattern, which never change a result.
+    symbols walked and its cached pattern and word texts, which never
+    change a result.
     """
 
     alphabet_size: int | None = None
@@ -537,6 +546,8 @@ class Dictionary:
     # walk's pattern cache: None until compiled, False if too deep
     _pattern = None
     _walked = 0
+    # walk's sorted phrase keys of a finite dictionary, built on first use
+    _keys = None
 
     def next_entry(self, state: int, sym: int) -> int:
         """Automaton entry reached from internal `state` on `sym`."""
@@ -835,15 +846,21 @@ def walk(d: Dictionary, seq):
     the pending phrase starts, and dead is the index of the symbol that
     made it DEAD (the walk stops there), or -1 if the walk read all of
     seq. Once d has a compiled pattern, re.findall reads the phrases of
-    seq's text and the loop below walks only what follows them (see the
-    module docstring).
+    seq's text; before that, a FiniteDictionary bisects its sorted word
+    texts for each phrase while they stay long (_bisect_phrases). The loop
+    below walks only what follows either (see the module docstring).
     """
     text = symbol_text(seq)
     pattern = _word_pattern(d, len(seq))
-    phrases = pattern.findall(text) if pattern else []
-    # the last match is a word or the text from which no word matches;
-    # the loop walks it again either way
-    first = begin = len(text) - len(phrases.pop()) if phrases else 0
+    if pattern:
+        phrases = pattern.findall(text)
+        # the last match is a word or the text from which no word matches;
+        # the loop walks it again either way
+        first = begin = len(text) - len(phrases.pop()) if phrases else 0
+    else:
+        phrases = []
+        keys = _word_keys(d)
+        first = begin = _bisect_phrases(keys, d.max_word_length(), text, phrases) if keys else 0
     rest = seq[first:]
     if not isinstance(rest, (list, tuple)):
         rest = rest.tolist()
@@ -865,6 +882,46 @@ def walk(d: Dictionary, seq):
             begin = end
             state = start
     return phrases, begin, -1
+
+
+def _word_keys(d: Dictionary):
+    """The sorted phrase keys of a FiniteDictionary's words that are texts,
+    cached on d; None for a lazy family."""
+    keys = d._keys
+    if keys is None and isinstance(d, FiniteDictionary):
+        keys = list(map(symbol_text, d.words))
+        if d.alphabet_size > MAX_CODE_POINT + 1:
+            # a word with a symbol past the code points is not a text
+            keys = [k for k, w in zip(keys, d.words) if len(k) == len(w)]
+        keys.sort()
+        d._keys = keys
+    return keys
+
+
+def _bisect_phrases(keys, longest: int, text: str, phrases: list) -> int:
+    """Append the greedy phrases of text, from its start, to phrases, one
+    bisect per phrase; return where the automaton loop takes over.
+
+    keys are the sorted texts of a prefix-free word set, none longer than
+    longest. The one word that prefixes s = text[pos:pos + longest] is the
+    last key <= s, when s starts with it: a key between that word and s
+    would have it as a prefix. Index -1 wraps to the last key, which s
+    then does not start with. The walk stops where no word matches, and
+    once the mean phrase read falls below BISECT_MIN_MEAN symbols, checked
+    every BISECT_BLOCK phrases, since the loop walks short phrases faster.
+    """
+    append = phrases.append
+    pos = 0
+    while True:
+        for _ in range(BISECT_BLOCK):
+            s = text[pos : pos + longest]
+            w = keys[bisect_right(keys, s) - 1]
+            if not s.startswith(w):
+                return pos
+            append(w)
+            pos += len(w)
+        if pos < BISECT_MIN_MEAN * len(phrases):
+            return pos
 
 
 def phrase_key(word):

@@ -225,12 +225,18 @@ def word_to_text(word: Word) -> str:
     return ",".join(str(s) for s in word)
 
 
-# Symbols below 256 (the cutoff of dictionary.symbol_text's bytearray) map
-# through these dicts, so a stream is read and written with no Python call
-# per symbol, 2 to 2.5 times faster than map(int) or map(str). A stream
-# with any other token ("+1", "007", "256", "x"), or with a symbol that is
-# not an int below 256, takes int() or str() one at a time. A dict, unlike
-# a tuple, never wraps a negative symbol.
+# Streams of small symbols are read and written with no Python call per
+# symbol. A text of one digit 0-9 after another, each followed by one
+# whitespace character, is read by one translate of its even characters;
+# plain-int symbols 0-9 are translated to digits set into the even slots
+# of a line of spaces. Other tokens and plain ints below 256 (the cutoff
+# of dictionary.symbol_text's bytearray) map through these dicts, 2 to 2.5
+# times faster than map(int) or map(str). A stream with any other token
+# ("+1", "007", "256", "x"), or with a symbol that is not an int below
+# 256, takes int() or str() one at a time.
+_DIGITS = bytes(range(10))
+_SYMBOL_OF_DIGIT = bytes.maketrans(b"0123456789", _DIGITS)
+_DIGIT_OF_SYMBOL = bytes.maketrans(_DIGITS, b"0123456789")
 _SYMBOL_OF_TOKEN = {str(s): s for s in range(256)}
 _TOKEN_OF_SYMBOL = {s: t for t, s in _SYMBOL_OF_TOKEN.items()}
 _BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
@@ -246,7 +252,12 @@ def _reiterable(symbols):
 def read_stream_text(path) -> list:
     """Whitespace-separated symbol indices; each token as int() reads it."""
     with open(path, "r", encoding="utf-8") as fh:
-        toks = fh.read().split()
+        text = fh.read()
+    # one digit 0-9 (the only ASCII digits) then one whitespace, throughout
+    digits = text[::2]
+    if digits.isascii() and digits.isdigit() and text[1::2].isspace():
+        return list(digits.encode("ascii").translate(_SYMBOL_OF_DIGIT))
+    toks = text.split()
     try:
         return list(map(_SYMBOL_OF_TOKEN.__getitem__, toks))
     except KeyError:
@@ -260,13 +271,17 @@ def read_stream_text(path) -> list:
 
 def _stream_text(symbols) -> str:
     try:
-        text = " ".join(map(_TOKEN_OF_SYMBOL.__getitem__, symbols))
-    except (KeyError, TypeError):  # TypeError: an unhashable symbol
+        raw = bytearray(symbols)  # ints in range(256), checked in C
+    except (TypeError, ValueError):
         pass
     else:
-        # True and 1.0 find the token of 1, but str() prints them otherwise
+        # bytearray takes True and numpy integers, which str() may print otherwise
         if set(map(type, symbols)) <= {int}:
-            return text
+            if not raw.translate(None, _DIGITS):  # every symbol is 0-9
+                text = bytearray(b" ") * (2 * len(raw) - 1)
+                text[::2] = raw.translate(_DIGIT_OF_SYMBOL)
+                return text.decode("ascii")
+            return " ".join(map(_TOKEN_OF_SYMBOL.__getitem__, raw))
     return " ".join(str(s) for s in symbols)
 
 

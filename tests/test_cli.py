@@ -372,6 +372,33 @@ def test_simulate_dead_dictionary_fails(files, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "-n", "0"], "n_phrases must be >= 1"),
+    (["simulate", "-n", "0", "--histogram"], "n_phrases must be >= 1"),
+    (["scan", "--m-max", "0"], "depth must be >= 1"),
+])
+def test_an_explicit_zero_is_refused_not_replaced_by_the_default(
+    files, capsys, argv, message
+):
+    source = ["--dict", files["complete"], "--source", files["fair"]]
+    assert cli.main([*argv, *source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"vvcode: {message}\n"
+
+
+def test_a_config_without_a_count_runs_with_the_default(files, capsys):
+    # RunConfig leaves n_phrases and m_max unset; the handlers fill them in
+    for command, key, default in (("simulate", "n_phrases", cli.DEFAULT_PHRASES),
+                                  ("scan", "rows", cli.DEFAULT_M_MAX)):
+        config = cli.RunConfig(command=command, dict_path=files["complete"],
+                               source_path=files["fair"])
+        assert cli.run(config) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        got = result[key]
+        assert (len(got) if key == "rows" else got) == default
+
+
 def test_missing_file_is_usage_error(files, capsys):
     assert cli.main(["verify", "--dict", "/nope.json",
                      "--source", files["fair"]]) == 2

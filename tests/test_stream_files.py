@@ -112,6 +112,55 @@ def test_stream_tokens_read_as_int_reads_them(workdir, tokens, sep):
     assert outcome(read_stream_text, path) == outcome(ref_read_stream_text, path)
 
 
+@pytest.mark.parametrize("text, symbols", [
+    ("0\t1\r\n2", [0, 1, 2]),  # one digit, one whitespace character
+    ("0 1 2\n", [0, 1, 2]),
+    ("9\f8\v7\x1c6\u20035", [9, 8, 7, 6, 5]),  # whitespace that split() takes
+    ("0  1\t\t2\n", [0, 1, 2]),  # longer gaps take the tokens
+    (" 0 1", [0, 1]),
+    ("5", [5]),
+    ("", []),
+    ("\n", []),
+    ("٣", [3]),  # a digit that is not ASCII reads as int() reads it
+    ("1 ٣ 0", [1, 3, 0]),
+    ("00", [0]),
+    ("+1", [1]),
+    ("0 00 1", [0, 0, 1]),
+    ("1 +1 2", [1, 1, 2]),
+    ("9 10 9", [9, 10, 9]),
+    ("1 ²", None),
+    ("²", None),
+    ("0 x", None),
+])
+def test_digit_streams_read_as_int_reads_them(tmp_path, text, symbols):
+    path = tmp_path / "digits.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(read_stream_text, path) == outcome(ref_read_stream_text, path)
+    if symbols is None:
+        with pytest.raises(InputFormatError, match="stream must be whitespace-separated"):
+            read_stream_text(path)
+    else:
+        assert read_stream_text(path) == symbols
+
+
+@pytest.mark.parametrize("symbols, text", [
+    ([], b"\n"),
+    ([7], b"7\n"),
+    (list(range(10)), b"0 1 2 3 4 5 6 7 8 9\n"),
+    ([9, 10, 9], b"9 10 9\n"),
+    ([10, 9], b"10 9\n"),
+    ([0] * 5 + [255], b"0 0 0 0 0 255\n"),
+    ([1, False], b"1 False\n"),  # [True, 1] and np.int64 are cases above
+    ([np.int64(300), 9], b"300 9\n"),
+    ([1, 2.0], b"1 2.0\n"),
+    ([-1, 0], b"-1 0\n"),
+])
+def test_digit_streams_are_written_as_str_prints_them(tmp_path, symbols, text):
+    path = tmp_path / "digits.txt"
+    write_stream_text(path, symbols)
+    assert path.read_bytes() == text == ref_stream_text(symbols)
+
+
 @given(bits=st.lists(st.integers(0, 1)))
 @settings(max_examples=200, deadline=None)
 def test_bit_files_round_trip_and_match_the_per_bit_writer(workdir, bits):
