@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import shutil
 import sys
 from dataclasses import asdict, dataclass
@@ -98,6 +99,8 @@ class RunConfig:
             raise ValueError("--width must be >= 1")
         if self.tol <= 0:
             raise ValueError("--tol must be positive")
+        if not math.isfinite(self.tol):
+            raise ValueError("--tol must be finite")
         if self.command not in _SUBCOMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         takes = _SUBCOMMANDS[self.command][2].split()

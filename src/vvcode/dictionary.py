@@ -63,24 +63,25 @@ maps. fsum rounds the exact sum correctly and so does not depend on the
 order of its terms: the sums keep every bit of a word-by-word evaluation,
 at one multiply per edge instead of |w| per word.
 
-One walk to a depth (shared within ``shared_walks()``) gives P(T_depth),
-summed directly as the live prefixes at depth plus the mass that shorter
-ones send to TO_DEAD (none, and no state is scanned for it, where the
-source's alphabet is the dictionary's and every state lists every symbol),
-and, for an automaton with finitely many words, the
-sums over its members up to that depth; the same walk goes on through the
-longer ones. Any other automaton (a countable alphabet, or a reachable
-self-loop) has its measures in closed form: the start state's completion
-sums, computed children first, the fundamental matrix of an absorbing
-chain (Kemeny & Snell, 1960) for a DAG plus self-loops. A state's unlisted
-symbols enter them as runs between its listed ones, each summed in closed
-form by the source, so a far listed symbol costs no enumeration.
+One walk to a depth, a ``_MeasureWalk``, gives P(T_depth), summed
+directly as the live prefixes at depth plus the mass that shorter ones
+send to TO_DEAD (none, and no state is scanned for it, where the source's
+alphabet is the dictionary's and every state lists every symbol), and,
+for an automaton with finitely many words, the sums over its members up
+to that depth; the same walk goes on through the longer ones.
+measures.phrase_measures builds one walk and reads both from it, and
+check_conservation certifies ASC on the P(T_depth) that phrase_measures
+returns: the float is_asc certifies. Nothing keeps a walk between calls.
+Any other automaton (a countable alphabet, or a reachable self-loop) has
+its measures in closed form: the start state's completion sums, computed
+children first, the fundamental matrix of an absorbing chain (Kemeny &
+Snell, 1960) for a DAG plus self-loops. A state's unlisted symbols enter
+them as runs between its listed ones, each summed in closed form by the
+source, so a far listed symbol costs no enumeration.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 import math
@@ -416,14 +417,14 @@ def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
 class _MeasureWalk:
     """One word_levels walk of d to `depth` over the symbols that lead on
     (a finite alphabet's, or a countable alphabet's listed ones), and the
-    sums read from it: P(T_depth), the covered mass and, for an automaton
-    with finitely many words, the members up to depth and past it (see the
-    module docstring)."""
+    sums read from it: P(T_depth) and, for an automaton with finitely many
+    words, the members up to depth and past it (see the module docstring).
+    A caller that needs both reads them from one walk."""
 
     def __init__(self, d: "Dictionary", depth: int, source: SourceModel):
         depth = max(depth, 0)
         width = 0 if d.alphabet_size is None else d.alphabet_size
-        self.d, self.width, self.source = d, width, source
+        self.d, self.depth, self.width, self.source = d, depth, width, source
         self.more = word_levels(d, source, width)
         self.levels = list(itertools.islice(self.more, depth))
         # the prefixes that lead on, by length, as (probabilities, states):
@@ -461,24 +462,11 @@ class _MeasureWalk:
             return 0.0, 0.0, 0.0
         return self._sums(levels)
 
-    @functools.cached_property
-    def covered(self) -> float:
-        """The mass of the members up to depth, summed directly: the member
-        probabilities and, over a countable alphabet, the words that a
-        shorter prefix's TO_WORD default ends (its unlisted symbols)."""
-        d = self.d
-        if d.alphabet_size is not None:
-            return min(1.0, self.members[0])
-        ends = {
-            q: _unlisted_mass(t, self.source)[0]
-            for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
-            if default == TO_WORD
-        }
-        terms = list(itertools.chain.from_iterable(lv[1] for lv in self.levels))
-        terms += [p * ends[q] for ps, qs in self.shorter
-                  for p, q in zip(ps, qs) if q in ends]
-        # a word through a symbol the source lacks has no mass
-        return min(1.0, math.fsum(p for p in terms if p == p))
+    def finite_sums(self):
+        """(mass, lbar, entropy) of an automaton with finitely many words:
+        exact_word_measures of its members up to depth plus that of the
+        longer ones."""
+        return tuple(a + b for a, b in zip(self.members, self.longer))
 
     @functools.cached_property
     def boundary(self) -> float:
@@ -504,28 +492,6 @@ class _MeasureWalk:
             self.members
         # a prefix through a symbol the source lacks has no mass
         return min(1.0, math.fsum(p for p in terms if p == p))
-
-
-_WALKS = contextvars.ContextVar("walks")
-
-
-@contextlib.contextmanager
-def shared_walks():
-    """Within the block (and blocks nested in it, on this thread), the
-    measure queries of a dictionary at one depth read one walk."""
-    token = _WALKS.set(_WALKS.get({}))
-    try:
-        yield
-    finally:
-        _WALKS.reset(token)
-
-
-def _measure_walk(d, depth, source) -> _MeasureWalk:
-    walks = _WALKS.get({})
-    key = (id(d), depth, source)  # d outlives the block: walks hold it
-    if key not in walks:
-        walks[key] = _MeasureWalk(d, depth, source)
-    return walks[key]
 
 
 class Dictionary:
@@ -590,21 +556,9 @@ class Dictionary:
             longest[q] = 1 + max((longest[e] for e in entries if e >= 0), default=0)
         return longest[self.start]
 
-    def covered_mass(self, depth: int, source: SourceModel) -> float:
-        """Sum of P(alpha) over members with |alpha| <= depth, summed from
-        the walk that boundary_mass takes."""
-        return _measure_walk(self, depth, source).covered
-
     def boundary_mass(self, depth: int, source: SourceModel) -> float:
         """P(T_depth): mass of length-`depth` strings with no member prefix."""
-        return _measure_walk(self, depth, source).boundary
-
-    def finite_measures(self, depth: int, source: SourceModel):
-        """(mass, lbar, entropy) of a dictionary with finitely many words:
-        exact_word_measures of its members up to depth plus that of the
-        longer ones, both summed from the walk that boundary_mass takes."""
-        walk = _measure_walk(self, depth, source)
-        return tuple(a + b for a, b in zip(walk.members, walk.longer))
+        return _MeasureWalk(self, depth, source).boundary
 
     def completion_sums(self, source: SourceModel):
         """(mass, lbar, entropy) of the whole dictionary: the start state's
@@ -1085,6 +1039,25 @@ class AscVerdict:
         return self.status == CERTIFIED_ASC
 
 
+def check_asc_budget(depth_budget: int, tol: float) -> None:
+    """Raise ValueError unless depth_budget >= 1 and tol is a positive,
+    finite float: the arguments an ASC certificate takes."""
+    if depth_budget < 1:
+        raise ValueError("depth budget must be >= 1")
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
+
+
+def asc_verdict(residual_mass: float, depth_budget: int, tol: float) -> AscVerdict:
+    """The certificate for P(T_depth_budget) = residual_mass: certified_asc
+    if it is below tol, else undetermined."""
+    status = CERTIFIED_ASC if residual_mass < tol else UNDETERMINED
+    return AscVerdict(status=status, depth_used=depth_budget,
+                      residual_mass=residual_mass)
+
+
 def is_asc(
     d: Dictionary,
     source: SourceModel,
@@ -1095,12 +1068,7 @@ def is_asc(
 
     P(T_n) is d.boundary_mass: the mass of the live length-n prefixes and
     of the shorter ones that no member can complete, summed from the
-    automaton walk.
+    automaton walk. check_asc_budget's ValueError comes before the walk.
     """
-    if depth_budget < 1:
-        raise ValueError("depth budget must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    residual = d.boundary_mass(depth_budget, source)
-    status = CERTIFIED_ASC if residual < tol else UNDETERMINED
-    return AscVerdict(status=status, depth_used=depth_budget, residual_mass=residual)
+    check_asc_budget(depth_budget, tol)
+    return asc_verdict(d.boundary_mass(depth_budget, source), depth_budget, tol)

@@ -25,9 +25,10 @@ dead prefixes come from that walk as a map from probability to count, each
 distinct probability expanded once per length, and a count of c copies of
 a term enters its sum as at most c.bit_length() terms of the same exact
 sum (_powers).
-phrase_measures and check_conservation run their queries in
-dictionary.shared_walks(), so the member sums and P(T_depth) come from one
-walk.
+phrase_measures builds one dictionary._MeasureWalk to the depth and reads
+both the member sums and P(T_depth) from it; check_conservation takes
+P(T_depth) from phrase_measures and certifies ASC on it as is_asc would,
+so it walks once too.
 Each word probability is the walk's product P(prefix)*p_s, bit-identical
 to SourceModel.word_prob, and each sum is a math.fsum, which rounds the
 exact sum and so does not depend on the order of its terms. So the reports
@@ -45,9 +46,10 @@ from .dictionary import (
     DEFAULT_WIDTH,
     Dictionary,
     FiniteDictionary,
+    _MeasureWalk,
+    asc_verdict,
+    check_asc_budget,
     exact_word_measures,
-    is_asc,
-    shared_walks,
     word_levels,
 )
 from .errors import UnsupportedOperationError
@@ -105,19 +107,20 @@ def phrase_measures(
 ) -> PhraseMeasures:
     """Bracket H(D), lbar(D) and the member mass, with P(T_depth).
 
-    A dictionary with finitely many words (a finite alphabet and no
-    reachable self-loop) sums its members up to depth and the longer ones
-    from one walk; any other takes d.completion_sums. Where that is None
-    the intervals run from 0 to infinity and the note says so.
+    One walk to depth gives P(T_depth) and, for a dictionary with finitely
+    many words (a finite alphabet and no reachable self-loop), its member
+    sums, up to depth and past it; any other takes d.completion_sums.
+    Where that is None the intervals run from 0 to infinity and the note
+    says so.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    with shared_walks():
-        if d.alphabet_size is not None and d.max_word_length() is not None:
-            sums = d.finite_measures(depth, source)
-        else:
-            sums = d.completion_sums(source)
-        frontier_mass = d.boundary_mass(depth, source)
+    walk = _MeasureWalk(d, depth, source)
+    if d.alphabet_size is not None and d.max_word_length() is not None:
+        sums = walk.finite_sums()
+    else:
+        sums = d.completion_sums(source)
+    frontier_mass = walk.boundary
 
     note = ""
     if sums is None:
@@ -198,15 +201,16 @@ def check_conservation(
 ) -> MeasureReport:
     """Verify H(D) = H(P)*lbar(D) numerically, certifying ASC at depth.
 
-    Pass requires the ASC certificate (the conservation law's hypothesis);
-    inputs yield an inconclusive verdict with a note rather than
-    evaluating the equation as if it applied. width is accepted for
-    compatibility and changes nothing.
+    Pass requires the ASC certificate (the conservation law's hypothesis):
+    is_asc's, taken on the P(T_depth) that phrase_measures returns, after
+    is_asc's checks of depth and tol. Other inputs yield an inconclusive
+    verdict with a note rather than evaluating the equation as if it
+    applied. width is accepted for compatibility and changes nothing.
     """
     verdict_note = ""
-    with shared_walks():
-        asc = is_asc(d, source, depth, tol)
-        pm = phrase_measures(d, source, depth)
+    check_asc_budget(depth, tol)
+    pm = phrase_measures(d, source, depth)
+    asc = asc_verdict(pm.frontier_mass, depth, tol)
     h_p = source.entropy()
     rhs = pm.length.scaled(h_p)
     residual = abs(pm.entropy.mid - h_p * pm.length.mid)

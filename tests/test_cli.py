@@ -409,6 +409,21 @@ def test_bad_tolerance_is_usage_error(files, capsys):
                      "--source", files["fair"], "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "--tol must be finite"),
+    ("inf", "--tol must be finite"),
+    ("-inf", "--tol must be positive"),
+])
+def test_non_finite_tolerance_is_usage_error(files, tmp_path, capsys, tol, message):
+    # NaN would be written as the report's "tol": NaN, which is not JSON
+    out = tmp_path / "report.json"
+    for command in ("verify", "check"):
+        assert cli.main([command, "--dict", files["complete"], "--source",
+                         files["fair"], f"--tol={tol}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", f"vvcode: {message}\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

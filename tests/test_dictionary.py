@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import random_proper_dictionary, make_rng
 from vvcode import (
     AlphabetDictionary,
-    ExtendedDictionary,
     FiniteDictionary,
     RunLengthDictionary,
     SourceModel,
@@ -20,7 +19,6 @@ from vvcode import (
     is_proper,
     parse,
     phrase_measures,
-    tunstall_build,
 )
 from vvcode.dictionary import DEAD, INTERNAL, WORD
 from vvcode.errors import ImproperDictionaryError, UnsupportedOperationError
@@ -150,36 +148,23 @@ def test_alphabet_dictionary_finite_and_countable():
     assert inf.classify((1000,)) == WORD
 
 
-def test_covered_mass_matches_enumeration(run_length, geometric_half):
+def test_boundary_mass_matches_enumeration(run_length, geometric_half):
+    # the members up to depth and T_depth split the length-depth strings;
+    # symbol 2 leads out of run-length, so its mass is dead
     tri = SourceModel.finite([0.5, 0.25, 0.25])
     for depth in (1, 3, 7):
         enum = math.fsum(
             tri.word_prob(w) for w in run_length.member_words(depth)
         )
-        assert run_length.covered_mass(depth, tri) == pytest.approx(enum, rel=1e-12)
+        assert run_length.boundary_mass(depth, tri) == pytest.approx(
+            1.0 - enum, rel=1e-12)
     he = head_extension(0)
     # closed form says total mass 1 at depth 2; enumeration approaches it
-    assert he.covered_mass(2, geometric_half) == pytest.approx(1.0, abs=1e-15)
+    assert he.boundary_mass(2, geometric_half) == 0.0
     enum = math.fsum(
         geometric_half.word_prob(w) for w in he.member_words(2, max_symbol=40)
     )
     assert enum == pytest.approx(1.0, abs=1e-11)
-
-
-def test_covered_mass_is_the_member_sum():
-    # a small covered mass keeps its bits: 1 - P(T_2) would round at 1
-    d = tunstall_build(SourceModel.finite([0.999, 0.001]), 256)
-    src = SourceModel.geometric(0.999999)
-    enum = math.fsum(src.word_prob(w) for w in d.member_words(2))
-    assert d.covered_mass(2, src) == enum
-    # over a countable alphabet a TO_WORD default ends the unlisted symbols
-    geo = SourceModel.geometric(0.5)
-    nested = ExtendedDictionary(head_extension(2), (2, 5))
-    for depth in (1, 2, 3):
-        enum = math.fsum(
-            geo.word_prob(w) for w in nested.member_words(depth, max_symbol=1100)
-        )
-        assert nested.covered_mass(depth, geo) == pytest.approx(enum, rel=1e-15)
 
 
 def test_boundary_mass_run_length_biased(run_length, biased):
@@ -224,7 +209,7 @@ def test_kraft_mass_identity_for_certified_asc(corpus, fair):
     for d in corpus:
         v = is_asc(d, fair, depth_budget=16, tol=1e-9)
         if v.certified:
-            covered = d.covered_mass(16, fair)
+            covered = math.fsum(fair.word_prob(w) for w in d.member_words(16))
             assert covered >= 1.0 - 1e-9
 
 

@@ -6,7 +6,9 @@ with math.fsum over member_words (a finite dictionary's members up to the
 depth and past it) and over truncate(...).d_n_words (the truncation
 series). Patched in, it yields the reports a per-word implementation
 gives, and the walk's reports must equal them exactly: compared with ==
-and by repr, so that even the sign of a zero counts.
+and by repr, so that even the sign of a zero counts. The patched member
+sums count their calls, so a move of the sums that bypasses the patch
+fails instead of comparing the walk with itself.
 """
 
 import functools
@@ -32,7 +34,8 @@ from vvcode import (
     tunstall_build,
 )
 from vvcode import measures
-from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary
+from vvcode import dictionary
+from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary, _MeasureWalk
 from vvcode.errors import ResourceBudgetError
 
 FAIR = SourceModel.fair_bit()
@@ -62,9 +65,12 @@ def per_word_measures(words, source):
     return mass, lbar, h
 
 
-def per_word_finite_measures(self, depth, source):
-    members = per_word_measures(self.member_words(depth), source)
-    longer = [w for w in self.member_words(self.max_word_length()) if len(w) > depth]
+def per_word_finite_sums(walk):
+    """_MeasureWalk.finite_sums, word by word: the members up to the walk's
+    depth, plus the longer ones."""
+    d, depth, source = walk.d, walk.depth, walk.source
+    members = per_word_measures(d.member_words(depth), source)
+    longer = [w for w in d.member_words(d.max_word_length()) if len(w) > depth]
     rest = per_word_measures(longer, source) if longer else (0.0, 0.0, 0.0)
     return tuple(a + b for a, b in zip(members, rest))
 
@@ -95,10 +101,20 @@ def reports(d, source, depth, m_max, max_symbol=None):
 
 def assert_walk_matches_per_word(monkeypatch, d, source, depth, m_max, **kw):
     walk = reports(d, source, depth, m_max, **kw)
+    calls = []
+
+    def reference_sums(self):
+        calls.append(self)
+        return per_word_finite_sums(self)
+
     with monkeypatch.context() as mp:
-        mp.setattr(Dictionary, "finite_measures", per_word_finite_measures)
+        mp.setattr(_MeasureWalk, "finite_sums", reference_sums)
         mp.setattr(measures, "_truncation_series", per_word_series)
         reference = reports(d, source, depth, m_max, **kw)
+    if d.alphabet_size is not None and d.max_word_length() is not None:
+        # check_conservation and phrase_measures each read the reference:
+        # the comparison is not the walk against itself
+        assert len(calls) >= 2
     assert walk == reference
     assert repr(walk) == repr(reference)
     return walk
@@ -178,13 +194,31 @@ def test_word_prob_is_not_called(monkeypatch):
 
     d = tunstall_build(BIASED, 64)
     monkeypatch.setattr(SourceModel, "word_prob", refuse)
-    d.covered_mass(5, BIASED)
     d.boundary_mass(5, BIASED)
     phrase_measures(d, BIASED, 5)
     phrase_measures(RunLengthDictionary(), BIASED, 5)
     check_truncation_identity(d, BIASED, 8)
     convergence_scan(d, BIASED, 8)
     check_conservation(d, BIASED, 64)
+
+
+@pytest.mark.parametrize("d", [tunstall_build(BIASED, 256), RunLengthDictionary()],
+                         ids=["tunstall-256", "run-length"])
+@pytest.mark.parametrize("depth", [1, 64])
+def test_each_call_walks_once(monkeypatch, d, depth):
+    # the member sums and P(T_depth) come from one walk, and the ASC
+    # certificate from the P(T_depth) of that walk
+    walks, word_levels = [], dictionary.word_levels
+
+    def counted(*args, **kwargs):
+        walks.append(args[0])
+        return word_levels(*args, **kwargs)
+
+    monkeypatch.setattr(dictionary, "word_levels", counted)
+    for call in (check_conservation, phrase_measures):
+        walks.clear()
+        call(d, BIASED, depth)
+        assert walks == [d]
 
 
 # -- the walk raises what the per-word evaluation raises ---------------------

@@ -18,6 +18,7 @@ from vvcode import (
     dict_entropy,
     extend,
     head_extension,
+    is_asc,
     is_complete,
     phrase_measures,
 )
@@ -130,6 +131,64 @@ def test_conservation_non_asc_is_inconclusive(fair, biased):
     h_d = dict_entropy(zero, biased).mid
     rhs = biased.entropy() * avg_length(zero, biased).mid
     assert abs(h_d - rhs) > 0.2
+
+
+# P(T_3) is exactly the tolerance: the certificate hangs on one comparison
+AT_TOL = FiniteDictionary(2, [(0,), (1, 0), (1, 1, 0), (1, 1, 1, 0), (1, 1, 1, 1)])
+
+
+def test_conservation_certificate_is_is_asc(corpus, fair, biased):
+    skewed = SourceModel.finite([0.999, 0.001])
+    cases = [(d, s, depth) for d in corpus for s in (fair, biased)
+             for depth in (1, 3, 8, 64)]
+    cases.append((AT_TOL, skewed, 3))
+    for d, s, depth in cases:
+        for tol in (1e-9, 1e-3):
+            v = is_asc(d, s, depth, tol)
+            report = check_conservation(d, s, depth, tol)
+            assert report.asc_status == v.status
+            assert repr(report.frontier_mass) == repr(v.residual_mass)
+            assert report.depth_used == v.depth_used
+    v = is_asc(AT_TOL, skewed, 3, 1e-9)
+    assert v.residual_mass == 1e-9 and v.status == "undetermined"
+
+
+def test_conservation_checks_depth_and_tol_first(complete_dict, fair):
+    # is_asc's messages, in is_asc's order, before any walk: over a source
+    # without symbol 1 the run-length measures would raise their own error
+    run_length, one = RunLengthDictionary(), SourceModel.finite([1.0])
+    for d, s in ((complete_dict, fair), (run_length, one)):
+        for call in (is_asc, check_conservation):
+            with pytest.raises(ValueError, match=r"^depth budget must be >= 1$"):
+                call(d, s, 0, 0.0)
+            with pytest.raises(ValueError, match=r"^depth budget must be >= 1$"):
+                call(d, s, -3, math.nan)
+            with pytest.raises(ValueError, match=r"^tolerance must be positive$"):
+                call(d, s, 3, 0.0)
+            with pytest.raises(ValueError, match=r"^tolerance must be positive$"):
+                call(d, s, 3, -math.inf)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_non_finite_tolerance_is_refused(complete_dict, fair, run_length, tol):
+    # a NaN tolerance certified nothing, and an infinite one passed anything
+    for d in (complete_dict, run_length, FiniteDictionary(2, [(0,)])):
+        for call in (is_asc, check_conservation):
+            with pytest.raises(ValueError, match=r"^tolerance must be finite$"):
+                call(d, fair, 8, tol)
+
+
+def test_conservation_raises_what_the_measures_raise():
+    # run-length's symbol 1 is outside a one-symbol source: the completion
+    # sums refuse it before P(T_depth) is read from the walk
+    d, one = RunLengthDictionary(), SourceModel.finite([1.0])
+    for depth in (1, 3, 64):
+        with pytest.raises(ValueError) as measured:
+            phrase_measures(d, one, depth)
+        with pytest.raises(ValueError) as checked:
+            check_conservation(d, one, depth)
+        assert str(checked.value) == str(measured.value) == (
+            "symbol index 1 out of range for alphabet size 1")
 
 
 def test_conservation_head_extension(geometric_half):
