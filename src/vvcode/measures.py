@@ -24,7 +24,9 @@ reads each level's member and live-prefix probabilities directly. T_m's
 dead prefixes come from that walk as a map from probability to count, each
 distinct probability expanded once per length, and a count of c copies of
 a term enters its sum as at most c.bit_length() terms of the same exact
-sum (_powers).
+sum (_powers). The walk ends at the first length L with no live or dead
+prefix, where D_L = D (a finite complete dictionary's longest word): the
+rows past L are row L repeated, not walked or summed again.
 phrase_measures builds one dictionary._MeasureWalk to the depth and reads
 both the member sums and P(T_depth) from it; check_conservation takes
 P(T_depth) from phrase_measures and certifies ASC on it as is_asc would,
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .algebra import MAX_FRONTIER_WORDS, truncate
@@ -280,11 +283,16 @@ class TruncationIdentityReport:
 
 
 def _powers(c: int) -> list:
-    """2^i for each set bit i of c. The terms x*2^i have the exact sum of c
-    copies of x, since scaling by a power of two is exact, and math.fsum
-    rounds the exact sum of its terms: it returns the same for them as for
-    [x]*c."""
-    return [float(1 << i) for i in range(c.bit_length()) if c >> i & 1]
+    """2^i for each set bit i of c, in ascending order. The terms x*2^i have
+    the exact sum of c copies of x, since scaling by a power of two is
+    exact, and math.fsum rounds the exact sum of its terms: it returns the
+    same for them as for [x]*c."""
+    out = []
+    while c:
+        low = c & -c
+        out.append(float(low))
+        c ^= low
+    return out
 
 
 def _truncation_series(d, source, m_max, max_symbol):
@@ -296,17 +304,20 @@ def _truncation_series(d, source, m_max, max_symbol):
     exact_word_measures would take. T_m's dead prefixes come as P -> count,
     and a term's count of copies enters its sum as the term times each of
     the count's _powers.
+
+    The walk ends after the level L where no prefix is live and none is
+    dead: T_L is empty and D_L = D (L is the longest word of a finite
+    complete dictionary). Every row past L sums the same terms, so it is
+    row L repeated, with no further walk or sum.
     """
-    if m_max < 1:
-        return
     levels = word_levels(d, source, d.member_width(max_symbol), MAX_FRONTIER_WORDS)
     mass, lbar, h = [], [], []  # the terms of the members so far
-    for m in range(1, m_max + 1):
-        _, probs, t_m, _, dead = next(levels, (m, [], [], [], {}))
+    for m, probs, t_m, _, dead in itertools.islice(levels, m_max):
+        ms = itertools.repeat(m)
         mass += probs
-        lbar += [p * m for p in probs]
+        lbar += map(operator.mul, probs, ms)
         h += [p * math.log2(p) for p in probs if p > 0.0]
-        t_lbar = [p * m for p in t_m]
+        t_lbar = list(map(operator.mul, t_m, ms))
         t_h = [p * math.log2(p) for p in t_m if p > 0.0]
         if dead:
             dead = [(p, _powers(c)) for p, c in dead.items()]
@@ -319,11 +330,15 @@ def _truncation_series(d, source, m_max, max_symbol):
             # word_prob would over truncate's sets
             for w in truncate(d, m, max_symbol).d_n_perp:
                 source.check_word(w)
-        yield m, (
+        row = (
             row_mass,
             math.fsum(itertools.chain(lbar, t_lbar)),
             -math.fsum(itertools.chain(h, t_h)),
         )
+        yield m, row
+    # a walk that ended before m_max left D_m = D: the later rows are row m
+    for m in range(m + 1, m_max + 1):
+        yield m, row
 
 
 def check_truncation_identity(
@@ -338,6 +353,8 @@ def check_truncation_identity(
     Finite sums at every stage; requires properness only, not ASC.
     Countable alphabets are evaluated within the symbol budget.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     h_p = source.entropy()
     rows = []
     for m, (mass, lbar, h) in _truncation_series(d, source, m_max, max_symbol):
@@ -447,6 +464,8 @@ def convergence_scan(
     (every extension adds P(alpha) >= 0); the final gaps compare against
     the interval midpoints of the full-dictionary measures.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     h_p = source.entropy()
     rows = [
         ScanRow(m=m, h=h, lbar=lbar, identity_residual=abs(h - h_p * lbar))
@@ -456,8 +475,8 @@ def convergence_scan(
     h_mono = all(b.h >= a.h - eps for a, b in zip(rows, rows[1:]))
     l_mono = all(b.lbar >= a.lbar - eps for a, b in zip(rows, rows[1:]))
     pm = phrase_measures(d, source, depth=m_max)
-    final_h_gap = abs(pm.entropy.mid - rows[-1].h) if rows else INF
-    final_lbar_gap = abs(pm.length.mid - rows[-1].lbar) if rows else INF
+    final_h_gap = abs(pm.entropy.mid - rows[-1].h)
+    final_lbar_gap = abs(pm.length.mid - rows[-1].lbar)
     return ScanReport(
         rows=tuple(rows),
         h_nondecreasing=h_mono,

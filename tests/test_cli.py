@@ -375,7 +375,7 @@ def test_simulate_dead_dictionary_fails(files, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "-n", "0"], "n_phrases must be >= 1"),
     (["simulate", "-n", "0", "--histogram"], "n_phrases must be >= 1"),
-    (["scan", "--m-max", "0"], "depth must be >= 1"),
+    (["scan", "--m-max", "0"], "m_max must be >= 1"),
 ])
 def test_an_explicit_zero_is_refused_not_replaced_by_the_default(
     files, capsys, argv, message

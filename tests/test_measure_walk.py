@@ -140,7 +140,21 @@ def test_random_word_sets(monkeypatch):
         for source in sources:
             for depth in (1, 3, 8):
                 assert_walk_matches_per_word(monkeypatch, d, source, depth, 8)
+            if d.is_complete():
+                # the rows past the longest word repeat its row; the
+                # reference truncates at every m
+                assert_walk_matches_per_word(
+                    monkeypatch, d, source, 3, d.max_word_length() + 6
+                )
     assert 0 < complete < 40  # both kinds were covered
+
+
+def test_tunstall_past_the_longest_word(monkeypatch):
+    d = tunstall_build(BIASED, 64)
+    for depth in (1, 64):
+        assert_walk_matches_per_word(
+            monkeypatch, d, BIASED, depth, d.max_word_length() + 6
+        )
 
 
 @pytest.mark.parametrize("name", ["biased", "skewed"])
@@ -219,6 +233,83 @@ def test_each_call_walks_once(monkeypatch, d, depth):
         walks.clear()
         call(d, BIASED, depth)
         assert walks == [d]
+
+
+# -- past the longest word: D_m = D ------------------------------------------
+
+
+class CountedLevels:
+    """A word_levels walk that counts its polls and the levels it yields."""
+
+    def __init__(self, levels):
+        self.levels, self.polls, self.yielded = levels, 0, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.polls += 1
+        level = next(self.levels)
+        self.yielded += 1
+        return level
+
+
+@pytest.fixture
+def counted_walks(monkeypatch):
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(CountedLevels(dictionary.word_levels(*args, **kwargs)))
+        return walks[-1]
+
+    monkeypatch.setattr(measures, "word_levels", counted)
+    return walks
+
+
+def row_values(row):
+    return repr((row.h, row.lbar, row.mass, row.residual, row.ok))
+
+
+def test_the_walk_stops_once_d_m_is_d(corpus, counted_walks):
+    # T_L is empty, so the walk ends at L and rows L, L+1, ... are row L
+    tunstall_codes = [tunstall_build(BIASED, 64), tunstall_build(BIASED, 256),
+                      tunstall_build(TERNARY, 81)]
+    for d in [d for d in corpus if d.is_complete()] + tunstall_codes:
+        source = TERNARY if d.alphabet_size == 3 else BIASED
+        n = d.max_word_length()
+        for m_max in (n, n + 1, 3 * n, 10**4):
+            counted_walks.clear()
+            rows = check_truncation_identity(d, source, m_max).rows
+            [walk] = counted_walks
+            assert walk.yielded == n
+            assert walk.polls == n + (m_max > n)
+            assert [r.m for r in rows] == list(range(1, m_max + 1))
+            assert {row_values(r) for r in rows[n - 1:]} == {row_values(rows[n - 1])}
+            if n > 1:
+                assert row_values(rows[n - 2]) != row_values(rows[n - 1])
+        counted_walks.clear()
+        scan = convergence_scan(d, source, 3 * n)
+        assert counted_walks[0].yielded == n
+        assert {(r.h, r.lbar) for r in scan.rows[n - 1:]} == {
+            (scan.rows[n - 1].h, scan.rows[n - 1].lbar)
+        }
+
+
+def test_the_walk_goes_on_while_a_prefix_is_dead(corpus, counted_walks):
+    # {0} and the corpus's other non-complete dictionaries: a dead prefix
+    # has extensions of every length, so T_m is never empty, and
+    # lbar(D_m) - lbar(D_(m-1)) = P(T_(m-1)) > 0
+    for d in [d for d in corpus if not d.is_complete()]:
+        for source in (FAIR, BIASED):
+            for m_max in (1, 5, 12):
+                counted_walks.clear()
+                rows = check_truncation_identity(d, source, m_max).rows
+                assert counted_walks[0].yielded == counted_walks[0].polls == m_max
+                assert all(b.lbar > a.lbar for a, b in zip(rows, rows[1:]))
+    counted_walks.clear()
+    rows = check_truncation_identity(FiniteDictionary(2, [(0,)]), BIASED, 20).rows
+    assert counted_walks[0].yielded == 20
+    assert len({row_values(r) for r in rows}) == 20
 
 
 # -- the walk raises what the per-word evaluation raises ---------------------
@@ -371,6 +462,23 @@ def test_frontier_budget_at_the_depth_truncate_raises(monkeypatch, budget):
 
 def copies(x, c):
     return [x * f for f in measures._powers(c)]
+
+
+def reference_powers(c):
+    return [2.0**i for i in range(c.bit_length()) if c >> i & 1]
+
+
+def test_powers_of_every_count_below_2_14():
+    for c in range(2**14):
+        assert measures._powers(c) == reference_powers(c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=st.integers(0, 2**62 - 1))
+@example(c=2**62 - 1)
+@example(c=2**61)
+def test_powers_of_large_counts(c):
+    assert measures._powers(c) == reference_powers(c)
 
 
 # The sums take the copies among other terms, so each copy must be exact:

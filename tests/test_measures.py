@@ -215,6 +215,14 @@ def test_truncation_identity_examples(complete_dict, fair, run_length):
     assert rep.all_ok
 
 
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_m_max_below_one_is_refused(complete_dict, fair, m_max):
+    # no vacuous all_ok report, and no depth error from the final measures
+    for call in (check_truncation_identity, convergence_scan):
+        with pytest.raises(ValueError, match=r"^m_max must be >= 1$"):
+            call(complete_dict, fair, m_max)
+
+
 def test_truncation_identity_random_corpus(corpus, biased):
     for d in corpus[:20]:
         assert check_truncation_identity(d, biased, 12, tol=1e-9).all_ok
