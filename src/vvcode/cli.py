@@ -167,7 +167,7 @@ def _cmd_check(config: RunConfig) -> int:
 
 def _cmd_truncate(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
-    fs = truncate(d, config.depth, config.width if d.alphabet_size is None else None)
+    fs = truncate(d, config.depth, config.width)
     _emit_report(config, fs.as_dict())
     return EXIT_OK
 
@@ -181,12 +181,7 @@ def _cmd_extend(config: RunConfig) -> int:
 
 def _cmd_cone(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
-    res = cone(
-        d,
-        parse_word_text(config.word),
-        config.depth,
-        config.width if d.alphabet_size is None else None,
-    )
+    res = cone(d, parse_word_text(config.word), config.depth, config.width)
     _emit_report(config, res.as_dict())
     return EXIT_OK
 
@@ -228,8 +223,7 @@ def _cmd_scan(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
     m_max = DEFAULT_M_MAX if config.m_max is None else config.m_max
-    max_symbol = config.width if d.alphabet_size is None else None
-    report = convergence_scan(d, s, m_max, max_symbol)
+    report = convergence_scan(d, s, m_max, config.width)
     result = report.as_dict()
     _emit_report(config, result, report_csv(SCAN_CSV_COLUMNS, result["rows"]))
     if report.h_nondecreasing and report.lbar_nondecreasing:

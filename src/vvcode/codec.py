@@ -44,9 +44,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dictionary import (
     COMPILE_SYMBOLS_PER_STATE,
@@ -91,7 +93,8 @@ class PhraseCodebook:
     """Bijection between dictionary phrases and binary codewords.
 
     Phrases are kept in canonical order, each symbol as a plain int;
-    codewords are '0'/'1' strings, verified prefix-free with Kraft sum <= 1.
+    codewords are '0'/'1' strings, verified prefix-free, which bounds their
+    Kraft sum by 1.
     """
 
     phrases: tuple
@@ -127,11 +130,6 @@ class PhraseCodebook:
             for a, b in zip(cs, cs[1:]):
                 if b.startswith(a):
                     raise ValueError(f"codewords not prefix-free: {a!r} prefixes {b!r}")
-        # Kraft in integers: sum of 2^(top - len) against 2^top
-        lengths = Counter(map(len, cs))
-        top = max(lengths)
-        if sum(count << (top - n) for n, count in lengths.items()) > 1 << top:
-            raise ValueError("codewords violate the Kraft inequality")
 
     @classmethod
     def from_pairs(cls, pairs) -> "PhraseCodebook":
@@ -143,39 +141,35 @@ class PhraseCodebook:
 
     def _check_matches(self, d: FiniteDictionary) -> None:
         """Raise CodebookMismatchError unless the phrases are d's words. Both
-        are immutable: the codebook remembers the dictionary it last matched."""
+        are immutable: the codebook remembers the dictionary it last matched.
+        A lazy family has no word set: its infinite words never match."""
         if getattr(self, "_matched", None) is not d:
-            if set(self.phrases) != d.word_set:
+            if set(self.phrases) != getattr(d, "word_set", None):
                 raise CodebookMismatchError("codebook phrases do not match the dictionary words")
             object.__setattr__(self, "_matched", d)
 
     def codeword_for(self, phrase: Word) -> str:
-        return self._encode_map()[phrase]
+        return self._map[phrase]
 
-    def _encode_map(self):
-        """Codeword by phrase tuple and by phrase key, built once.
+    @cached_property
+    def _map(self):
+        """Codeword by phrase tuple and by phrase key.
 
         dictionary.walk lists a phrase by its key: its text, or a tuple
         once the stream holds a symbol with no text (such as 1.0, which
         the automaton reads as 1).
         """
-        m = getattr(self, "_map", None)
-        if m is None:
-            m = dict(zip(self.phrases, self.codewords))
-            m.update(zip(map(phrase_key, self.phrases), self.codewords))
-            object.__setattr__(self, "_map", m)
+        m = dict(zip(self.phrases, self.codewords))
+        m.update(zip(map(phrase_key, self.phrases), self.codewords))
         return m
 
-    def _decode_table(self):
-        """(phrase by codeword, the codeword lengths ascending), built once."""
-        table = getattr(self, "_table", None)
-        if table is None:
-            table = (
-                dict(zip(self.codewords, self.phrases)),
-                tuple(sorted({len(c) for c in self.codewords})),
-            )
-            object.__setattr__(self, "_table", table)
-        return table
+    @cached_property
+    def _table(self):
+        """(phrase by codeword, the codeword lengths ascending)."""
+        return (
+            dict(zip(self.codewords, self.phrases)),
+            tuple(sorted({len(c) for c in self.codewords})),
+        )
 
     def _compiled_code(self, n_bits: int):
         """decode's (pattern, phrase text by codeword text, longest codeword
@@ -382,29 +376,44 @@ def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
     """Parse the stream with d and emit the framed bitstream.
 
     Requires the codebook to cover exactly the dictionary words
-    (CodebookMismatchError otherwise); a symbol outside the alphabet raises
-    StreamSymbolError naming the first one. dictionary.walk reads the
-    phrases, in C once d has walked enough symbols, and each phrase key
-    looks its codeword up. Every symbol the walk consumes has a transition
-    and so lies in the alphabet; only the remainder needs the range check.
+    (CodebookMismatchError otherwise); a symbol that is not an index into
+    the alphabet raises StreamSymbolError naming the first one.
+    dictionary.walk reads the phrases, in C once d has walked enough
+    symbols, and each phrase key looks its codeword up. Every symbol the walk consumes has a transition
+    and so lies in the alphabet; only the remainder needs the check.
     """
     cb._check_matches(d)
     seq = stream if isinstance(stream, (list, tuple)) else list(stream)
     phrases, begin, _ = walk(d, seq)
-    remainder = seq[begin:]
     k = d.alphabet_size
-    if remainder and not (0 <= min(remainder) and max(remainder) < k):
-        bad = next(s for s in remainder if not (0 <= s < k))
-        raise StreamSymbolError(f"stream symbol {bad} outside alphabet of size {k}")
+    remainder = _remainder_symbols(seq[begin:], k)
     width = symbol_bit_width(k)
     bits = "".join((
         _MAGIC_BITS,
         _varint_bits(len(phrases)),
-        "".join(map(cb._encode_map().__getitem__, phrases)),
+        "".join(map(cb._map.__getitem__, phrases)),
         _varint_bits(len(remainder)),
         "".join(format(s, f"0{width}b") for s in remainder) if width else "",
     ))
     return bits_to_bytes(bits)
+
+
+def _remainder_symbols(tail, k: int) -> list:
+    """tail's symbols as ints, read with operator.index (True is 1), or
+    StreamSymbolError naming the first that is not an index in range(k)."""
+    try:
+        syms = list(map(operator.index, tail))
+        if not syms or (0 <= min(syms) and max(syms) < k):
+            return syms
+    except TypeError:
+        pass
+    for s in tail:  # some symbol fails, and this names the first
+        try:
+            i = operator.index(s)
+        except TypeError:
+            raise StreamSymbolError(f"stream symbol {s!r} is not an integer") from None
+        if not 0 <= i < k:
+            raise StreamSymbolError(f"stream symbol {s} outside alphabet of size {k}")
 
 
 def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
@@ -463,7 +472,7 @@ def decode(d: FiniteDictionary, cb: PhraseCodebook, data: bytes) -> list:
 def _read_phrases(cb: PhraseCodebook, bits: str, pos: int, n_phrases: int) -> tuple:
     """The loop path: (symbols of n_phrases phrases from bit pos, next pos).
     Prefix-freeness leaves at most one codeword that starts at pos."""
-    phrase_of, lengths = cb._decode_table()
+    phrase_of, lengths = cb._table
     total = len(bits)
     out = []
     for _ in range(n_phrases):

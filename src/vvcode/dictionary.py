@@ -34,7 +34,7 @@ text (symbol s is the character chr(s); Kleene's theorem), and
 the symbols walked with the dictionary reach COMPILE_SYMBOLS_PER_STATE per
 automaton state, and cached on the instance. Until then, and for an
 automaton that nests deeper than MAX_PATTERN_DEPTH (re's parser recurses
-once per group) or whose pattern runs out of stack in re.compile anyway,
+once per group) or whose pattern runs out of stack anyway,
 as it can for a caller that is deep in the stack or has lowered the
 recursion limit, a FiniteDictionary reads one phrase per bisect of its
 words' sorted texts (cached on the instance on first use), and hands over
@@ -933,12 +933,12 @@ def _word_pattern(d: Dictionary, n: int):
         d._walked += n
         if d._walked < COMPILE_SYMBOLS_PER_STATE * len(d.transitions):
             return None
-        source = pattern_source(d)
         # where no word matches, the second branch takes the rest of the
         # text, so findall skips nothing
         try:
+            source = pattern_source(d)
             pattern = source is not None and re.compile(source + r"|[\s\S]+")
-        except RecursionError:  # re's parser ran out of stack below the bound
+        except RecursionError:  # the builder or re's parser ran out of stack below the bound
             pattern = False
         d._pattern = pattern
     return pattern or None
@@ -954,43 +954,33 @@ def pattern_source(d: Dictionary) -> str | None:
     list when q's default ends a word. Symbols that loop back to q become a
     [S]* prefix of the group. Self-loops are the only cycles the families
     build; any other cycle would expand past the depth bound. Symbols that
-    are not code points never occur in a text and are left out.
+    are not code points never occur in a text and are left out. The
+    builder recurses once per group, no deeper than re's parser does.
     """
-    out = []
-    todo = [d.start]
-    depth = 0
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            if item == ")":
-                depth -= 1
-            out.append(item)
-            continue
-        depth += 1
+
+    def group(q, depth):
         if depth > MAX_PATTERN_DEPTH:
             return None
-        trans = d.transitions[item]
+        trans = d.transitions[q]
         chars = {s: re.escape(chr(s)) for s in trans if s <= MAX_CODE_POINT}
-        loop = "".join(c for s, c in chars.items() if trans[s] == item)
+        loop = "".join(c for s, c in chars.items() if trans[s] == q)
         alts = []
         for s, c in chars.items():
             entry = trans[s]
             if entry == TO_WORD:
-                alts.append([c])
-            elif entry >= 0 and entry != item:
-                alts.append([c, entry])
-        if d.defaults[item] == TO_WORD:
+                alts.append(c)
+            elif entry >= 0 and entry != q:
+                inner = group(entry, depth + 1)  # no comprehension: one frame per group
+                if inner is None:
+                    return None
+                alts.append(c + inner)
+        if d.defaults[q] == TO_WORD:
             listed = "".join(chars.values())
-            alts.append([f"[^{listed}]" if listed else r"[\s\S]"])
-        out.append(f"[{loop}]*(?:" if loop else "(?:")
-        todo.append(")")
-        if not alts:
-            todo.append("(?!)")
-        for k, alt in enumerate(reversed(alts)):
-            if k:
-                todo.append("|")
-            todo.extend(reversed(alt))
-    return "".join(out)
+            alts.append(f"[^{listed}]" if listed else r"[\s\S]")
+        star = f"[{loop}]*" if loop else ""
+        return f"{star}(?:{'|'.join(alts) or '(?!)'})"
+
+    return group(d.start, 1)
 
 
 def is_proper(d) -> bool:

@@ -13,11 +13,13 @@ from conftest import make_rng
 from vvcode import (
     FiniteDictionary,
     PhraseCodebook,
+    RunLengthDictionary,
     SourceModel,
     decode,
     dict_entropy,
     encode,
     fixed_codebook,
+    head_extension,
     huffman_build,
     is_complete,
     kraft_sum,
@@ -361,12 +363,13 @@ def test_encode_reads_symbols_equal_to_ints():
 def test_mismatched_codebook_is_a_typed_error():
     # load_codebook accepts this codebook; it fits no dictionary
     cb = load_codebook({"phrases": [[], [-1]], "codewords": ["0", "1"]})
-    d = FiniteDictionary(2, [(0,), (1,)])
-    for call in (lambda: encode(d, cb, [0, 1]), lambda: decode(d, cb, b"\x56\x00\x00")):
-        with pytest.raises(CodebookMismatchError) as exc:
-            call()
-        assert isinstance(exc.value, VVCodeError) and isinstance(exc.value, ValueError)
-        assert str(exc.value) == "codebook phrases do not match the dictionary words"
+    # a lazy family has no word list, and its infinite words match no codebook
+    for d in (FiniteDictionary(2, [(0,), (1,)]), RunLengthDictionary(), head_extension(0)):
+        for call in (lambda: encode(d, cb, [0, 1]), lambda: decode(d, cb, b"\x56\x00\x00")):
+            with pytest.raises(CodebookMismatchError) as exc:
+                call()
+            assert isinstance(exc.value, VVCodeError) and isinstance(exc.value, ValueError)
+            assert str(exc.value) == "codebook phrases do not match the dictionary words"
 
 
 @pytest.mark.parametrize("compiled", [False, True])
@@ -383,6 +386,14 @@ def test_foreign_symbol_is_a_typed_error_naming_the_first_one(compiled):
             encode(d, cb, stream)
         assert isinstance(exc.value, VVCodeError) and isinstance(exc.value, ValueError)
         assert str(exc.value) == f"stream symbol {bad} outside alphabet of size 2"
+    # a remainder symbol that is not an integer, before or after one out of range
+    for stream, bad in [([0, "1"], "1"), ([0, None], None), ([0, 1.5], 1.5),
+                        ([0, 1, 1, 1.0], 1.0), ([0, 1, 1, 2.5, 7], 2.5)]:
+        with pytest.raises(StreamSymbolError) as exc:
+            encode(d, cb, stream)
+        assert str(exc.value) == f"stream symbol {bad!r} is not an integer"
+    with pytest.raises(StreamSymbolError, match="^stream symbol 7 outside alphabet of size 2$"):
+        encode(d, cb, [0, 1, 1, 7, 2.5])
 
 
 def test_spec_encoder_pins_worked_example(complete_dict):
@@ -473,6 +484,17 @@ def test_decode_builds_its_lookup_once_per_codebook(biased):
     table = vars(cb)["_table"]
     assert decode(d, cb, data) == stream
     assert vars(cb)["_table"] is table  # the second call built nothing
+
+
+def test_encode_builds_its_map_once_per_codebook(biased):
+    d = tunstall_build(biased, 64)
+    cb = huffman_build([(w, biased.word_prob(w)) for w in d.words])
+    stream = [0, 0, 1, 0, 0, 0, 0, 0, 1]
+    assert "_map" not in vars(cb)
+    data = encode(d, cb, stream)
+    code_map = vars(cb)["_map"]
+    assert encode(d, cb, stream) == data
+    assert vars(cb)["_map"] is code_map  # the second call built nothing
 
 
 def test_a_matched_codebook_still_rejects_another_dictionary():
