@@ -230,12 +230,9 @@ class ExtensionChain:
 
     def __init__(self, base: Dictionary, extending_words):
         self.base = base
-        if callable(extending_words):
-            self._factory = extending_words
-            self._words = None
-        else:
-            self._words = [tuple(w) for w in extending_words]
-            self._factory = None
+        if not callable(extending_words):
+            extending_words = [tuple(w) for w in extending_words]
+        self._words = extending_words
 
     @classmethod
     def from_truncation(
@@ -250,17 +247,15 @@ class ExtensionChain:
         return cls(fs.d_n, fs.t_n)
 
     def extending_words(self, k: int):
-        if self._words is not None:
-            if k > len(self._words):
-                raise ValueError(
-                    f"chain has {len(self._words)} extending words, {k} requested"
-                )
-            return self._words[:k]
-        return [tuple(w) for w in islice(self._factory(), k)]
-
-    def step(self, k: int) -> Dictionary:
         if k < 0:
             raise ValueError("chain step count must be >= 0")
+        words = self._words() if callable(self._words) else self._words
+        words = [tuple(w) for w in islice(words, k)]
+        if len(words) < k:
+            raise ValueError(f"chain has {len(words)} extending words, {k} requested")
+        return words
+
+    def step(self, k: int) -> Dictionary:
         d = self.base
         for w in self.extending_words(k):
             d = extend(d, w)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algebra import MAX_FRONTIER_WORDS, truncate
 from .dictionary import (
@@ -178,21 +178,8 @@ class MeasureReport:
     note: str = ""
 
     def as_dict(self):
-        return {
-            "h_d_low": self.h_d_low,
-            "h_d_high": self.h_d_high,
-            "lbar_low": self.lbar_low,
-            "lbar_high": self.lbar_high,
-            "h_p": self.h_p,
-            "residual": self.residual,
-            "depth_used": self.depth_used,
-            "frontier_mass": self.frontier_mass,
-            "verdict": self.verdict,
-            "asc_status": self.asc_status,
-            "tol": self.tol,
-            "possibly_divergent": False,  # kept for format_version 1
-            "note": self.note,
-        }
+        # possibly_divergent is kept for format_version 1
+        return {**asdict(self), "possibly_divergent": False}
 
 
 def check_conservation(
@@ -265,21 +252,7 @@ class TruncationIdentityReport:
     all_ok: bool
 
     def as_dict(self):
-        return {
-            "h_p": self.h_p,
-            "all_ok": self.all_ok,
-            "rows": [
-                {
-                    "m": r.m,
-                    "h": r.h,
-                    "lbar": r.lbar,
-                    "mass": r.mass,
-                    "residual": r.residual,
-                    "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def _powers(c: int) -> list:
@@ -359,10 +332,7 @@ def check_truncation_identity(
     rows = []
     for m, (mass, lbar, h) in _truncation_series(d, source, m_max, max_symbol):
         residual = abs(h - h_p * lbar)
-        rows.append(
-            TruncationRow(m=m, h=h, lbar=lbar, mass=mass, residual=residual,
-                          ok=residual <= tol)
-        )
+        rows.append(TruncationRow(m, h, lbar, mass, residual, residual <= tol))
     return TruncationIdentityReport(
         h_p=h_p, rows=tuple(rows), all_ok=all(r.ok for r in rows)
     )
@@ -435,21 +405,7 @@ class ScanReport:
     final_lbar_gap: float
 
     def as_dict(self):
-        return {
-            "h_nondecreasing": self.h_nondecreasing,
-            "lbar_nondecreasing": self.lbar_nondecreasing,
-            "final_h_gap": self.final_h_gap,
-            "final_lbar_gap": self.final_lbar_gap,
-            "rows": [
-                {
-                    "m": r.m,
-                    "h": r.h,
-                    "lbar": r.lbar,
-                    "identity_residual": r.identity_residual,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def convergence_scan(

@@ -187,10 +187,8 @@ def report_from_counts(
     lbar = total / n
     var = (total_sq - n * lbar * lbar) / (n - 1) if n > 1 else 0.0
     stderr = math.sqrt(max(var, 0.0) / n)
-    entropy = -math.fsum(
-        (c / n) * math.log2(c / n)
-        for _, c in sorted(counts.items(), key=lambda kv: canon_key(kv[0]))
-    )
+    # fsum rounds the exact sum, so the order of the counts does not matter
+    entropy = -math.fsum((c / n) * math.log2(c / n) for c in counts.values())
     pm = phrase_measures(d, source, depth=depth)
     theory_lbar = pm.length.mid
     theory_hd = pm.entropy.mid

@@ -290,9 +290,19 @@ def test_chain_countable_infinite_frontier(geometric_half):
 
 
 def test_chain_step_overrun_raises(complete_dict):
-    chain = ExtensionChain(complete_dict, [(0,)])
-    with pytest.raises(ValueError):
-        chain.step(2)
+    # a factory that runs dry overruns like a list that is too short
+    for words in ([(0,)], lambda: iter([(0,)])):
+        chain = ExtensionChain(complete_dict, words)
+        with pytest.raises(ValueError, match="^chain has 1 extending words, 2 requested$"):
+            chain.step(2)
+
+
+def test_chain_refuses_a_negative_count(complete_dict):
+    for words in ([(0,), (1,)], lambda: iter([(0,), (1,)])):
+        chain = ExtensionChain(complete_dict, words)
+        for take in (chain.step, chain.extending_words):
+            with pytest.raises(ValueError, match="^chain step count must be >= 0$"):
+                take(-1)
 
 
 def test_chain_from_countable_truncation_raises():

@@ -127,6 +127,17 @@ def test_check_lazy_run_length(files, capsys):
     assert "complete" not in rep["result"]
 
 
+def test_check_undetermined_exits_3(files, capsys):
+    # P(T_5) = 2^-5 of run-length over fair is still above the tolerance
+    code, rep = run_json(
+        capsys,
+        ["check", "--dict", files["rl"], "--source", files["fair"], "--depth", "5"],
+    )
+    assert code == 3
+    assert rep["result"]["asc_status"] == "undetermined"
+    assert rep["result"]["residual_mass"] == 0.03125
+
+
 def test_truncate_command(files, capsys):
     code, rep = run_json(capsys, ["truncate", "--dict", files["rl"], "--depth", "3"])
     assert code == 0
@@ -376,6 +387,8 @@ def test_simulate_dead_dictionary_fails(files, capsys):
     (["simulate", "-n", "0"], "n_phrases must be >= 1"),
     (["simulate", "-n", "0", "--histogram"], "n_phrases must be >= 1"),
     (["scan", "--m-max", "0"], "m_max must be >= 1"),
+    (["verify", "--depth", "0"], "--depth must be >= 1"),
+    (["scan", "--width", "0"], "--width must be >= 1"),
 ])
 def test_an_explicit_zero_is_refused_not_replaced_by_the_default(
     files, capsys, argv, message
@@ -397,6 +410,22 @@ def test_a_config_without_a_count_runs_with_the_default(files, capsys):
         result = json.loads(capsys.readouterr().out)["result"]
         got = result[key]
         assert (len(got) if key == "rows" else got) == default
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["codebook", "--mode", "fixed"], "codebooks need a finite dictionary"),
+    (["encode", "--codebook", "cb.json", "--in", "s.txt"],
+     "encoding needs a finite dictionary"),
+    (["decode", "--codebook", "cb.json", "--in", "s.vv"],
+     "decoding needs a finite dictionary"),
+])
+def test_codec_commands_refuse_a_lazy_dictionary(files, capsys, argv, message):
+    out = str(files["tmp"] / "out")
+    assert cli.main([*argv, "--dict", files["rl"], "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"vvcode: {message}\n"
+    assert not os.path.exists(out)
 
 
 def test_missing_file_is_usage_error(files, capsys):

@@ -271,6 +271,19 @@ def test_decode_corrupt_inputs(complete_dict):
         decode(complete_dict, cb, bytes(tampered))
 
 
+def test_decode_refuses_a_varint_past_64_bits():
+    d = FiniteDictionary(2, [(0,), (1,)])
+    cb = fixed_codebook(d.words)
+    # ten continuation bytes shift the phrase count past 63 bits
+    with pytest.raises(CorruptBitstreamError) as exc:
+        decode(d, cb, bytes([0x56] + [0x80] * 10 + [0x00]))
+    assert str(exc.value) == "varint too long (bit offset 88)"
+    # nine end the count, and the stream ends inside the next varint
+    with pytest.raises(CorruptBitstreamError) as exc:
+        decode(d, cb, bytes([0x56] + [0x80] * 9 + [0x00]))
+    assert str(exc.value) == "unexpected end of stream (bit offset 88)"
+
+
 def test_round_trip_incomplete_dictionary_fixed_codebook():
     d = FiniteDictionary(2, [(0,), (1, 0)])  # not complete
     cb = fixed_codebook(d.words)

@@ -12,6 +12,7 @@ fails instead of comparing the walk with itself.
 """
 
 import functools
+import itertools
 import math
 
 import pytest
@@ -349,6 +350,12 @@ def test_frontier_budget():
     with pytest.raises(ResourceBudgetError) as exc:
         check_truncation_identity(d, FAIR, 21)
     assert str(exc.value) == "frontier at depth 20 exceeds max_words=1000000"
+    # the 16 words of length 4 leave 4 live prefixes of length 2: the walk
+    # passes a budget of 3 while it builds that level
+    d = FiniteDictionary(2, list(itertools.product((0, 1), repeat=4)))
+    with pytest.raises(ResourceBudgetError) as exc:
+        list(dictionary.word_levels(d, FAIR, 2, 3))
+    assert str(exc.value) == "frontier at depth 2 exceeds max_words=3"
 
 
 def test_countable_alphabet_needs_a_width(monkeypatch):

@@ -269,6 +269,23 @@ def test_step_cap_fires_before_a_longer_dead_prefix(fair):
     with pytest.raises(SimulationAbortError) as exc:
         simulate(d, fair, 10_000, seed=1, step_cap=3)
     assert str(exc.value).startswith("sampled prefix [1, 1, 1] can never complete")
+    # over mostly ones the first block stops at the dead prefix itself, which
+    # is longer than the cap: the cap is reported, and with no cap the prefix
+    mostly_ones = SourceModel.finite([0.001, 0.999])
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(d, mostly_ones, 5, seed=1, step_cap=2)
+    assert str(exc.value) == "phrase exceeded 2 symbols; stuck prefix starts [1, 1]"
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(d, mostly_ones, 5, seed=1)
+    assert str(exc.value).startswith("sampled prefix [1, 1, 1] can never complete")
+
+
+def test_step_cap_stops_a_pending_phrase():
+    # the run of ones left pending after the first block reaches the cap
+    mostly_ones = SourceModel.finite([0.001, 0.999])
+    with pytest.raises(SimulationAbortError) as exc:
+        simulate(RunLengthDictionary(), mostly_ones, 1, seed=1, step_cap=3)
+    assert str(exc.value) == "phrase exceeded 3 symbols; stuck prefix starts [1, 1, 1]"
 
 
 def test_phrase_of_exactly_step_cap_symbols_is_kept(fair, complete_dict):
