@@ -189,19 +189,7 @@ def _cmd_cone(config: RunConfig) -> int:
 def _cmd_measure(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
-    pm = phrase_measures(d, s, config.depth)
-    result = {
-        "h_d_low": pm.entropy.low,
-        "h_d_high": pm.entropy.high,
-        "lbar_low": pm.length.low,
-        "lbar_high": pm.length.high,
-        "h_p": s.entropy(),
-        "frontier_mass": pm.frontier_mass,
-        "exhaustive": pm.exhaustive,
-        "tails_exact": pm.tails_exact,
-        "possibly_divergent": False,  # kept for format_version 1
-        "note": pm.note,
-    }
+    result = phrase_measures(d, s, config.depth).report(s.entropy())
     _emit_report(config, result, report_csv(PHRASE_MEASURE_CSV_COLUMNS, [result]))
     return EXIT_OK
 

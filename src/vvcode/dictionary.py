@@ -221,10 +221,13 @@ def word_levels(
     source: SourceModel,
     width: int,
     frontier: int | None = None,
+    start: tuple | None = None,
 ):
     """Walk d's automaton one length at a time: yield
     (j, probs, live_probs, live_states, dead) for j = 1, 2, ... until no
-    prefix of length j leads on.
+    prefix of length j leads on. start = (i, live_probs, live_states), the
+    live length-i prefixes as an earlier level left them, walks on from
+    them instead of the start state: the levels run j = i + 1, ...
 
     Each level is parallel lists of bare floats and states. probs holds
     P(w) for the members w of length j; live_probs and live_states hold
@@ -278,8 +281,8 @@ def word_levels(
     # a member walk over a finite alphabet where no state's default ends a
     # word takes each state's transitions
     listed = frontier is None and finite and TO_WORD not in defaults
-    rest_p, rest_q, dead = [1.0], [d.start], {}
-    j = 0
+    j, rest_p, rest_q = start or (0, [1.0], [d.start])
+    dead = {}
     while rest_p or dead:
         j += 1
         probs, nxt_p, nxt_q, nxt_dead = [], [], [], {}
@@ -414,6 +417,35 @@ def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
     return m * g, l * g + m * r * g * g, s * g + u * m * g * g
 
 
+def _level_sums(d: "Dictionary", source: SourceModel, width: int, levels):
+    """exact_word_measures of the members in word_levels' levels, term for
+    term; an unpriced word raises word_prob's error for the least one."""
+    probs = list(itertools.chain.from_iterable(lv[1] for lv in levels))
+    lengths = itertools.chain.from_iterable(
+        itertools.repeat(j, len(ps)) for j, ps, *_ in levels
+    )
+    sums = measure_sums(probs, lengths)
+    if sums[0] != sums[0]:
+        j = next(j for j, ps, *_ in levels if any(p != p for p in ps))
+        for w in d.member_words(j, width):
+            if len(w) == j:
+                source.check_word(w)
+    return sums
+
+
+def finite_sums(d: "Dictionary", source: SourceModel, members, more):
+    """(mass, lbar, entropy) of an automaton with finitely many words, from
+    a member walk to some depth: `members`, the sums over its members up to
+    that depth, plus those over the longer ones, which the levels `more`
+    walks on through to the last (all 0.0 if there is none)."""
+    levels = list(more)
+    if any(lv[1] for lv in levels):
+        longer = _level_sums(d, source, d.alphabet_size, levels)
+    else:
+        longer = 0.0, 0.0, 0.0
+    return tuple(a + b for a, b in zip(members, longer))
+
+
 class _MeasureWalk:
     """One word_levels walk of d to `depth` over the symbols that lead on
     (a finite alphabet's, or a countable alphabet's listed ones), and the
@@ -434,39 +466,14 @@ class _MeasureWalk:
         self.shorter = inner[:depth]
         self.live = inner[depth][0] if depth < len(inner) else []
 
-    def _sums(self, levels):
-        """exact_word_measures of the words in levels, term for term; an
-        unpriced word raises word_prob's error for the least one."""
-        probs = list(itertools.chain.from_iterable(lv[1] for lv in levels))
-        lengths = itertools.chain.from_iterable(
-            itertools.repeat(j, len(ps)) for j, ps, *_ in levels
-        )
-        sums = measure_sums(probs, lengths)
-        if sums[0] != sums[0]:
-            j = next(j for j, ps, *_ in levels if any(p != p for p in ps))
-            for w in self.d.member_words(j, self.width):
-                if len(w) == j:
-                    self.source.check_word(w)
-        return sums
-
     @functools.cached_property
     def members(self):
-        return self._sums(self.levels)
-
-    @functools.cached_property
-    def longer(self):
-        """The sums over the members longer than depth, walking on to the
-        last of them; all 0.0 if there is none."""
-        levels = list(self.more)
-        if not any(lv[1] for lv in levels):
-            return 0.0, 0.0, 0.0
-        return self._sums(levels)
+        return _level_sums(self.d, self.source, self.width, self.levels)
 
     def finite_sums(self):
-        """(mass, lbar, entropy) of an automaton with finitely many words:
-        exact_word_measures of its members up to depth plus that of the
-        longer ones."""
-        return tuple(a + b for a, b in zip(self.members, self.longer))
+        """finite_sums of the members up to depth and of the walk on past
+        it, which this call reads to its end: call it once."""
+        return finite_sums(self.d, self.source, self.members, self.more)
 
     @functools.cached_property
     def boundary(self) -> float:

@@ -30,7 +30,13 @@ rows past L are row L repeated, not walked or summed again.
 phrase_measures builds one dictionary._MeasureWalk to the depth and reads
 both the member sums and P(T_depth) from it; check_conservation takes
 P(T_depth) from phrase_measures and certifies ASC on it as is_asc would,
-so it walks once too.
+so it walks once too. convergence_scan's final gaps need H(D) and lbar(D)
+but not P(T_m_max), and come from the series' walk: a dictionary with
+finitely many words sums the member terms the series met once each and
+walks on from its live length-m_max prefixes through the longer members
+alone, and any other takes its completion sums, with no walk.
+_dictionary_sums makes that choice for both phrase_measures and the scan,
+so each length is walked at most once per call.
 Each word probability is the walk's product P(prefix)*p_s, bit-identical
 to SourceModel.word_prob, and each sum is a math.fsum, which rounds the
 exact sum and so does not depend on the order of its terms. So the reports
@@ -53,6 +59,7 @@ from .dictionary import (
     asc_verdict,
     check_asc_budget,
     exact_word_measures,
+    finite_sums,
     word_levels,
 )
 from .errors import UnsupportedOperationError
@@ -102,6 +109,31 @@ class PhraseMeasures:
     tails_exact: bool
     note: str = ""
 
+    def report(self, h_p: float) -> dict:
+        """The measure report (vvcode measure), with H(P) = h_p."""
+        return {
+            "h_d_low": self.entropy.low,
+            "h_d_high": self.entropy.high,
+            "lbar_low": self.length.low,
+            "lbar_high": self.length.high,
+            "h_p": h_p,
+            "frontier_mass": self.frontier_mass,
+            "exhaustive": self.exhaustive,
+            "tails_exact": self.tails_exact,
+            "possibly_divergent": False,  # kept for format_version 1
+            "note": self.note,
+        }
+
+
+def _dictionary_sums(d: Dictionary, source: SourceModel, member_sums):
+    """(mass, lbar, entropy) of the whole dictionary: member_sums(), the
+    caller's sums over its members, where it has finitely many words (a
+    finite alphabet and no reachable self-loop); for any other, the start
+    state's completion sums, None where lbar(D) diverges."""
+    if d.alphabet_size is not None and d.max_word_length() is not None:
+        return member_sums()
+    return d.completion_sums(source)
+
 
 def phrase_measures(
     d: Dictionary,
@@ -111,18 +143,14 @@ def phrase_measures(
     """Bracket H(D), lbar(D) and the member mass, with P(T_depth).
 
     One walk to depth gives P(T_depth) and, for a dictionary with finitely
-    many words (a finite alphabet and no reachable self-loop), its member
-    sums, up to depth and past it; any other takes d.completion_sums.
-    Where that is None the intervals run from 0 to infinity and the note
-    says so.
+    many words, its member sums, up to depth and past it (see
+    _dictionary_sums). Where the sums are None the intervals run from 0 to
+    infinity and the note says so.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     walk = _MeasureWalk(d, depth, source)
-    if d.alphabet_size is not None and d.max_word_length() is not None:
-        sums = walk.finite_sums()
-    else:
-        sums = d.completion_sums(source)
+    sums = _dictionary_sums(d, source, walk.finite_sums)
     frontier_mass = walk.boundary
 
     note = ""
@@ -269,7 +297,9 @@ def _powers(c: int) -> list:
 
 
 def _truncation_series(d, source, m_max, max_symbol):
-    """(m, (mass, lbar, entropy) of D_m) for m = 1..m_max.
+    """(rows, member_sums): rows[m - 1] is (mass, lbar, entropy) of D_m for
+    m = 1..m_max, and member_sums() the sums over all of d's members, read
+    on from the same walk, where d has finitely many words.
 
     D_m is the members of length <= m and T_m. One walk to depth m_max
     yields each length's member probabilities and T_m (truncate's sets),
@@ -282,10 +312,19 @@ def _truncation_series(d, source, m_max, max_symbol):
     dead: T_L is empty and D_L = D (L is the longest word of a finite
     complete dictionary). Every row past L sums the same terms, so it is
     row L repeated, with no further walk or sum.
+
+    The member terms up to m_max are the ones _MeasureWalk.members sums,
+    so member_sums() takes one fsum of each, and adds the members longer
+    than m_max as dictionary.finite_sums does: a member walk on from the
+    live length-m_max prefixes. A dead prefix leads to no member, and that
+    walk expands none, so it has no frontier budget to exceed.
     """
-    levels = word_levels(d, source, d.member_width(max_symbol), MAX_FRONTIER_WORDS)
+    width = d.member_width(max_symbol)
+    levels = word_levels(d, source, width, MAX_FRONTIER_WORDS)
     mass, lbar, h = [], [], []  # the terms of the members so far
-    for m, probs, t_m, _, dead in itertools.islice(levels, m_max):
+    rows = []
+    for m, probs, t_m, live_states, dead in itertools.islice(levels, m_max):
+        live = m, t_m, live_states
         ms = itertools.repeat(m)
         mass += probs
         lbar += map(operator.mul, probs, ms)
@@ -303,15 +342,28 @@ def _truncation_series(d, source, m_max, max_symbol):
             # word_prob would over truncate's sets
             for w in truncate(d, m, max_symbol).d_n_perp:
                 source.check_word(w)
-        row = (
+        rows.append((
             row_mass,
             math.fsum(itertools.chain(lbar, t_lbar)),
             -math.fsum(itertools.chain(h, t_h)),
-        )
-        yield m, row
+        ))
     # a walk that ended before m_max left D_m = D: the later rows are row m
-    for m in range(m + 1, m_max + 1):
-        yield m, row
+    rows += rows[-1:] * (m_max - m)
+
+    def member_sums():
+        members = math.fsum(mass), math.fsum(lbar), -math.fsum(h)
+        return finite_sums(d, source, members, word_levels(d, source, width, start=live))
+
+    return rows, member_sums
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is finite and >= 0. A residual can be
+    exactly 0, so tol = 0 is an exact check."""
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
+    if tol < 0:
+        raise ValueError("tolerance must be >= 0")
 
 
 def check_truncation_identity(
@@ -324,13 +376,16 @@ def check_truncation_identity(
     """Check H(D_m) = H(P)*lbar(D_m) exactly for m = 1..m_max.
 
     Finite sums at every stage; requires properness only, not ASC.
-    Countable alphabets are evaluated within the symbol budget.
+    Countable alphabets are evaluated within the symbol budget. m_max and
+    tol are checked before the walk.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    _check_tol(tol)
     h_p = source.entropy()
     rows = []
-    for m, (mass, lbar, h) in _truncation_series(d, source, m_max, max_symbol):
+    series, _ = _truncation_series(d, source, m_max, max_symbol)
+    for m, (mass, lbar, h) in enumerate(series, 1):
         residual = abs(h - h_p * lbar)
         rows.append(TruncationRow(m, h, lbar, mass, residual, residual <= tol))
     return TruncationIdentityReport(
@@ -360,9 +415,11 @@ def check_extension_identities(
     tol: float = 1e-9,
 ) -> ExtensionIdentityReport:
     """Verify lbar(D[alpha]) - lbar(D) = P(alpha) and
-    H(D[alpha]) - H(D) = P(alpha)*H(P) by exact finite sums."""
+    H(D[alpha]) - H(D) = P(alpha)*H(P) by exact finite sums. tol is
+    checked before the sums."""
     from .algebra import extend
 
+    _check_tol(tol)
     if not isinstance(d, FiniteDictionary):
         raise UnsupportedOperationError(
             "extension identities need a finite materialization; use the "
@@ -417,22 +474,28 @@ def convergence_scan(
     """Emit (m, H(D_m), lbar(D_m)) for m = 1..m_max with monotonicity flags.
 
     Truncation measures are nondecreasing in m for any proper dictionary
-    (every extension adds P(alpha) >= 0); the final gaps compare against
-    the interval midpoints of the full-dictionary measures.
+    (every extension adds P(alpha) >= 0). The final gaps compare the last
+    row against H(D) and lbar(D), the values phrase_measures gives, from
+    the truncation series' own walk: a dictionary with finitely many words
+    sums the members that walk met and walks on through the longer ones
+    only; any other takes its completion sums and walks no further. Where
+    lbar(D) diverges, both gaps are infinite.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     h_p = source.entropy()
+    series, member_sums = _truncation_series(d, source, m_max, max_symbol)
     rows = [
         ScanRow(m=m, h=h, lbar=lbar, identity_residual=abs(h - h_p * lbar))
-        for m, (_, lbar, h) in _truncation_series(d, source, m_max, max_symbol)
+        for m, (_, lbar, h) in enumerate(series, 1)
     ]
     eps = 1e-12
     h_mono = all(b.h >= a.h - eps for a, b in zip(rows, rows[1:]))
     l_mono = all(b.lbar >= a.lbar - eps for a, b in zip(rows, rows[1:]))
-    pm = phrase_measures(d, source, depth=m_max)
-    final_h_gap = abs(pm.entropy.mid - rows[-1].h)
-    final_lbar_gap = abs(pm.length.mid - rows[-1].lbar)
+    sums = _dictionary_sums(d, source, member_sums)
+    h_d, lbar_d = (INF, INF) if sums is None else (sums[2], sums[1])
+    final_h_gap = abs(h_d - rows[-1].h)
+    final_lbar_gap = abs(lbar_d - rows[-1].lbar)
     return ScanReport(
         rows=tuple(rows),
         h_nondecreasing=h_mono,

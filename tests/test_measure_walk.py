@@ -66,20 +66,23 @@ def per_word_measures(words, source):
     return mass, lbar, h
 
 
-def per_word_finite_sums(walk):
-    """_MeasureWalk.finite_sums, word by word: the members up to the walk's
-    depth, plus the longer ones."""
-    d, depth, source = walk.d, walk.depth, walk.source
+def per_word_finite_sums(d, source, depth):
+    """dictionary.finite_sums after a walk to depth, word by word: the
+    members up to depth, plus the longer ones."""
     members = per_word_measures(d.member_words(depth), source)
     longer = [w for w in d.member_words(d.max_word_length()) if len(w) > depth]
     rest = per_word_measures(longer, source) if longer else (0.0, 0.0, 0.0)
     return tuple(a + b for a, b in zip(members, rest))
 
 
-def per_word_series(d, source, m_max, max_symbol):
-    for m in range(1, m_max + 1):
-        fs = truncate(d, m, max_symbol)
-        yield m, per_word_measures(fs.d_n_words, source)
+def per_word_series(d, source, m_max, max_symbol, max_words=None):
+    """measures._truncation_series, word by word over truncate's sets."""
+    kw = {} if max_words is None else {"max_words": max_words}
+    rows = [
+        per_word_measures(truncate(d, m, max_symbol, **kw).d_n_words, source)
+        for m in range(1, m_max + 1)
+    ]
+    return rows, lambda: per_word_finite_sums(d, source, m_max)
 
 
 def outcome(call):
@@ -106,7 +109,7 @@ def assert_walk_matches_per_word(monkeypatch, d, source, depth, m_max, **kw):
 
     def reference_sums(self):
         calls.append(self)
-        return per_word_finite_sums(self)
+        return per_word_finite_sums(self.d, self.source, self.depth)
 
     with monkeypatch.context() as mp:
         mp.setattr(_MeasureWalk, "finite_sums", reference_sums)
@@ -234,6 +237,66 @@ def test_each_call_walks_once(monkeypatch, d, depth):
         walks.clear()
         call(d, BIASED, depth)
         assert walks == [d]
+
+
+@pytest.mark.parametrize("d, m_max", [
+    (tunstall_build(BIASED, 256), 24),
+    (tunstall_build(BIASED, 256), 64),
+    (FiniteDictionary(2, [(0,)]), 12),
+    (RunLengthDictionary(), 24),
+], ids=["tunstall-256-m24", "tunstall-256-m64", "zero", "run-length"])
+def test_scan_walks_each_length_once(monkeypatch, d, m_max):
+    # the final gaps come from the truncation series' walk: a dictionary
+    # with finitely many words walks on from it through the longer members
+    # only, and a lazy family takes its completion sums and walks no more
+    walks, word_levels = [], dictionary.word_levels
+
+    def counted(*args, **kwargs):
+        lengths = []
+        walks.append(lengths)
+        for level in word_levels(*args, **kwargs):
+            lengths.append(level[0])
+            yield level
+
+    monkeypatch.setattr(dictionary, "word_levels", counted)
+    monkeypatch.setattr(measures, "word_levels", counted)
+    convergence_scan(d, BIASED, m_max)
+    lengths = [j for walk in walks for j in walk]
+    assert len(lengths) == len(set(lengths))
+    longest = d.max_word_length()
+    if longest is None:
+        assert walks == [list(range(1, m_max + 1))]
+    else:
+        # every length up to the longest word, so the longer members too
+        assert set(lengths) >= set(range(1, longest + 1))
+
+
+def test_scan_gaps_equal_phrase_measures_at_m_max(corpus):
+    # the gaps' definition when the scan took them from a second walk,
+    # phrase_measures(d, source, m_max), kept bit for bit
+    cases = [(d, s, m) for d in corpus for s in (FAIR, BIASED) for m in (1, 3, 8)]
+    for d, source in [(tunstall_build(BIASED, 16), BIASED),
+                      (tunstall_build(BIASED, 256), BIASED),
+                      (tunstall_build(TERNARY, 81), TERNARY)]:
+        n = d.max_word_length()
+        cases += [(d, source, m) for m in (1, n - 1, n, n + 5)]
+    cases += [(RunLengthDictionary(), s, m) for s in (FAIR, BIASED) for m in (1, 24)]
+    for d, source, m_max in cases:
+        scan = convergence_scan(d, source, m_max)
+        pm = phrase_measures(d, source, m_max)
+        assert repr(scan.final_h_gap) == repr(abs(pm.entropy.mid - scan.rows[-1].h))
+        assert repr(scan.final_lbar_gap) == repr(abs(pm.length.mid - scan.rows[-1].lbar))
+
+
+def test_scan_prices_t_1_before_the_longer_members():
+    # the source lacks symbol 2: the series prices T_1's dead prefix (2,)
+    # at m = 1 and raises before any member longer than m_max is walked
+    d = FiniteDictionary(3, [(0,), (1, 0), (1, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"^word \[2\] has symbols outside alphabet size 2$"):
+        convergence_scan(d, BIASED, 1)
+    # the longer members alone would name (1, 2)
+    with pytest.raises(ValueError, match=r"^word \[1, 2\] has symbols outside"):
+        phrase_measures(d, BIASED, 1)
 
 
 # -- past the longest word: D_m = D ------------------------------------------
@@ -443,9 +506,7 @@ def test_frontier_budget_in_the_dead_zone():
 @pytest.mark.parametrize("budget", [40, 300, 2000])
 def test_frontier_budget_at_the_depth_truncate_raises(monkeypatch, budget):
     def budgeted_series(d, source, m_max, max_symbol):
-        for m in range(1, m_max + 1):
-            fs = truncate(d, m, max_symbol, max_words=budget)
-            yield m, per_word_measures(fs.d_n_words, source)
+        return per_word_series(d, source, m_max, max_symbol, max_words=budget)
 
     monkeypatch.setattr(measures, "MAX_FRONTIER_WORDS", budget)
     rng = make_rng(15)

@@ -22,6 +22,7 @@ from vvcode import (
     is_complete,
     phrase_measures,
 )
+from vvcode import measures
 from vvcode.errors import UnsupportedOperationError
 from vvcode.measures import Interval
 
@@ -221,6 +222,33 @@ def test_m_max_below_one_is_refused(complete_dict, fair, m_max):
     for call in (check_truncation_identity, convergence_scan):
         with pytest.raises(ValueError, match=r"^m_max must be >= 1$"):
             call(complete_dict, fair, m_max)
+
+
+@pytest.mark.parametrize("tol, message", [
+    (math.inf, "tolerance must be finite"),
+    (-math.inf, "tolerance must be finite"),
+    (math.nan, "tolerance must be finite"),
+    (-1e-300, "tolerance must be >= 0"),
+    (-1.0, "tolerance must be >= 0"),
+])
+def test_identity_checks_refuse_a_tolerance(monkeypatch, complete_dict, run_length, fair,
+                                            tol, message):
+    # inf passed every input and nan failed every one; refused before a walk
+    monkeypatch.setattr(measures, "_truncation_series", None)
+    monkeypatch.setattr(measures, "exact_word_measures", None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_truncation_identity(complete_dict, fair, 3, tol=tol)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_extension_identities(complete_dict, (0,), fair, tol=tol)
+    # before the lazy family's refusal too
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_extension_identities(run_length, (0,), fair, tol=tol)
+
+
+def test_identity_checks_take_a_zero_tolerance(complete_dict, fair):
+    # the residuals of {0, 10, 11} over a fair bit are exactly 0
+    assert check_truncation_identity(complete_dict, fair, 3, tol=0.0).all_ok
+    assert check_extension_identities(complete_dict, (0,), fair, tol=0.0).ok
 
 
 def test_truncation_identity_random_corpus(corpus, biased):
