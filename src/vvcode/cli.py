@@ -127,9 +127,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _emit_report(config: RunConfig, result, csv_text=None) -> None:
+def _emit_report(config: RunConfig, result, build_csv=None) -> None:
+    """The JSON envelope, or under --format csv what build_csv() returns."""
     if config.format == "csv":
-        _emit(csv_text, config.out_path)
+        _emit(build_csv(), config.out_path)
         return
     text = json.dumps(_report_envelope(config, result), indent=2, sort_keys=True)
     _emit(text + "\n", config.out_path)
@@ -190,7 +191,7 @@ def _cmd_measure(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
     result = phrase_measures(d, s, config.depth).report(s.entropy())
-    _emit_report(config, result, report_csv(PHRASE_MEASURE_CSV_COLUMNS, [result]))
+    _emit_report(config, result, lambda: report_csv(PHRASE_MEASURE_CSV_COLUMNS, [result]))
     return EXIT_OK
 
 
@@ -199,7 +200,7 @@ def _cmd_verify(config: RunConfig) -> int:
     s = load_source(config.source_path)
     report = check_conservation(d, s, config.depth, config.tol)
     result = report.as_dict()
-    _emit_report(config, result, report_csv(MEASURE_CSV_COLUMNS, [result]))
+    _emit_report(config, result, lambda: report_csv(MEASURE_CSV_COLUMNS, [result]))
     if report.verdict == "pass":
         return EXIT_OK
     if report.verdict == "fail":
@@ -213,7 +214,7 @@ def _cmd_scan(config: RunConfig) -> int:
     m_max = DEFAULT_M_MAX if config.m_max is None else config.m_max
     report = convergence_scan(d, s, m_max, config.width)
     result = report.as_dict()
-    _emit_report(config, result, report_csv(SCAN_CSV_COLUMNS, result["rows"]))
+    _emit_report(config, result, lambda: report_csv(SCAN_CSV_COLUMNS, result["rows"]))
     if report.h_nondecreasing and report.lbar_nondecreasing:
         return EXIT_OK
     return EXIT_FAIL
@@ -286,11 +287,11 @@ def _cmd_simulate(config: RunConfig) -> int:
         )
         report = report_from_counts(d, s, dict(hist.entries), config.seed, config.depth)
         result = {"sim": report.as_dict(), "histogram": hist.as_dict()}
-        _emit_report(config, result, histogram_csv(hist))
+        _emit_report(config, result, lambda: histogram_csv(hist))
     else:
         report = simulate(d, s, n, config.seed, depth=config.depth)
         result = report.as_dict()
-        _emit_report(config, result, report_csv(SIM_CSV_COLUMNS, [result]))
+        _emit_report(config, result, lambda: report_csv(SIM_CSV_COLUMNS, [result]))
     return EXIT_OK
 
 

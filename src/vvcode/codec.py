@@ -141,10 +141,11 @@ class PhraseCodebook:
 
     def _check_matches(self, d: FiniteDictionary) -> None:
         """Raise CodebookMismatchError unless the phrases are d's words. Both
-        are immutable: the codebook remembers the dictionary it last matched.
-        A lazy family has no word set: its infinite words never match."""
+        are immutable: the codebook remembers the dictionary it last matched,
+        so the sets are built once per pair. A lazy family has no word
+        tuple: its infinite words never match."""
         if getattr(self, "_matched", None) is not d:
-            if set(self.phrases) != getattr(d, "word_set", None):
+            if set(self.phrases) != set(getattr(d, "words", ())):
                 raise CodebookMismatchError("codebook phrases do not match the dictionary words")
             object.__setattr__(self, "_matched", d)
 

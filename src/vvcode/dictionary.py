@@ -1,13 +1,14 @@
 """Prefix-free dictionaries: explicit word sets and lazy infinite families.
 
 A dictionary is a prefix-free set of nonempty words over the source
-alphabet. A finite dictionary is a trie, with its words kept beside it in
-canonical order: the constructor checks the words while it inserts them,
-and codec.tunstall_build grows the trie itself and hands it over
-unchecked, its words read off the trie by subtree_walk in canonical order
-without a sort. Infinite families (run-length, single-word extensions over
-countable alphabets) are constructors of an automaton and nothing more:
-every query, the measures included, is the base class reading it.
+alphabet. A finite dictionary keeps its trie and its words in canonical
+order, and nothing derived from them: the constructor checks the words
+while it inserts them, and codec.tunstall_build grows the trie itself and
+hands it over unchecked, its words read off the trie by subtree_walk in
+canonical order without a sort. Infinite families (run-length,
+single-word extensions over countable alphabets) are constructors of an
+automaton and nothing more: every query, the measures included, is the
+base class reading it.
 
 Classification of an arbitrary prefix against a dictionary:
 
@@ -180,8 +181,7 @@ def measure_sums(probs, lengths):
     (no 0.0, and no NaN to make its float sum NaN) is taken as it is."""
     mass = math.fsum(probs)
     lbar = math.fsum(map(operator.mul, probs, lengths))
-    total = sum(probs)
-    pos = probs if all(probs) and total == total else [p for p in probs if p > 0.0]
+    pos = probs if all(probs) and mass == mass else [p for p in probs if p > 0.0]
     return mass, lbar, -math.fsum(map(operator.mul, pos, map(math.log2, pos)))
 
 
@@ -605,11 +605,10 @@ class FiniteDictionary(Dictionary):
         # Empty, out-of-range and duplicate words are caught in C; only a
         # failed check walks the words in Python, to name the first culprit.
         try:
-            word_set = frozenset(ws)
             symbols = set().union(*ws)
             valid = (
                 all(ws)
-                and len(word_set) == len(ws)
+                and len(set(ws)) == len(ws)
                 and all(type(s) is int for s in symbols)
                 and 0 <= min(symbols)
                 and max(symbols) < alphabet_size
@@ -618,7 +617,6 @@ class FiniteDictionary(Dictionary):
             valid = False
         if not valid:
             ws = _check_words(alphabet_size, ws)
-            word_set = frozenset(ws)
         words = sort_words(ws)
         # Trie states in canonical order: a shorter word comes first, so a
         # path that meets TO_WORD is the only way to break prefix-freeness.
@@ -634,7 +632,7 @@ class FiniteDictionary(Dictionary):
                     raise ImproperDictionaryError(*find_prefix_violation(ws))
                 q = nxt
             trans[q][w[-1]] = TO_WORD
-        self._finish(alphabet_size, trans, tuple(words), word_set)
+        self._finish(alphabet_size, trans, tuple(words))
 
     @classmethod
     def _from_trie(cls, alphabet_size: int, trans: list):
@@ -643,18 +641,16 @@ class FiniteDictionary(Dictionary):
         d._finish(alphabet_size, trans)
         return d
 
-    def _finish(self, alphabet_size, trans, words=None, word_set=None):
+    def _finish(self, alphabet_size, trans, words=None):
+        """Keep the trie and its words, read off it when not given."""
         self.alphabet_size = alphabet_size
         self.transitions = trans
         self.defaults = [TO_DEAD] * len(trans)
         if words is None:
-            # canonical order; a trie is no deeper than its number of states
+            # a trie is no deeper than its number of states
             symbols = range(alphabet_size)
             words = tuple(subtree_walk(self, (), self.start, len(trans), symbols)[0])
-            word_set = frozenset(words)
         self.words = words
-        self.word_set = word_set
-        self._max_len = len(words[-1])
 
     def __repr__(self):
         return f"FiniteDictionary(k={self.alphabet_size}, words={len(self.words)})"
@@ -673,7 +669,7 @@ class FiniteDictionary(Dictionary):
         return [w for w in self.words if len(w) <= max_len]
 
     def max_word_length(self):
-        return self._max_len
+        return len(self.words[-1])  # canonical order puts a longest word last
 
     def is_complete(self) -> bool:
         """Complete iff every internal state has a transition on each of

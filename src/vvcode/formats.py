@@ -276,7 +276,7 @@ def _stream_text(symbols) -> str:
         pass
     else:
         # bytearray takes True and numpy integers, which str() may print otherwise
-        if set(map(type, symbols)) <= {int}:
+        if list(map(type, symbols)).count(int) == len(symbols):
             if not raw.translate(None, _DIGITS):  # every symbol is 0-9
                 text = bytearray(b" ") * (2 * len(raw) - 1)
                 text[::2] = raw.translate(_DIGIT_OF_SYMBOL)

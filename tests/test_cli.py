@@ -549,6 +549,59 @@ def test_shipped_fixtures_load_and_verify(capsys):
     assert code == 0
 
 
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
+
+
+def pinned_csv_cases():
+    """(argv, the CSV report in fixtures/reports that it writes)."""
+    for d, s in (("complete_dict", "fair"), ("run_length", "biased")):
+        for cmd, extra in (("verify", []), ("measure", []), ("scan", ["--m-max", "20"])):
+            argv = [cmd, "--dict", f"{FIXTURES}/{d}.json", "--source", f"{FIXTURES}/{s}.json"]
+            yield pytest.param(argv + extra, f"{cmd}_{d}_{s}.csv", id=f"{cmd}_{d}_{s}")
+    argv = ["scan", "--dict", f"{FIXTURES}/reports/tunstall_64_biased.json",
+            "--source", f"{FIXTURES}/biased.json", "--m-max", "8"]
+    yield pytest.param(argv, "scan_tunstall_64_biased.csv", id="scan_tunstall_64_biased")
+
+
+@pytest.mark.parametrize("argv, pinned", pinned_csv_cases())
+def test_csv_is_built_only_under_format_csv(monkeypatch, capsys, argv, pinned):
+    calls = count_calls(monkeypatch, "report_csv")
+    hist_calls = count_calls(monkeypatch, "histogram_csv")
+    code, rep = run_json(capsys, argv)
+    assert rep["config"]["format"] == "json"
+    assert calls == [] and hist_calls == []
+    assert cli.main(argv + ["--format", "csv"]) == code
+    with open(f"{FIXTURES}/reports/{pinned}", encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert len(calls) == 1 and hist_calls == []
+
+
+@pytest.mark.parametrize("histogram", [False, True])
+def test_simulate_builds_csv_only_under_format_csv(files, monkeypatch, capsys, histogram):
+    calls = count_calls(monkeypatch, "report_csv")
+    hist_calls = count_calls(monkeypatch, "histogram_csv")
+    argv = ["simulate", "--dict", files["complete"], "--source", files["fair"], "-n", "200"]
+    argv += ["--histogram"] * histogram
+    code, _ = run_json(capsys, argv)
+    assert code == 0 and calls == [] and hist_calls == []
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == ("word,count" if histogram else ",".join(cli.SIM_CSV_COLUMNS))
+    assert (len(calls), len(hist_calls)) == ((0, 1) if histogram else (1, 0))
+
+
 # -- typed loader errors and report envelopes --------------------------------
 
 

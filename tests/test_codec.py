@@ -529,6 +529,40 @@ def test_a_matched_codebook_still_rejects_another_dictionary():
         encode(FiniteDictionary(2, [(0,), (1,)]), cb, [0])
 
 
+def biased_codebook(d):
+    return huffman_build([(w, SourceModel.finite([0.9, 0.1]).word_prob(w)) for w in d.words])
+
+
+def test_a_codebook_matches_equal_words_from_either_constructor():
+    trie = tunstall_build(SourceModel.finite([0.9, 0.1]), 64)
+    listed = FiniteDictionary(2, list(reversed(trie.words)))
+    stream = SourceModel.finite([0.9, 0.1]).sample_stream(5, 2000)
+    for cb in (biased_codebook(trie), biased_codebook(listed)):
+        data = encode(trie, cb, stream)
+        assert encode(listed, cb, stream) == data
+        assert decode(trie, cb, data) == decode(listed, cb, data) == list(stream)
+
+
+@pytest.mark.parametrize("edit", ["missing", "extra", "swapped"])
+@pytest.mark.parametrize("trie", [False, True], ids=["words", "trie"])
+def test_a_codebook_one_word_off_is_refused(edit, trie):
+    d = tunstall_build(SourceModel.finite([0.9, 0.1]), 64)
+    if not trie:
+        d = FiniteDictionary(2, d.words)
+    phrases = list(d.words)
+    stranger = (1,) * 40  # longer than any word
+    if edit == "missing":
+        del phrases[3]
+    elif edit == "extra":
+        phrases.append(stranger)
+    else:
+        phrases[3] = stranger
+    cb = fixed_codebook(phrases)
+    for call in (lambda: encode(d, cb, [0] * 50), lambda: decode(d, cb, b"\x56\x00\x00")):
+        with pytest.raises(CodebookMismatchError):
+            call()
+
+
 def reference_decode(d, cb, data) -> list:
     """The per-phrase decoder: each phrase looked up by the slices at the
     codebook's distinct codeword lengths, shortest first."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_proper_dictionary, make_rng
 from vvcode import (
     AlphabetDictionary,
+    Dictionary,
     FiniteDictionary,
     RunLengthDictionary,
     SourceModel,
@@ -19,6 +20,7 @@ from vvcode import (
     is_proper,
     parse,
     phrase_measures,
+    tunstall_build,
 )
 from vvcode.dictionary import DEAD, INTERNAL, WORD
 from vvcode.errors import ImproperDictionaryError, UnsupportedOperationError
@@ -52,6 +54,18 @@ def test_construction_rejects_bad_words():
 def test_words_in_canonical_order():
     d = FiniteDictionary(2, [(1, 1), (0,), (1, 0)])
     assert d.words == ((0,), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FiniteDictionary(2, [(1, 1, 0), (0,), (1, 0), (1, 1, 1)]),
+    lambda: tunstall_build(SourceModel.finite([0.9, 0.1]), 64),
+], ids=["words", "trie"])
+def test_a_finite_dictionary_keeps_only_its_trie_and_words(build):
+    d = build()
+    assert set(vars(d)) == {"alphabet_size", "transitions", "defaults", "words"}
+    assert not any(isinstance(v, (set, frozenset)) for v in vars(d).values())
+    longest = max(map(len, d.words))
+    assert d.max_word_length() == longest == Dictionary.max_word_length(d)
 
 
 def test_completeness_examples(complete_dict):
@@ -111,7 +125,7 @@ def test_parse_round_trip_property(seed, stream_seed_, length):
     phrases, rem = parse(d, stream)
     flat = [s for ph in phrases for s in ph] + list(rem)
     assert flat == list(stream)
-    assert all(ph in d.word_set for ph in phrases)
+    assert set(phrases) <= set(d.words)
 
 
 def test_run_length_enumeration(run_length):
