@@ -55,24 +55,27 @@ length at a time, starting from 1.0 at the start state, and yields each
 level as parallel lists: the probabilities of the members of that length
 as bare floats, and the probability and state of each live prefix. An
 edge costs one multiply, P(prefix)*p_s, and one append; a finite source
-that has every symbol of the dictionary's alphabet prices s as probs[s].
+that has every symbol of the dictionary's alphabet prices s as probs[s],
+and any other pair from one table built per walk, where a symbol that a
+finite source lacks has its probability under P, 0.0.
 SourceModel.word_prob multiplies a word's symbol probabilities in the same
 order from the same 1.0, so every P(w) the walk reaches is bit-identical
 to word_prob(w). ``measure_sums``, which exact_word_measures calls too,
 then adds the same terms (P, P*|w| and P*log2 P) with math.fsum over C
 maps. fsum rounds the exact sum correctly and so does not depend on the
 order of its terms: the sums keep every bit of a word-by-word evaluation,
-at one multiply per edge instead of |w| per word.
+at one multiply per edge instead of |w| per word. A sum that would take
+an unpriced word refuses it first (``check_members``).
 
-One walk to a depth, a ``_MeasureWalk``, gives P(T_depth), summed
-directly as the live prefixes at depth plus the mass that shorter ones
-send to TO_DEAD (none, and no state is scanned for it, where the source's
-alphabet is the dictionary's and every state lists every symbol), and,
-for an automaton with finitely many words, the sums over its members up
-to that depth; the same walk goes on through the longer ones.
-measures.phrase_measures builds one walk and reads both from it, and
-check_conservation certifies ASC on the P(T_depth) that phrase_measures
-returns: the float is_asc certifies. Nothing keeps a walk between calls.
+``member_walk`` walks d to a depth, and ``boundary`` reads P(T_depth)
+from its levels: the live prefixes at depth plus the mass that shorter
+ones send to TO_DEAD (none, and no state is scanned for it, where the
+source's alphabet is the dictionary's and every state lists every
+symbol). measures.phrase_measures reads from one walk both P(T_depth)
+and, for an automaton with finitely many words, the sums over its
+members, up to the depth and on through the longer ones;
+check_conservation certifies ASC on that P(T_depth): the float is_asc
+certifies. Nothing keeps a walk between calls.
 Any other automaton (a countable alphabet, or a reachable self-loop) has
 its measures in closed form: the start state's completion sums, computed
 children first, the fundamental matrix of an absorbing chain (Kemeny &
@@ -83,7 +86,6 @@ source, so a far listed symbol costs no enumeration.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -174,14 +176,13 @@ def frontier_budget_error(depth: int, max_words: int) -> ResourceBudgetError:
 
 def measure_sums(probs, lengths):
     """(mass, lbar, entropy) of words with probabilities probs (a list of
-    floats, each >= 0.0 or NaN) and lengths `lengths` (an iterable in the
-    same order): the math.fsum of the P, of the P*|w| and of the
-    -P*log2 P. A P that underflowed to 0.0 adds 0*log2(0) = 0 to the
-    entropy, and a NaN adds nothing; a list whose every P passes 0.0 < P
-    (no 0.0, and no NaN to make its float sum NaN) is taken as it is."""
+    floats, each >= 0.0) and lengths `lengths` (an iterable in the same
+    order): the math.fsum of the P, of the P*|w| and of the -P*log2 P. A P
+    of 0.0 (an underflow) adds 0*log2(0) = 0 to the entropy; a list with
+    no 0.0 is taken as it is."""
     mass = math.fsum(probs)
     lbar = math.fsum(map(operator.mul, probs, lengths))
-    pos = probs if all(probs) and mass == mass else [p for p in probs if p > 0.0]
+    pos = probs if all(probs) else [p for p in probs if p > 0.0]
     return mass, lbar, -math.fsum(map(operator.mul, pos, map(math.log2, pos)))
 
 
@@ -193,27 +194,6 @@ def exact_word_measures(words, source: SourceModel):
     """
     probs = [source.word_prob(w) for w in words]
     return measure_sums(probs, map(len, words))
-
-
-class _SymbolProbs(dict):
-    """P(s) by symbol, looked up the first time the walk takes an edge on s.
-
-    A symbol outside a finite source's alphabet gets NaN, so every word
-    through it gets a NaN probability, and a sum raises for it only if the
-    word is one of its terms.
-    """
-
-    def __init__(self, source: SourceModel):
-        super().__init__()
-        self.source = source
-
-    def __missing__(self, s):
-        try:
-            p = self.source.symbol_prob(s)
-        except ValueError:
-            p = math.nan
-        self[s] = p
-        return p
 
 
 def word_levels(
@@ -238,7 +218,8 @@ def word_levels(
     and over a countable alphabet a state's listed symbols past it are
     taken too. A finite source that has every symbol of d's finite
     alphabet prices them from its probability tuple, indexed by symbol;
-    any other pair looks each symbol up once in a _SymbolProbs.
+    any other pair from one dict of those symbols, built per walk, where a
+    symbol that a finite source lacks has its probability under P, 0.0.
 
     dead is empty unless a frontier budget is given. It then maps P to the
     number of DEAD length-j prefixes of that probability, so that the live
@@ -247,7 +228,7 @@ def word_levels(
     each symbol s, with the count carried over, and each DEAD edge out of a
     live prefix adds 1. Each P is the product a walk of that one prefix
     would reach, bit for bit: equal floats are the same number (a P is
-    never -0.0), and a NaN equals nothing, so it keeps an entry of its own.
+    never -0.0).
     A sum over T_j takes c copies of a term as its exact sum c*x, which
     measures._powers splits into terms scaled by powers of two. The budget
     bounds |T_j|, the live prefixes plus the sum of the counts, not the
@@ -258,11 +239,14 @@ def word_levels(
     trans, defaults = d.transitions, d.defaults
     symbols = range(width)
     finite = d.alphabet_size is not None
-    k = source.alphabet_size
-    if finite and k is not None and d.alphabet_size <= k:
+    n = source.alphabet_size
+    if finite and n is not None and d.alphabet_size <= n:
         sp = source.probs
     else:
-        sp = _SymbolProbs(source)
+        # range(width) and, over a countable alphabet, every listed symbol
+        taken = itertools.chain(symbols, *([] if finite else trans))
+        sp = {s: 0.0 if n is not None and s >= n else source.symbol_prob(s)
+              for s in taken}
 
     def edges(q):
         """q's edges as (symbol, entry) pairs, TO_DEAD ones only in a
@@ -417,88 +401,44 @@ def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
     return m * g, l * g + m * r * g * g, s * g + u * m * g * g
 
 
-def _level_sums(d: "Dictionary", source: SourceModel, width: int, levels):
-    """exact_word_measures of the members in word_levels' levels, term for
-    term; an unpriced word raises word_prob's error for the least one."""
-    probs = list(itertools.chain.from_iterable(lv[1] for lv in levels))
-    lengths = itertools.chain.from_iterable(
-        itertools.repeat(j, len(ps)) for j, ps, *_ in levels
-    )
-    sums = measure_sums(probs, lengths)
-    if sums[0] != sums[0]:
-        j = next(j for j, ps, *_ in levels if any(p != p for p in ps))
-        for w in d.member_words(j, width):
-            if len(w) == j:
-                source.check_word(w)
-    return sums
+def check_members(d: "Dictionary", source: SourceModel, max_len: int) -> None:
+    """Raise word_prob's error for the least member of length <= max_len
+    with a symbol past a finite source's alphabet: d's must be wider."""
+    k, n = d.alphabet_size, source.alphabet_size
+    if k is not None and n is not None and k > n:
+        for w in d.member_words(max_len):
+            source.check_word(w)
 
 
-def finite_sums(d: "Dictionary", source: SourceModel, members, more):
-    """(mass, lbar, entropy) of an automaton with finitely many words, from
-    a member walk to some depth: `members`, the sums over its members up to
-    that depth, plus those over the longer ones, which the levels `more`
-    walks on through to the last (all 0.0 if there is none)."""
-    levels = list(more)
-    if any(lv[1] for lv in levels):
-        longer = _level_sums(d, source, d.alphabet_size, levels)
-    else:
-        longer = 0.0, 0.0, 0.0
-    return tuple(a + b for a, b in zip(members, longer))
+def member_walk(d: "Dictionary", source: SourceModel, depth: int):
+    """(levels, more): the first `depth` levels of a word_levels walk of d
+    over a finite alphabet or a countable one's listed symbols, and the
+    walk on past them."""
+    width = 0 if d.alphabet_size is None else d.alphabet_size
+    more = word_levels(d, source, width)
+    return list(itertools.islice(more, depth)), more
 
 
-class _MeasureWalk:
-    """One word_levels walk of d to `depth` over the symbols that lead on
-    (a finite alphabet's, or a countable alphabet's listed ones), and the
-    sums read from it: P(T_depth) and, for an automaton with finitely many
-    words, the members up to depth and past it (see the module docstring).
-    A caller that needs both reads them from one walk."""
-
-    def __init__(self, d: "Dictionary", depth: int, source: SourceModel):
-        depth = max(depth, 0)
-        width = 0 if d.alphabet_size is None else d.alphabet_size
-        self.d, self.depth, self.width, self.source = d, depth, width, source
-        self.more = word_levels(d, source, width)
-        self.levels = list(itertools.islice(self.more, depth))
-        # the prefixes that lead on, by length, as (probabilities, states):
-        # those shorter than depth, and the live ones at depth (none if the
-        # walk ended before it)
-        inner = [([1.0], [d.start])] + [(ps, qs) for _, _, ps, qs, _ in self.levels]
-        self.shorter = inner[:depth]
-        self.live = inner[depth][0] if depth < len(inner) else []
-
-    @functools.cached_property
-    def members(self):
-        return _level_sums(self.d, self.source, self.width, self.levels)
-
-    def finite_sums(self):
-        """finite_sums of the members up to depth and of the walk on past
-        it, which this call reads to its end: call it once."""
-        return finite_sums(self.d, self.source, self.members, self.more)
-
-    @functools.cached_property
-    def boundary(self) -> float:
-        """P(T_depth): the live prefixes at depth, and the mass that
-        shorter prefixes send to TO_DEAD."""
-        d, source = self.d, self.source
-        k, n = d.alphabet_size, source.alphabet_size
-        terms = self.live
-        # a state that lists every symbol of a same-size source sends
-        # nothing to TO_DEAD, so where every state does, none is scanned
-        if not (k == n and min(map(len, d.transitions)) == k):
-            dead = {
-                q: _unlisted_mass(t, source)[0]
-                for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
-                if default == TO_DEAD and not (k == n and len(t) == k)
-            }
-            if dead:
-                terms = terms + [p * dead[q] for ps, qs in self.shorter
-                                 for p, q in zip(ps, qs) if q in dead]
-        if k is not None and n is not None and k > n:
-            # as the member sums do, raise word_prob's error for a member of
-            # the walk that the source cannot price
-            self.members
-        # a prefix through a symbol the source lacks has no mass
-        return min(1.0, math.fsum(p for p in terms if p == p))
+def boundary(d: "Dictionary", source: SourceModel, levels, depth: int) -> float:
+    """P(T_depth) from a member walk's first `depth` levels: the live
+    prefixes at depth, and the mass that shorter prefixes send to TO_DEAD."""
+    check_members(d, source, depth)
+    k, n = d.alphabet_size, source.alphabet_size
+    # the (probabilities, states) of the prefixes that lead on, by length
+    inner = [([1.0], [d.start])] + [(ps, qs) for _, _, ps, qs, _ in levels]
+    terms = inner[depth][0] if depth < len(inner) else []
+    # a state that lists every symbol of a same-size source sends nothing to
+    # TO_DEAD, so where every state does, none is scanned
+    if not (k == n and min(map(len, d.transitions)) == k):
+        dead = {
+            q: _unlisted_mass(t, source)[0]
+            for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
+            if default == TO_DEAD and not (k == n and len(t) == k)
+        }
+        if dead:
+            terms = terms + [p * dead[q] for ps, qs in inner[:depth]
+                             for p, q in zip(ps, qs) if q in dead]
+    return min(1.0, math.fsum(terms))
 
 
 class Dictionary:
@@ -565,7 +505,8 @@ class Dictionary:
 
     def boundary_mass(self, depth: int, source: SourceModel) -> float:
         """P(T_depth): mass of length-`depth` strings with no member prefix."""
-        return _MeasureWalk(self, depth, source).boundary
+        depth = max(depth, 0)
+        return boundary(self, source, member_walk(self, source, depth)[0], depth)
 
     def completion_sums(self, source: SourceModel):
         """(mass, lbar, entropy) of the whole dictionary: the start state's
@@ -590,6 +531,8 @@ class Dictionary:
             raise ResourceBudgetError(
                 "width budget required to enumerate over a countable alphabet"
             )
+        if max_symbol < 1:
+            raise ValueError("width budget must be >= 1")
         return max_symbol
 
 

@@ -40,7 +40,7 @@ import operator
 import os
 from itertools import chain
 
-from .codec import PhraseCodebook, bits_to_bytes, bytes_to_bits
+from .codec import _BIT_TEXT, PhraseCodebook, bits_to_bytes, bytes_to_bits
 from .dictionary import (
     AlphabetDictionary,
     Dictionary,
@@ -239,7 +239,6 @@ _SYMBOL_OF_DIGIT = bytes.maketrans(b"0123456789", _DIGITS)
 _DIGIT_OF_SYMBOL = bytes.maketrans(_DIGITS, b"0123456789")
 _SYMBOL_OF_TOKEN = {str(s): s for s in range(256)}
 _TOKEN_OF_SYMBOL = {s: t for t, s in _SYMBOL_OF_TOKEN.items()}
-_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_OF_BIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -297,7 +296,7 @@ def read_bit_stream(path) -> list:
     """Raw bit file: every byte unpacks to 8 symbols, MSB first."""
     with open(path, "rb") as fh:
         digits = bytes_to_bits(fh.read()).encode("ascii")
-    return list(digits.translate(_BIT_OF_DIGIT))
+    return list(digits.translate(_BIT_TEXT))
 
 
 def _is_bit(s) -> bool:

@@ -27,20 +27,24 @@ a term enters its sum as at most c.bit_length() terms of the same exact
 sum (_powers). The walk ends at the first length L with no live or dead
 prefix, where D_L = D (a finite complete dictionary's longest word): the
 rows past L are row L repeated, not walked or summed again.
-phrase_measures builds one dictionary._MeasureWalk to the depth and reads
-both the member sums and P(T_depth) from it; check_conservation takes
-P(T_depth) from phrase_measures and certifies ASC on it as is_asc would,
-so it walks once too. convergence_scan's final gaps need H(D) and lbar(D)
-but not P(T_m_max), and come from the series' walk: a dictionary with
-finitely many words sums the member terms the series met once each and
-walks on from its live length-m_max prefixes through the longer members
-alone, and any other takes its completion sums, with no walk.
-_dictionary_sums makes that choice for both phrase_measures and the scan,
-so each length is walked at most once per call.
+phrase_measures builds one dictionary.member_walk to the depth and reads
+both the member sums and P(T_depth) (dictionary.boundary) from it;
+check_conservation takes P(T_depth) from phrase_measures and certifies ASC
+on it as is_asc would, so it walks once too. convergence_scan's final gaps
+need H(D) and lbar(D) but not P(T_m_max), and come from the series' walk:
+a dictionary with finitely many words sums the member terms the series met
+once each and walks on from its live length-m_max prefixes through the
+longer members alone, and any other takes its completion sums, with no
+walk. _dictionary_sums makes that choice for both phrase_measures and the
+scan, so each length is walked at most once per call.
 Each word probability is the walk's product P(prefix)*p_s, bit-identical
 to SourceModel.word_prob, and each sum is a math.fsum, which rounds the
 exact sum and so does not depend on the order of its terms. So the reports
 keep every bit of a word-by-word evaluation over member_words and truncate.
+A symbol that a finite source lacks has probability 0 under P. A sum
+that would take a word through one refuses it first, with word_prob's
+error for the least such word: a member (dictionary.check_members), or
+(n,) for a truncation series wider than the source's n symbols.
 """
 
 from __future__ import annotations
@@ -50,16 +54,18 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 
-from .algebra import MAX_FRONTIER_WORDS, truncate
+from .algebra import MAX_FRONTIER_WORDS
 from .dictionary import (
     DEFAULT_WIDTH,
     Dictionary,
     FiniteDictionary,
-    _MeasureWalk,
     asc_verdict,
+    boundary,
     check_asc_budget,
+    check_members,
     exact_word_measures,
-    finite_sums,
+    measure_sums,
+    member_walk,
     word_levels,
 )
 from .errors import UnsupportedOperationError
@@ -125,14 +131,28 @@ class PhraseMeasures:
         }
 
 
-def _dictionary_sums(d: Dictionary, source: SourceModel, member_sums):
-    """(mass, lbar, entropy) of the whole dictionary: member_sums(), the
-    caller's sums over its members, where it has finitely many words (a
-    finite alphabet and no reachable self-loop); for any other, the start
-    state's completion sums, None where lbar(D) diverges."""
-    if d.alphabet_size is not None and d.max_word_length() is not None:
-        return member_sums()
-    return d.completion_sums(source)
+def _level_sums(levels):
+    """measure_sums of the members in word_levels' levels."""
+    probs = list(itertools.chain.from_iterable(lv[1] for lv in levels))
+    lengths = itertools.chain.from_iterable(
+        itertools.repeat(j, len(ps)) for j, ps, *_ in levels
+    )
+    return measure_sums(probs, lengths)
+
+
+def _dictionary_sums(d: Dictionary, source: SourceModel, members, more):
+    """(mass, lbar, entropy) of the whole dictionary. One with finitely
+    many words (a finite alphabet and no reachable self-loop) adds
+    members(), the sums over the members a walk met, to those over the
+    longer ones that the levels `more` walk on through (all 0.0 if none).
+    Any other takes its completion sums, None where lbar(D) diverges."""
+    longest = None if d.alphabet_size is None else d.max_word_length()
+    if longest is None:
+        return d.completion_sums(source)
+    check_members(d, source, longest)
+    levels = list(more)
+    longer = _level_sums(levels) if any(lv[1] for lv in levels) else (0.0, 0.0, 0.0)
+    return tuple(a + b for a, b in zip(members(), longer))
 
 
 def phrase_measures(
@@ -149,9 +169,9 @@ def phrase_measures(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    walk = _MeasureWalk(d, depth, source)
-    sums = _dictionary_sums(d, source, walk.finite_sums)
-    frontier_mass = walk.boundary
+    levels, more = member_walk(d, source, depth)
+    sums = _dictionary_sums(d, source, lambda: _level_sums(levels), more)
+    frontier_mass = boundary(d, source, levels, depth)
 
     note = ""
     if sums is None:
@@ -297,9 +317,9 @@ def _powers(c: int) -> list:
 
 
 def _truncation_series(d, source, m_max, max_symbol):
-    """(rows, member_sums): rows[m - 1] is (mass, lbar, entropy) of D_m for
-    m = 1..m_max, and member_sums() the sums over all of d's members, read
-    on from the same walk, where d has finitely many words.
+    """(rows, members, more): rows[m - 1] is (mass, lbar, entropy) of D_m
+    for m = 1..m_max, members() the sums over the members the walk met, and
+    more the member levels past them, for _dictionary_sums.
 
     D_m is the members of length <= m and T_m. One walk to depth m_max
     yields each length's member probabilities and T_m (truncate's sets),
@@ -313,17 +333,21 @@ def _truncation_series(d, source, m_max, max_symbol):
     complete dictionary). Every row past L sums the same terms, so it is
     row L repeated, with no further walk or sum.
 
-    The member terms up to m_max are the ones _MeasureWalk.members sums,
-    so member_sums() takes one fsum of each, and adds the members longer
-    than m_max as dictionary.finite_sums does: a member walk on from the
-    live length-m_max prefixes. A dead prefix leads to no member, and that
-    walk expands none, so it has no frontier budget to exceed.
+    The member terms up to m_max are the ones phrase_measures sums at
+    depth m_max, so members() takes one fsum of each, and more is a member
+    walk on from the live length-m_max prefixes, started only when read. A
+    dead prefix leads to no member, and that walk expands none, so it has
+    no frontier budget to exceed.
     """
     width = d.member_width(max_symbol)
+    n = source.alphabet_size
+    unpriced = n is not None and width > n
     levels = word_levels(d, source, width, MAX_FRONTIER_WORDS)
     mass, lbar, h = [], [], []  # the terms of the members so far
     rows = []
     for m, probs, t_m, live_states, dead in itertools.islice(levels, m_max):
+        if unpriced:  # (n,) is in D_1; refused after D_1's frontier budget
+            source.check_word((n,))
         live = m, t_m, live_states
         ms = itertools.repeat(m)
         mass += probs
@@ -336,25 +360,18 @@ def _truncation_series(d, source, m_max, max_symbol):
             t_m = t_m + [p * f for p, fs in dead for f in fs]
             t_lbar += [p * m * f for p, fs in dead for f in fs]
             t_h += [p * math.log2(p) * f for p, fs in dead if p > 0.0 for f in fs]
-        row_mass = math.fsum(itertools.chain(mass, t_m))
-        if row_mass != row_mass:
-            # name the least length-m word the source cannot price, as
-            # word_prob would over truncate's sets
-            for w in truncate(d, m, max_symbol).d_n_perp:
-                source.check_word(w)
         rows.append((
-            row_mass,
+            math.fsum(itertools.chain(mass, t_m)),
             math.fsum(itertools.chain(lbar, t_lbar)),
             -math.fsum(itertools.chain(h, t_h)),
         ))
     # a walk that ended before m_max left D_m = D: the later rows are row m
     rows += rows[-1:] * (m_max - m)
 
-    def member_sums():
-        members = math.fsum(mass), math.fsum(lbar), -math.fsum(h)
-        return finite_sums(d, source, members, word_levels(d, source, width, start=live))
+    def more():
+        yield from word_levels(d, source, width, start=live)
 
-    return rows, member_sums
+    return rows, lambda: (math.fsum(mass), math.fsum(lbar), -math.fsum(h)), more()
 
 
 def _check_tol(tol: float) -> None:
@@ -384,7 +401,7 @@ def check_truncation_identity(
     _check_tol(tol)
     h_p = source.entropy()
     rows = []
-    series, _ = _truncation_series(d, source, m_max, max_symbol)
+    series = _truncation_series(d, source, m_max, max_symbol)[0]
     for m, (mass, lbar, h) in enumerate(series, 1):
         residual = abs(h - h_p * lbar)
         rows.append(TruncationRow(m, h, lbar, mass, residual, residual <= tol))
@@ -484,7 +501,7 @@ def convergence_scan(
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     h_p = source.entropy()
-    series, member_sums = _truncation_series(d, source, m_max, max_symbol)
+    series, members, more = _truncation_series(d, source, m_max, max_symbol)
     rows = [
         ScanRow(m=m, h=h, lbar=lbar, identity_residual=abs(h - h_p * lbar))
         for m, (_, lbar, h) in enumerate(series, 1)
@@ -492,7 +509,7 @@ def convergence_scan(
     eps = 1e-12
     h_mono = all(b.h >= a.h - eps for a, b in zip(rows, rows[1:]))
     l_mono = all(b.lbar >= a.lbar - eps for a, b in zip(rows, rows[1:]))
-    sums = _dictionary_sums(d, source, member_sums)
+    sums = _dictionary_sums(d, source, members, more)
     h_d, lbar_d = (INF, INF) if sums is None else (sums[2], sums[1])
     final_h_gap = abs(h_d - rows[-1].h)
     final_lbar_gap = abs(lbar_d - rows[-1].lbar)

@@ -165,6 +165,8 @@ def simulate(
     """
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     return report_from_counts(d, source, counts, seed, depth)
 
@@ -288,6 +290,8 @@ def phrase_histogram(
     """
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     n = n_phrases
     if d.alphabet_size is not None:

@@ -17,8 +17,10 @@ from vvcode import (
     RunLengthDictionary,
     SourceModel,
     chain_step,
+    check_truncation_identity,
     cone,
     cone_mass_bounds,
+    convergence_scan,
     extend,
     head_extension,
     is_asc,
@@ -157,6 +159,28 @@ def test_truncate_needs_the_extension_word_in_the_width():
     assert uncovered_frontier(d, 2, 3) == ([], False)
     with pytest.raises(ResourceBudgetError, match="does not cover extension word"):
         truncate(d, 2, 3)
+
+
+WIDTH_CALLS = {
+    "truncate": lambda d, w: truncate(d, 2, w),
+    "uncovered_frontier": lambda d, w: uncovered_frontier(d, 2, w),
+    "cone": lambda d, w: cone(d, (), 2, w),
+    "member_words": lambda d, w: d.member_words(2, w),
+    "check_truncation_identity": lambda d, w: check_truncation_identity(
+        d, SourceModel.geometric(0.5), 2, max_symbol=w),
+    "convergence_scan": lambda d, w: convergence_scan(
+        d, SourceModel.geometric(0.5), 2, w),
+}
+
+
+@pytest.mark.parametrize("call", WIDTH_CALLS.values(), ids=WIDTH_CALLS.keys())
+def test_countable_width_below_one_is_refused(call):
+    # no symbol to enumerate: the sets were empty and the rows 0.0
+    for w in (0, -3):
+        with pytest.raises(ValueError, match=r"^width budget must be >= 1$"):
+            call(AlphabetDictionary(None), w)
+    # a finite alphabet ignores the width
+    assert repr(call(AlphabetDictionary(2), 0)) == repr(call(AlphabetDictionary(2), None))
 
 
 def test_truncate_deeper_than_the_recursion_limit(run_length):

@@ -3,12 +3,13 @@ word-by-word evaluation.
 
 The reference below prices each word with SourceModel.word_prob and sums
 with math.fsum over member_words (a finite dictionary's members up to the
-depth and past it) and over truncate(...).d_n_words (the truncation
-series). Patched in, it yields the reports a per-word implementation
-gives, and the walk's reports must equal them exactly: compared with ==
-and by repr, so that even the sign of a zero counts. The patched member
-sums count their calls, so a move of the sums that bypasses the patch
-fails instead of comparing the walk with itself.
+depth and past it, in place of the member walk's levels) and over
+truncate(...).d_n_words (the truncation series). Patched in, it yields the
+reports a per-word implementation gives, and the walk's reports must
+equal them exactly: compared with == and by repr, so that even the sign
+of a zero counts. The patched member walk counts its calls, so a move of
+the sums that bypasses the patch fails instead of comparing the walk with
+itself.
 """
 
 import functools
@@ -30,13 +31,14 @@ from vvcode import (
     convergence_scan,
     extend,
     head_extension,
+    is_asc,
     phrase_measures,
     truncate,
     tunstall_build,
 )
 from vvcode import measures
 from vvcode import dictionary
-from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary, _MeasureWalk
+from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary, member_walk
 from vvcode.errors import ResourceBudgetError
 
 FAIR = SourceModel.fair_bit()
@@ -66,23 +68,40 @@ def per_word_measures(words, source):
     return mass, lbar, h
 
 
-def per_word_finite_sums(d, source, depth):
-    """dictionary.finite_sums after a walk to depth, word by word: the
-    members up to depth, plus the longer ones."""
-    members = per_word_measures(d.member_words(depth), source)
-    longer = [w for w in d.member_words(d.max_word_length()) if len(w) > depth]
-    rest = per_word_measures(longer, source) if longer else (0.0, 0.0, 0.0)
-    return tuple(a + b for a, b in zip(members, rest))
+def per_word_member_walk(d, source, depth):
+    """dictionary.member_walk with each level's member probabilities
+    priced word by word: the members of that length, each by word_prob,
+    eagerly up to depth and lazily past it. The levels of a dictionary
+    with infinitely many words stay the walk's: its completion sums read
+    no member level."""
+    levels, more = member_walk(d, source, depth)
+    if d.alphabet_size is None or d.max_word_length() is None:
+        return levels, more
+    by_length = {}
+    for w in d.member_words(d.max_word_length()):
+        by_length.setdefault(len(w), []).append(w)
+
+    def priced(level):
+        j, _, *rest = level
+        return (j, [word_prob(source, w) for w in by_length.get(j, [])], *rest)
+
+    return [priced(lv) for lv in levels], map(priced, more)
 
 
 def per_word_series(d, source, m_max, max_symbol, max_words=None):
-    """measures._truncation_series, word by word over truncate's sets."""
+    """measures._truncation_series, word by word: each row over truncate's
+    sets, the members up to m_max over member_words, and the levels past
+    m_max as per_word_member_walk prices them."""
     kw = {} if max_words is None else {"max_words": max_words}
     rows = [
         per_word_measures(truncate(d, m, max_symbol, **kw).d_n_words, source)
         for m in range(1, m_max + 1)
     ]
-    return rows, lambda: per_word_finite_sums(d, source, m_max)
+
+    def more():
+        yield from per_word_member_walk(d, source, m_max)[1]
+
+    return rows, lambda: per_word_measures(d.member_words(m_max), source), more()
 
 
 def outcome(call):
@@ -98,6 +117,8 @@ def reports(d, source, depth, m_max, max_symbol=None):
     return [
         outcome(lambda: check_conservation(d, source, depth)),
         outcome(lambda: phrase_measures(d, source, depth)),
+        outcome(lambda: is_asc(d, source, depth)),
+        outcome(lambda: d.boundary_mass(depth, source)),
         outcome(lambda: check_truncation_identity(d, source, m_max, max_symbol=max_symbol)),
         outcome(lambda: convergence_scan(d, source, m_max, max_symbol)),
     ]
@@ -107,18 +128,18 @@ def assert_walk_matches_per_word(monkeypatch, d, source, depth, m_max, **kw):
     walk = reports(d, source, depth, m_max, **kw)
     calls = []
 
-    def reference_sums(self):
-        calls.append(self)
-        return per_word_finite_sums(self.d, self.source, self.depth)
+    def reference_walk(d, source, depth):
+        calls.append(d)
+        return per_word_member_walk(d, source, depth)
 
     with monkeypatch.context() as mp:
-        mp.setattr(_MeasureWalk, "finite_sums", reference_sums)
+        mp.setattr(measures, "member_walk", reference_walk)
+        mp.setattr(dictionary, "member_walk", reference_walk)
         mp.setattr(measures, "_truncation_series", per_word_series)
         reference = reports(d, source, depth, m_max, **kw)
-    if d.alphabet_size is not None and d.max_word_length() is not None:
-        # check_conservation and phrase_measures each read the reference:
-        # the comparison is not the walk against itself
-        assert len(calls) >= 2
+    # check_conservation, phrase_measures, is_asc and boundary_mass each
+    # read the reference: the comparison is not the walk against itself
+    assert len(calls) == 4
     assert walk == reference
     assert repr(walk) == repr(reference)
     return walk
@@ -384,8 +405,45 @@ def test_unused_symbol_is_priced_only_when_a_word_takes_it(monkeypatch):
     assert check_conservation(d, FAIR).verdict == "pass"
     walk = assert_walk_matches_per_word(monkeypatch, d, FAIR, 64, 3)
     # T_1 = {2}: the truncation series has to price it
-    assert walk[2] == ("raised", ValueError, "word [2] has symbols outside alphabet size 2")
+    assert walk[4] == ("raised", ValueError, "word [2] has symbols outside alphabet size 2")
     with pytest.raises(ValueError, match=r"^word \[2\] has symbols outside"):
+        check_truncation_identity(d, FAIR, 3)
+
+
+WIDE = FiniteDictionary(3, [(0,), (1, 0), (1, 1), (1, 2, 0), (1, 2, 1), (1, 2, 2)])
+
+
+def test_p_t_depth_refuses_only_the_members_up_to_depth(monkeypatch):
+    # the fair bit lacks symbol 2: the live prefix (1, 2) has mass 0, and
+    # the first member through it, (1, 2, 0), has length 3
+    v = is_asc(WIDE, FAIR, 1)
+    assert (v.status, repr(v.residual_mass)) == ("undetermined", "0.5")
+    v = is_asc(WIDE, FAIR, 2)
+    assert (v.status, repr(v.residual_mass)) == ("certified_asc", "0.0")
+    unpriced = r"^word \[1, 2, 0\] has symbols outside alphabet size 2$"
+    with pytest.raises(ValueError, match=unpriced):
+        is_asc(WIDE, FAIR, 3)
+    # the whole dictionary's sums take every member, at any depth
+    for depth in (1, 2, 3):
+        with pytest.raises(ValueError, match=unpriced):
+            phrase_measures(WIDE, FAIR, depth)
+    # D_1 holds the symbol 2
+    with pytest.raises(ValueError, match=r"^word \[2\] has symbols outside alphabet size 2$"):
+        convergence_scan(WIDE, FAIR, 4)
+    for depth in (1, 2, 3):
+        assert_walk_matches_per_word(monkeypatch, WIDE, FAIR, depth, 4)
+
+
+def test_frontier_budget_comes_before_the_unpriced_symbol(monkeypatch):
+    # D_1 = {0, 1, 2} over a fair bit: T_1's two dead prefixes pass a
+    # budget of 1 while the walk builds D_1, before the series names (2,)
+    d = FiniteDictionary(3, [(0,)])
+    want = ("raised", ResourceBudgetError, "frontier at depth 1 exceeds max_words=1")
+    assert outcome(lambda: truncate(d, 1, max_words=1)) == want
+    monkeypatch.setattr(measures, "MAX_FRONTIER_WORDS", 1)
+    assert outcome(lambda: check_truncation_identity(d, FAIR, 3)) == want
+    monkeypatch.setattr(measures, "MAX_FRONTIER_WORDS", 2)
+    with pytest.raises(ValueError, match=r"^word \[2\] has symbols outside alphabet size 2$"):
         check_truncation_identity(d, FAIR, 3)
 
 
@@ -405,7 +463,7 @@ def test_width_that_misses_the_extension_word(monkeypatch):
     walk = assert_walk_matches_per_word(monkeypatch, d, GEOMETRIC, 3, 3, max_symbol=64)
     assert walk[0]["verdict"] == "pass"
     assert walk[1].tails_exact and walk[1].length.high < math.inf
-    assert walk[2:] == [want, want]
+    assert walk[4:] == [want, want]
 
 
 def test_frontier_budget():
@@ -429,7 +487,7 @@ def test_countable_alphabet_needs_a_width(monkeypatch):
     walk = assert_walk_matches_per_word(monkeypatch, d, GEOMETRIC, 3, 3, max_symbol=None)
     assert walk[0]["verdict"] == "pass"
     assert walk[1].tails_exact and walk[1].length.high < math.inf
-    assert walk[2:] == [want, want]
+    assert walk[4:] == [want, want]
 
 
 # -- T_m's dead prefixes, walked as P -> count -------------------------------
@@ -487,10 +545,10 @@ def test_dead_prefix_the_source_cannot_price(monkeypatch):
     rng = make_rng(14)
     for d in non_complete(rng, 3, 3, 6):
         walk = assert_walk_matches_per_word(monkeypatch, d, FAIR, 2, 5)
-        assert walk[2][0] == "raised"
+        assert walk[4][0] == "raised"
     d = FiniteDictionary(3, [(0,), (1, 0)])  # (2,) and (1, 2) are dead
     walk = assert_walk_matches_per_word(monkeypatch, d, FAIR, 2, 5)
-    assert walk[2] == ("raised", ValueError, "word [2] has symbols outside alphabet size 2")
+    assert walk[4] == ("raised", ValueError, "word [2] has symbols outside alphabet size 2")
 
 
 def test_frontier_budget_in_the_dead_zone():

@@ -81,6 +81,18 @@ def test_simulate_rejects_bad_count(complete_dict, fair):
         simulate(complete_dict, fair, 0)
 
 
+@pytest.mark.parametrize("run", [simulate, phrase_histogram])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_is_refused_before_sampling(monkeypatch, fair, run, depth):
+    # phrase_histogram pooled every phrase (dof 0, p 1.0), and simulate
+    # sampled every phrase first; a dead prefix would abort the sampling
+    monkeypatch.setattr(vvcode.simulation, "_sample_phrases", None)
+    with pytest.raises(ValueError, match=r"^depth must be >= 1$"):
+        run(FiniteDictionary(2, [(0,)]), fair, 100, depth=depth)
+    with pytest.raises(ValueError, match=r"^n_phrases must be >= 1$"):
+        run(FiniteDictionary(2, [(0,)]), fair, 0, depth=depth)
+
+
 def test_simulate_dead_prefix_aborts(fair):
     d = FiniteDictionary(2, [(0,)])
     with pytest.raises(SimulationAbortError):
