@@ -37,10 +37,6 @@ from .errors import (
     VVCodeError,
 )
 from .formats import (
-    MEASURE_CSV_COLUMNS,
-    PHRASE_MEASURE_CSV_COLUMNS,
-    SCAN_CSV_COLUMNS,
-    SIM_CSV_COLUMNS,
     histogram_csv,
     load_codebook,
     load_dictionary,
@@ -191,7 +187,9 @@ def _cmd_measure(config: RunConfig) -> int:
     d = load_dictionary(config.dict_path)
     s = load_source(config.source_path)
     result = phrase_measures(d, s, config.depth).report(s.entropy())
-    _emit_report(config, result, lambda: report_csv(PHRASE_MEASURE_CSV_COLUMNS, [result]))
+    # exhaustive and tails_exact are JSON-only flags
+    row = {k: v for k, v in result.items() if k not in ("exhaustive", "tails_exact")}
+    _emit_report(config, result, lambda: report_csv([row]))
     return EXIT_OK
 
 
@@ -200,7 +198,7 @@ def _cmd_verify(config: RunConfig) -> int:
     s = load_source(config.source_path)
     report = check_conservation(d, s, config.depth, config.tol)
     result = report.as_dict()
-    _emit_report(config, result, lambda: report_csv(MEASURE_CSV_COLUMNS, [result]))
+    _emit_report(config, result, lambda: report_csv([result]))
     if report.verdict == "pass":
         return EXIT_OK
     if report.verdict == "fail":
@@ -214,7 +212,7 @@ def _cmd_scan(config: RunConfig) -> int:
     m_max = DEFAULT_M_MAX if config.m_max is None else config.m_max
     report = convergence_scan(d, s, m_max, config.width)
     result = report.as_dict()
-    _emit_report(config, result, lambda: report_csv(SCAN_CSV_COLUMNS, result["rows"]))
+    _emit_report(config, result, lambda: report_csv(result["rows"]))
     if report.h_nondecreasing and report.lbar_nondecreasing:
         return EXIT_OK
     return EXIT_FAIL
@@ -291,7 +289,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     else:
         report = simulate(d, s, n, config.seed, depth=config.depth)
         result = report.as_dict()
-        _emit_report(config, result, lambda: report_csv(SIM_CSV_COLUMNS, [result]))
+        _emit_report(config, result, lambda: report_csv([result]))
     return EXIT_OK
 
 

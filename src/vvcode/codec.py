@@ -123,7 +123,7 @@ class PhraseCodebook:
             binary = False
         if not binary:
             for c in cs:
-                if not c or any(b not in "01" for b in c):
+                if not isinstance(c, str) or not c or any(b not in "01" for b in c):
                     raise ValueError(f"codeword {c!r} is not a nonempty binary string")
         cs = sorted(cs)
         if not binary or any(map(str.startswith, cs[1:], cs)):

@@ -18,19 +18,11 @@ A vvcode report whose "result" is one of these specs (the output of
 validation raises InputFormatError, or ImproperDictionaryError for a word
 set that is not prefix-free.
 
-CSV column orders (stable for spreadsheet diffing):
-
-    measure report: verdict, residual, h_d_low, h_d_high, lbar_low,
-                    lbar_high, h_p, frontier_mass, depth_used, tol,
-                    asc_status, possibly_divergent
-    measures:       h_d_low, h_d_high, lbar_low, lbar_high, h_p,
-                    frontier_mass, possibly_divergent
-    scan rows:      m, h, lbar, identity_residual
-    sim report:     n_phrases, total_symbols, empirical_lbar, stderr_lbar,
-                    empirical_entropy, theory_lbar, theory_hd, z_lbar, seed
-    histogram:      word, count
-
-possibly_divergent is always False; the column stays for format_version 1.
+A CSV report is its JSON result's keys in order (scan: each row's keys,
+one line per row), less note and any list-valued key; measure also
+leaves out exhaustive and tails_exact, and a histogram is word, count
+rows. possibly_divergent is always False; the column stays for
+format_version 1.
 """
 
 from __future__ import annotations
@@ -54,7 +46,6 @@ from .errors import (
     InputFormatError,
     UnsupportedOperationError,
 )
-from .simulation import HistogramReport
 from .source import SourceModel, Word
 
 
@@ -209,8 +200,6 @@ def load_codebook(spec) -> PhraseCodebook:
 def parse_word_text(text: str) -> Word:
     """Word from CLI text: '110' (single-digit symbols) or '1,10,2'."""
     text = text.strip()
-    if not text:
-        return ()
     try:
         if "," in text:
             return tuple(int(t) for t in text.split(","))
@@ -327,48 +316,13 @@ def write_bit_stream(path, symbols):
         fh.write(data)
 
 
-MEASURE_CSV_COLUMNS = [
-    "verdict",
-    "residual",
-    "h_d_low",
-    "h_d_high",
-    "lbar_low",
-    "lbar_high",
-    "h_p",
-    "frontier_mass",
-    "depth_used",
-    "tol",
-    "asc_status",
-    "possibly_divergent",
-]
+def report_csv(rows) -> str:
+    """Header line plus one line per row (a mapping); floats print as repr.
 
-PHRASE_MEASURE_CSV_COLUMNS = [
-    "h_d_low",
-    "h_d_high",
-    "lbar_low",
-    "lbar_high",
-    "h_p",
-    "frontier_mass",
-    "possibly_divergent",
-]
-
-SCAN_CSV_COLUMNS = ["m", "h", "lbar", "identity_residual"]
-
-SIM_CSV_COLUMNS = [
-    "n_phrases",
-    "total_symbols",
-    "empirical_lbar",
-    "stderr_lbar",
-    "empirical_entropy",
-    "theory_lbar",
-    "theory_hd",
-    "z_lbar",
-    "seed",
-]
-
-
-def report_csv(columns, rows) -> str:
-    """Header line plus one line per row (a mapping); floats print as repr."""
+    The columns are the first row's keys in order, less note and any
+    list-valued key.
+    """
+    columns = [c for c, v in rows[0].items() if c != "note" and not isinstance(v, list)]
     lines = [",".join(columns)]
     lines.extend(
         ",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns)
@@ -377,8 +331,8 @@ def report_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def histogram_csv(report: HistogramReport) -> str:
+def histogram_csv(report) -> str:
+    """The histogram's entries as word, count rows."""
     return report_csv(
-        ["word", "count"],
-        [{"word": word_to_text(w), "count": c} for w, c in report.entries],
+        [{"word": word_to_text(w), "count": c} for w, c in report.entries]
     )

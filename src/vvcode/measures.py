@@ -210,19 +210,20 @@ def avg_length(d: Dictionary, source: SourceModel, depth: int = 64) -> Interval:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Conservation-check report: intervals, residual and verdict."""
+    """Conservation-check report: intervals, residual and verdict, in the
+    order of the verify CSV's columns."""
 
+    verdict: str
+    residual: float
     h_d_low: float
     h_d_high: float
     lbar_low: float
     lbar_high: float
     h_p: float
-    residual: float
-    depth_used: int
     frontier_mass: float
-    verdict: str
-    asc_status: str
+    depth_used: int
     tol: float
+    asc_status: str
     note: str = ""
 
     def as_dict(self):

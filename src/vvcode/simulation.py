@@ -125,20 +125,8 @@ class SimReport:
     seed: int
 
     def as_dict(self):
-        return {
-            "n_phrases": self.n_phrases,
-            "total_symbols": self.total_symbols,
-            "empirical_lbar": self.empirical_lbar,
-            "stderr_lbar": self.stderr_lbar,
-            "empirical_entropy": self.empirical_entropy,
-            "theory_lbar": self.theory_lbar,
-            "theory_hd": self.theory_hd,
-            "z_lbar": self.z_lbar,
-            "top_phrases": [
-                {"word": list(w), "count": c, "z": z} for w, c, z in self.top_phrases
-            ],
-            "seed": self.seed,
-        }
+        rows = [{"word": list(w), "count": c, "z": z} for w, c, z in self.top_phrases]
+        return {**vars(self), "top_phrases": rows}
 
 
 def _z_for(diff: float, stderr: float) -> float:
@@ -225,14 +213,8 @@ class HistogramReport:
     seed: int
 
     def as_dict(self):
-        return {
-            "entries": [{"word": list(w), "count": c} for w, c in self.entries],
-            "chi_square": self.chi_square,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "n_phrases": self.n_phrases,
-            "seed": self.seed,
-        }
+        rows = [{"word": list(w), "count": c} for w, c in self.entries]
+        return {**vars(self), "entries": rows}
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -286,12 +268,15 @@ def phrase_histogram(
     expected count >= 5; everything else pools into one bin. The p-value is
     the closed-form chi-square tail for the integer dof (_chi2_sf). The
     phrases are those simulate draws for the same arguments; `threads`
-    changes nothing.
+    changes nothing. A countable alphabet's width below 1 is refused, as
+    n_phrases and depth below 1 are, before any sampling.
     """
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if d.alphabet_size is None and width < 1:
+        raise ValueError("width budget must be >= 1")
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     n = n_phrases
     if d.alphabet_size is not None:

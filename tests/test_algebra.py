@@ -239,6 +239,11 @@ def test_cone_hypothesis_violation(complete_dict):
         cone(complete_dict, (0, 1))
 
 
+def test_cone_budget_shorter_than_the_prefix_is_refused():
+    with pytest.raises(ValueError, match=r"^depth budget shorter than the cone prefix$"):
+        cone(RunLengthDictionary(), (1, 1, 1), depth_budget=2)
+
+
 def test_cone_of_dead_prefix_is_empty():
     d = FiniteDictionary(2, [(0,)])
     res = cone(d, (1, 0))
@@ -287,6 +292,14 @@ def test_cone_mass_bounds_run_length(run_length, biased):
     low, high = cone_mass_bounds(run_length, (1, 1), biased, depth_budget=40)
     assert low - 1e-12 <= 0.01 <= high + 1e-12
     assert high - low < 1e-30
+
+
+def test_countable_cone_mass_bound_covers_the_symbols_past_the_width():
+    # the members 00 to 03, through symbols below width 4, weigh 0.46875; the
+    # ones through symbols >= 4 lie in no open prefix, so the high end is P(0)
+    bounds = cone_mass_bounds(head_extension(0), (0,), SourceModel.geometric(0.5),
+                              depth_budget=3, max_symbol=4)
+    assert bounds == (0.46875, 0.5)
 
 
 def test_chain_run_length_step(run_length, complete_dict):

@@ -22,6 +22,7 @@ from vvcode import (
     tunstall_build,
     uncovered_frontier,
 )
+from vvcode import dictionary
 from vvcode.dictionary import (
     COMPILE_SYMBOLS_PER_STATE,
     DEAD,
@@ -271,6 +272,22 @@ def test_pattern_that_overflows_the_stack_keeps_the_loop():
     assert d._pattern is False
     assert ([phrase_word(p) for p in got[0]], *got[1:]) == reference_walk(d, seq)
     check_walk(d, seq[:500])
+
+
+def test_pattern_builder_out_of_stack_is_tried_once(monkeypatch):
+    built = []
+
+    def out_of_stack(d):
+        built.append(d)
+        raise RecursionError
+
+    monkeypatch.setattr(dictionary, "pattern_source", out_of_stack)
+    d = RunLengthDictionary()
+    seq = [1, 1, 0, 0, 1, 0, 1] * COMPILE_SYMBOLS_PER_STATE * len(d.transitions)
+    for _ in range(2):
+        got = walk(d, seq)
+        assert ([phrase_word(p) for p in got[0]], *got[1:]) == reference_walk(d, seq)
+        assert d._pattern is False and len(built) == 1
 
 
 def test_pattern_of_a_deep_tunstall_dictionary_is_never_built():

@@ -7,10 +7,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vvcode import FiniteDictionary
+from vvcode import FiniteDictionary, parse
 from vvcode.dictionary import (
     BISECT_BLOCK,
     BISECT_MIN_MEAN,
+    MAX_CODE_POINT,
     MAX_PATTERN_DEPTH,
     TO_DEAD,
     _bisect_phrases,
@@ -140,6 +141,16 @@ def test_a_dictionary_without_texts_keeps_the_loop():
     assert _word_keys(d) == ["\x00"]
     for seq in ([0, 0, big, big + 1, 0, 0], [big + 1, 1]):
         assert walk(d, seq) == loop_walk(d, seq)
+
+
+def test_parse_past_the_code_points_keeps_the_words_without_texts():
+    # (1, big) and (big,) have no text: they are left out of the bisect keys,
+    # and the loop reads them
+    big = MAX_CODE_POINT + 1
+    d = FiniteDictionary(big + 1, [(0,), (1, 0), (1, big), (big,)])
+    got = parse(d, [0, 1, 0, big, 1, big, 0])
+    assert got == ([(0,), (1, 0), (big,), (1, big), (0,)], ())
+    assert _word_keys(d) == ["\x00", "\x01\x00"]
 
 
 def handoff(words, k, phrases):

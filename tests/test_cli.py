@@ -497,6 +497,8 @@ def test_dictionary_loader_round_trip(complete_dict):
         load_dictionary({"kind": "lazy", "family": "mystery"})
     he = load_dictionary({"family": "head_extension", "head": 2})
     assert save_dictionary(he)["head"] == 2
+    spec = {"kind": "lazy", "family": "run_length"}
+    assert save_dictionary(load_dictionary(spec)) == spec
 
 
 def test_codebook_loader_round_trip():
@@ -510,6 +512,7 @@ def test_codebook_loader_round_trip():
 def test_word_text_helpers():
     assert parse_word_text("110") == (1, 1, 0)
     assert parse_word_text("1,10,2") == (1, 10, 2)
+    assert parse_word_text("  ") == ()
     assert word_to_text((1, 1, 0)) == "110"
     assert word_to_text((1, 10)) == "1,10"
     with pytest.raises(InputFormatError):
@@ -589,16 +592,18 @@ def test_csv_is_built_only_under_format_csv(monkeypatch, capsys, argv, pinned):
 
 
 @pytest.mark.parametrize("histogram", [False, True])
-def test_simulate_builds_csv_only_under_format_csv(files, monkeypatch, capsys, histogram):
+def test_simulate_builds_csv_only_under_format_csv(monkeypatch, capsys, histogram):
     calls = count_calls(monkeypatch, "report_csv")
     hist_calls = count_calls(monkeypatch, "histogram_csv")
-    argv = ["simulate", "--dict", files["complete"], "--source", files["fair"], "-n", "200"]
+    argv = ["simulate", "--dict", f"{FIXTURES}/complete_dict.json",
+            "--source", f"{FIXTURES}/fair.json", "-n", "1000"]
     argv += ["--histogram"] * histogram
     code, _ = run_json(capsys, argv)
     assert code == 0 and calls == [] and hist_calls == []
     assert cli.main(argv + ["--format", "csv"]) == 0
-    header = capsys.readouterr().out.splitlines()[0]
-    assert header == ("word,count" if histogram else ",".join(cli.SIM_CSV_COLUMNS))
+    pinned = f"simulate_{'histogram_' * histogram}complete_dict_fair.csv"
+    with open(f"{FIXTURES}/reports/{pinned}", encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
     assert (len(calls), len(hist_calls)) == ((0, 1) if histogram else (1, 0))
 
 
@@ -633,8 +638,9 @@ def test_dictionary_loader_rejects_with_input_format_error(spec):
     {"kind": "geometric", "p": 10**400},
     {"kind": "geometric", "p": None},
     {"kind": "geometric", "p": True},
+    {"kind": "geometric", "p": 1.5},
 ], ids=["overflow-sum", "inf-minus-inf", "nan", "huge-int", "bool", "nested",
-        "huge-p", "missing-p", "bool-p"])
+        "huge-p", "missing-p", "bool-p", "p-above-one"])
 def test_source_loader_rejects_with_input_format_error(spec):
     with pytest.raises(InputFormatError):
         load_source(spec)

@@ -3,6 +3,7 @@
 import bisect
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,8 @@ def test_fixed_codebook_widths(complete_dict):
     assert cb.codewords == ("00", "01", "10")
     assert kraft_sum(cb.codewords) <= 1
     assert fixed_codebook([(0,)]).codewords == ("0",)
+    with pytest.raises(ValueError, match=r"^cannot build a codebook over zero phrases$"):
+        fixed_codebook([])
 
 
 def test_codebook_validation():
@@ -223,6 +226,16 @@ def test_codebook_validation():
         PhraseCodebook.from_pairs([((0,), "0"), ((0,), "1")])
     with pytest.raises(ValueError):
         PhraseCodebook.from_pairs([((0,), "2")])
+
+
+@pytest.mark.parametrize("codewords, bad", [
+    ((5,), "5"), ((b"0",), "b'0'"), (("0", 7), "7"), ((None,), "None"), (("02",), "'02'"),
+], ids=["int", "bytes", "mixed", "none", "digit-2"])
+def test_codeword_that_is_not_a_binary_string_is_refused(codewords, bad):
+    phrases = tuple((i,) for i in range(len(codewords)))
+    msg = f"^codeword {re.escape(bad)} is not a nonempty binary string$"
+    with pytest.raises(ValueError, match=msg):
+        PhraseCodebook(phrases=phrases, codewords=codewords)
 
 
 def test_encode_example_bit_layout(complete_dict):

@@ -122,7 +122,7 @@ def ref_codebook_check(phrases, codewords):
     if len(set(codewords)) != len(codewords):
         raise ValueError("duplicate codewords in codebook")
     for c in codewords:
-        if not c or any(b not in "01" for b in c):
+        if not isinstance(c, str) or not c or any(b not in "01" for b in c):
             raise ValueError(f"codeword {c!r} is not a nonempty binary string")
     cs = sorted(codewords)
     for a, b in zip(cs, cs[1:]):

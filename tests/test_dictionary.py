@@ -22,7 +22,7 @@ from vvcode import (
     phrase_measures,
     tunstall_build,
 )
-from vvcode.dictionary import DEAD, INTERNAL, WORD
+from vvcode.dictionary import DEAD, INTERNAL, WORD, ExtendedDictionary
 from vvcode.errors import ImproperDictionaryError, UnsupportedOperationError
 
 
@@ -49,6 +49,17 @@ def test_construction_rejects_bad_words():
         FiniteDictionary(2, [(0,), (2,)])
     with pytest.raises(ValueError):
         FiniteDictionary(2, [(0,), (0,)])
+
+
+def test_lazy_constructions_reject_bad_arguments():
+    with pytest.raises(ValueError, match=r"^alphabet size must be >= 1$"):
+        AlphabetDictionary(0)
+    with pytest.raises(ValueError, match=r"^head symbol must be a non-negative index$"):
+        head_extension(-1)
+    # extend() checks the word first; the class checks it again on its own
+    msg = r"^extension word \[1\] is not in the dictionary$"
+    with pytest.raises(ValueError, match=msg):
+        ExtendedDictionary(RunLengthDictionary(), (1,))
 
 
 def test_words_in_canonical_order():

@@ -425,3 +425,9 @@ def test_unlisted_symbols_cost_no_enumeration(monkeypatch, geometric_half):
         assert report.verdict == "pass"
         priced.append(len(calls))
     assert priced[0] == priced[1] < 10
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_phrase_measures_refuse_a_depth_below_one(complete_dict, fair, depth):
+    with pytest.raises(ValueError, match=r"^depth must be >= 1$"):
+        phrase_measures(complete_dict, fair, depth=depth)

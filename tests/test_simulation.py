@@ -93,6 +93,21 @@ def test_depth_below_one_is_refused_before_sampling(monkeypatch, fair, run, dept
         run(FiniteDictionary(2, [(0,)]), fair, 0, depth=depth)
 
 
+def test_countable_width_below_one_is_refused_before_sampling(
+    monkeypatch, complete_dict, fair, geometric_half
+):
+    # a finite alphabet ignores the width
+    assert phrase_histogram(complete_dict, fair, 200, width=0) == phrase_histogram(
+        complete_dict, fair, 200
+    )
+    # with no symbol to bin, every phrase would pool (dof 0, p 1.0); the
+    # width is checked before any sampling
+    monkeypatch.setattr(vvcode.simulation, "_sample_phrases", None)
+    for width in (0, -5):
+        with pytest.raises(ValueError, match=r"^width budget must be >= 1$"):
+            phrase_histogram(head_extension(0), geometric_half, 200, width=width)
+
+
 def test_simulate_dead_prefix_aborts(fair):
     d = FiniteDictionary(2, [(0,)])
     with pytest.raises(SimulationAbortError):
@@ -220,6 +235,19 @@ def test_counts_match_chunk_reference_past_the_code_points():
     assert list(phrase_histogram(d, source, 5000, seed=9).entries) == sorted(
         want.items(), key=lambda kv: (len(kv[0]), kv[0])
     )
+
+
+def test_histogram_bins_a_countable_family_only_in_the_source_alphabet():
+    # the width 64 shrinks to the source's 3 symbols: (3,) and beyond would
+    # need a price the source does not give
+    rep = phrase_histogram(head_extension(0), TERNARY, 500)
+    counts = dict(rep.entries)
+    binned = [(1,), (2,), (0, 0), (0, 1), (0, 2)]
+    assert sum(counts.get(w, 0) for w in binned) == 500
+    expect = {w: 500 * TERNARY.word_prob(w) for w in binned}
+    stat = sum((counts.get(w, 0) - e) ** 2 / e for w, e in expect.items())
+    assert rep.dof == 4
+    assert rep.chi_square == pytest.approx(stat, rel=1e-12)
 
 
 def test_histogram_pools_an_extension_word_past_width():

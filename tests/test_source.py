@@ -154,6 +154,17 @@ def test_constructor_rejects_bad_probs():
         SourceModel(kind="weird")
 
 
+@pytest.mark.parametrize("source", [SourceModel.finite([0.5, 0.3, 0.2]),
+                                    SourceModel.geometric(0.5)],
+                         ids=["finite", "geometric"])
+def test_negative_symbol_and_sample_count_are_refused(source):
+    # probs[-1] would price the last symbol; p*(1-p)**-1 a symbol that is none
+    with pytest.raises(ValueError, match=r"^symbol index -1 is negative$"):
+        source.symbol_prob(-1)
+    with pytest.raises(ValueError, match=r"^sample count must be >= 0$"):
+        source.sample_stream(1, -1)
+
+
 def test_finite_normalises_by_the_fsum_total():
     # within PROB_SUM_TOL of 1 the probabilities are divided by their total
     s = SourceModel.finite([0.5, 0.5 + 5e-10])
