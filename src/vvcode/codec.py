@@ -57,6 +57,7 @@ from .dictionary import (
     _word_pattern,
     index_word,
     phrase_key,
+    reiterable,
     walk,
 )
 from .errors import (
@@ -92,9 +93,9 @@ def _canon_sorted(pairs: list) -> list:
 class PhraseCodebook:
     """Bijection between dictionary phrases and binary codewords.
 
-    Phrases are kept in canonical order, each symbol as a plain int;
-    codewords are '0'/'1' strings, verified prefix-free, which bounds their
-    Kraft sum by 1.
+    Phrases keep their given order (canonical from from_pairs, huffman_build
+    and fixed_codebook), each symbol as a plain int; codewords are '0'/'1'
+    strings, verified prefix-free, which bounds their Kraft sum by 1.
     """
 
     phrases: tuple
@@ -114,10 +115,10 @@ class PhraseCodebook:
         if len(set(self.phrases)) != len(self.phrases):
             raise ValueError("duplicate phrases in codebook")
         cs = self.codewords
-        if len(set(cs)) != len(cs):
-            raise ValueError("duplicate codewords in codebook")
-        # checked in C; only a failure walks the codewords to name one
+        # checked in C; a failure, an unhashable codeword included, walks them to name one
         try:
+            if len(set(cs)) != len(cs):
+                raise ValueError("duplicate codewords in codebook")
             binary = all(cs) and set("".join(cs)) <= {"0", "1"}
         except TypeError:
             binary = False
@@ -133,7 +134,11 @@ class PhraseCodebook:
 
     @classmethod
     def from_pairs(cls, pairs) -> "PhraseCodebook":
-        pairs = _canon_sorted([(tuple(w), c) for w, c in pairs])
+        pairs = reiterable(pairs)  # walked again to name a phrase that is no word
+        try:
+            pairs = _canon_sorted([(tuple(w), c) for w, c in pairs])
+        except TypeError:
+            pairs = _canon_sorted([(index_word(w), c) for w, c in pairs])
         return cls(
             phrases=tuple(w for w, _ in pairs),
             codewords=tuple(c for _, c in pairs),
@@ -324,8 +329,8 @@ def fixed_codebook(phrases) -> PhraseCodebook:
     if not ws:
         raise ValueError("cannot build a codebook over zero phrases")
     width = max(1, (len(ws) - 1).bit_length())
-    return PhraseCodebook.from_pairs(
-        (w, format(i, f"0{width}b")) for i, (w, _) in enumerate(ws)
+    return PhraseCodebook(
+        tuple(w for w, _ in ws), tuple(format(i, f"0{width}b") for i in range(len(ws)))
     )
 
 
@@ -384,7 +389,7 @@ def encode(d: FiniteDictionary, cb: PhraseCodebook, stream) -> bytes:
     and so lies in the alphabet; only the remainder needs the check.
     """
     cb._check_matches(d)
-    seq = stream if isinstance(stream, (list, tuple)) else list(stream)
+    seq = reiterable(stream)
     phrases, begin, _ = walk(d, seq)
     k = d.alphabet_size
     remainder = _remainder_symbols(seq[begin:], k)

@@ -80,8 +80,8 @@ Any other automaton (a countable alphabet, or a reachable self-loop) has
 its measures in closed form: the start state's completion sums, computed
 children first, the fundamental matrix of an absorbing chain (Kemeny &
 Snell, 1960) for a DAG plus self-loops. A state's unlisted symbols enter
-them as runs between its listed ones, each summed in closed form by the
-source, so a far listed symbol costs no enumeration.
+them as runs between its listed ones and a last run with no end, each
+summed in closed form by the source: a far symbol costs no enumeration.
 """
 
 from __future__ import annotations
@@ -144,15 +144,30 @@ def _symbol_index(s, w) -> int:
         raise SymbolTypeError(f"symbol {s!r} in word {list(w)!r} is not an integer") from None
 
 
+def reiterable(xs):
+    """xs as a list or tuple, so that it can be walked twice."""
+    return xs if isinstance(xs, (list, tuple)) else list(xs)
+
+
+def word_tuple(w) -> tuple:
+    """tuple(w), or SymbolTypeError naming a w that is not a sequence."""
+    try:
+        return tuple(w)
+    except TypeError:
+        raise SymbolTypeError(f"word {w!r} is not a sequence of symbols") from None
+
+
 def index_word(w) -> Word:
     """w with each symbol as _symbol_index gives it."""
+    w = word_tuple(w)
     return tuple([_symbol_index(s, w) for s in w])
 
 
-def _check_words(alphabet_size: int, ws) -> list:
-    """Raise ValueError for the first empty, out-of-range or duplicate word,
-    and SymbolTypeError for a symbol that is not an integer index; return
-    the words as index_word gives them."""
+def _check_words(alphabet_size: int, words) -> list:
+    """Raise SymbolTypeError if a word is no sequence; else ValueError for
+    the first empty, out-of-range or duplicate word, or SymbolTypeError for
+    a symbol that is not an integer index. Return index_word's words."""
+    ws = list(map(word_tuple, words))
     seen = set()
     for w in ws:
         if not w:
@@ -337,19 +352,16 @@ def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbol
     return words, rest
 
 
-def _unlisted_mass(t: dict, source: SourceModel):
-    """The sums of P(s) and of -P(s)*log2 P(s) over the symbols s that a
-    state with transitions t does not list: each run between listed
-    symbols in closed form, and the tail past the last one, so the cost
-    depends on the listed symbols alone."""
-    bounds = [-1, *sorted(t)]
-    runs = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
-    top = bounds[-1] + 1
-    return (
-        math.fsum([source.mass_between(*r) for r in runs] + [source.tail_mass(top)]),
-        math.fsum([source.surprisal_between(*r) for r in runs]
-                  + [source.tail_surprisal_mass(top)]),
-    )
+def _unlisted_runs(t: dict) -> list:
+    """The (start, stop) runs, some empty, of the symbols a state with
+    transitions t does not list; the last, (start, None), has no end."""
+    bounds = [-1, *sorted(t), None]
+    return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_sum(f, runs) -> float:
+    """The fsum of f(start, stop) over the runs: a source's run sum."""
+    return math.fsum([f(*run) for run in runs])
 
 
 def _children_first(d: "Dictionary") -> list:
@@ -371,11 +383,11 @@ def _children_first(d: "Dictionary") -> list:
 def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
     """(M, L, S) of state q: the sums of P(w), P(w)*|w| and -P(w)*log2 P(w)
     over the words w that complete a prefix at q, from those of the states
-    it leads to. Behind a self-loop of probability r, q's other words
-    recur after any number of loop symbols: they scale by 1/(1 - r), and
-    the loop symbols add m*r/(1 - r)^2 to the length and u*m/(1 - r)^2 to
-    the surprisal, u being their -sum p*log2 p. At r >= 1 the factor has
-    no bound, and the result is None.
+    it leads to and of the unlisted symbols' runs, the last with no end.
+    Behind a self-loop of probability r, q's other words recur after any
+    number of loop symbols: they scale by 1/(1 - r), and the loop symbols
+    add m*r/(1 - r)^2 to the length and u*m/(1 - r)^2 to the surprisal, u
+    being their -sum p*log2 p. At r >= 1 the factor has no bound: None.
     """
     t = d.transitions[q]
     m = l = s = r = u = 0.0
@@ -395,7 +407,8 @@ def _completion(d: "Dictionary", q: int, source: SourceModel, sums: dict):
     if r >= 1.0:
         return None
     if d.defaults[q] == TO_WORD:  # each symbol not listed ends a word
-        dm, ds = _unlisted_mass(t, source)
+        runs = _unlisted_runs(t)
+        dm, ds = _run_sum(source.mass_between, runs), _run_sum(source.surprisal_between, runs)
         m, l, s = m + dm, l + dm, s + ds
     g = 1.0 / (1.0 - r)
     return m * g, l * g + m * r * g * g, s * g + u * m * g * g
@@ -431,7 +444,7 @@ def boundary(d: "Dictionary", source: SourceModel, levels, depth: int) -> float:
     # TO_DEAD, so where every state does, none is scanned
     if not (k == n and min(map(len, d.transitions)) == k):
         dead = {
-            q: _unlisted_mass(t, source)[0]
+            q: _run_sum(source.mass_between, _unlisted_runs(t))
             for q, (t, default) in enumerate(zip(d.transitions, d.defaults))
             if default == TO_DEAD and not (k == n and len(t) == k)
         }
@@ -542,12 +555,13 @@ class FiniteDictionary(Dictionary):
     def __init__(self, alphabet_size: int, words):
         if alphabet_size < 1:
             raise ValueError("alphabet size must be >= 1")
-        ws = [tuple(w) for w in words]
-        if not ws:
+        ws = words = reiterable(words)
+        if not words:
             raise ValueError("dictionary needs at least one word")
-        # Empty, out-of-range and duplicate words are caught in C; only a
-        # failed check walks the words in Python, to name the first culprit.
+        # A word that is no sequence, or an empty, out-of-range or duplicate
+        # one, fails a check below; only then are the words walked again.
         try:
+            ws = [tuple(w) for w in words]
             symbols = set().union(*ws)
             valid = (
                 all(ws)
@@ -730,7 +744,7 @@ def parse(d: Dictionary, stream):
     everything from the first position where no member can ever match.
     Phrases and remainder are tuples of the stream's own symbols.
     """
-    seq = stream if isinstance(stream, (list, tuple)) else list(stream)
+    seq = reiterable(stream)
     phrases, begin, _ = walk(d, seq)
     ends = list(itertools.accumulate(map(len, phrases), initial=0))
     return [tuple(seq[i:j]) for i, j in zip(ends, ends[1:])], tuple(seq[begin:])

@@ -42,7 +42,7 @@ class CodebookMismatchError(VVCodeError, ValueError):
 
 
 class SymbolTypeError(VVCodeError, ValueError):
-    """A dictionary word holds a symbol that is not an integer index."""
+    """A dictionary word is not a sequence of integer symbol indices."""
 
 
 class StreamSymbolError(VVCodeError, ValueError):

@@ -40,6 +40,7 @@ from .dictionary import (
     FiniteDictionary,
     RunLengthDictionary,
     head_extension,
+    reiterable,
 )
 from .errors import (
     ImproperDictionaryError,
@@ -231,12 +232,6 @@ _TOKEN_OF_SYMBOL = {s: t for t, s in _SYMBOL_OF_TOKEN.items()}
 _DIGIT_OF_BIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _reiterable(symbols):
-    """symbols as a list or tuple, so it can be walked twice; bytearray
-    would read a numpy array's buffer, not its values."""
-    return symbols if isinstance(symbols, (list, tuple)) else list(symbols)
-
-
 def read_stream_text(path) -> list:
     """Whitespace-separated symbol indices; each token as int() reads it."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -275,7 +270,7 @@ def _stream_text(symbols) -> str:
 
 def write_stream_text(path, symbols):
     """The symbols as str() prints them, space-separated, one line."""
-    text = _stream_text(_reiterable(symbols))
+    text = _stream_text(reiterable(symbols))  # bytearray reads a numpy array's buffer
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
@@ -301,7 +296,7 @@ def write_bit_stream(path, symbols):
     The symbols are checked before the file is opened, so a bad symbol
     leaves an existing file as it was.
     """
-    symbols = _reiterable(symbols)
+    symbols = reiterable(symbols)
     try:
         raw = bytearray(symbols)  # ints in range(256), checked in C
     except (TypeError, ValueError):

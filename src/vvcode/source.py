@@ -101,7 +101,7 @@ class SourceModel:
         (-(1-p)*log2(1-p) - p*log2(p)) / p.
         """
         if self.kind == FINITE:
-            return -math.fsum(q * math.log2(q) for q in self.probs)
+            return self.surprisal_between(0)
         p, q = self.p, 1.0 - self.p
         return (-q * math.log2(q) - p * math.log2(p)) / p
 
@@ -140,25 +140,21 @@ class SourceModel:
             prob *= self.symbol_prob(sym)
         return prob
 
-    # Closed-form tails over symbol indices, used for certified bounds on
-    # countable alphabets.
+    # The two run sums, mass and surprisal mass, over start <= i < stop or the
+    # open run i >= start (stop None), each in closed form for the geometric kind.
 
-    def tail_mass(self, start: int) -> float:
-        """Sum of P(i) over i >= start."""
-        if self.kind == FINITE:
-            return math.fsum(self.probs[start:]) if start < len(self.probs) else 0.0
-        return (1.0 - self.p) ** start
-
-    def mass_between(self, start: int, stop: int) -> float:
-        """Sum of P(i) over start <= i < stop."""
+    def mass_between(self, start: int, stop: int | None = None) -> float:
+        """Sum of P(i) over start <= i < stop, or over i >= start."""
         if self.kind == FINITE:
             return math.fsum(self.probs[start:stop])
-        # q^start - q^stop, without the cancellation of the difference
         q_start = (1.0 - self.p) ** start
+        if stop is None:
+            return q_start
+        # q^start - q^stop, without the cancellation of the difference
         return -q_start * math.expm1((stop - start) * math.log1p(-self.p))
 
-    def surprisal_between(self, start: int, stop: int) -> float:
-        """Sum of -P(i)*log2 P(i) over start <= i < stop.
+    def surprisal_between(self, start: int, stop: int | None = None) -> float:
+        """Sum of -P(i)*log2 P(i) over start <= i < stop, or over i >= start.
 
         For the geometric kind, -log2 P(i) = -log2 p - i*log2 q, so the sum
         is M*(-log2 p) - log2(q)*(start*M + T), where M = mass_between(start,
@@ -170,21 +166,16 @@ class SourceModel:
         if self.kind == FINITE:
             return -math.fsum(q * math.log2(q) for q in self.probs[start:stop])
         p, q = self.p, 1.0 - self.p
+        if stop is None:
+            # sum_{i>=W} q^i = q^W/p ; sum_{i>=W} i q^i = q^W (W p + q)/p^2
+            s1 = q**start / p
+            s2 = q**start * (start * p + q) / (p * p)
+            return p * (-math.log2(p) * s1 - math.log2(q) * s2)
         mass = self.mass_between(start, stop)
         if mass == 0.0:  # no symbols, or underflow: 0 * log 0 = 0
             return 0.0
         t = (q * mass - (stop - start) * p * q**stop) / p
         return mass * -math.log2(p) - math.log2(q) * (start * mass + t)
-
-    def tail_surprisal_mass(self, start: int) -> float:
-        """Sum of -P(i)*log2 P(i) over i >= start (closed form for geometric)."""
-        if self.kind == FINITE:
-            return -math.fsum(q * math.log2(q) for q in self.probs[start:])
-        p, q = self.p, 1.0 - self.p
-        # sum_{i>=W} q^i = q^W/p ; sum_{i>=W} i q^i = q^W (W p + q)/p^2
-        s1 = q**start / p
-        s2 = q**start * (start * p + q) / (p * p)
-        return p * (-math.log2(p) * s1 - math.log2(q) * s2)
 
     def sample_stream(self, seed: int, n: int) -> list:
         """n i.i.d. symbol draws, deterministic given (seed, n).

@@ -33,6 +33,7 @@ from vvcode.errors import (
     CodebookMismatchError,
     CorruptBitstreamError,
     StreamSymbolError,
+    SymbolTypeError,
     UnsupportedOperationError,
     VVCodeError,
 )
@@ -236,6 +237,32 @@ def test_codeword_that_is_not_a_binary_string_is_refused(codewords, bad):
     msg = f"^codeword {re.escape(bad)} is not a nonempty binary string$"
     with pytest.raises(ValueError, match=msg):
         PhraseCodebook(phrases=phrases, codewords=codewords)
+
+
+def test_unhashable_codeword_is_refused_as_not_binary():
+    msg = r"^codeword \['0'\] is not a nonempty binary string$"
+    with pytest.raises(ValueError, match=msg):
+        PhraseCodebook(phrases=((0,),), codewords=(["0"],))
+
+
+def test_phrase_that_is_not_a_sequence_is_refused():
+    with pytest.raises(SymbolTypeError, match=r"^word 0 is not a sequence of symbols$"):
+        PhraseCodebook(phrases=(0,), codewords=("0",))
+
+
+def test_pair_whose_phrase_is_not_a_sequence_is_refused():
+    with pytest.raises(SymbolTypeError, match=r"^word 0 is not a sequence of symbols$"):
+        PhraseCodebook.from_pairs([(0, "0")])
+    # a one-shot iterator is listed first, so its failing phrase is named too
+    with pytest.raises(SymbolTypeError, match=r"^word 1 is not a sequence of symbols$"):
+        PhraseCodebook.from_pairs(zip([(0,), 1], ["0", "1"]))
+
+
+def test_constructor_keeps_the_given_phrase_order():
+    cb = PhraseCodebook(phrases=((1,), (0,)), codewords=("0", "1"))
+    assert cb.phrases == ((1,), (0,))
+    assert cb.codeword_for((0,)) == "1"
+    assert PhraseCodebook.from_pairs(zip(cb.phrases, cb.codewords)).phrases == ((0,), (1,))
 
 
 def test_encode_example_bit_layout(complete_dict):

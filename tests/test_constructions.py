@@ -119,7 +119,11 @@ def ref_codebook_check(phrases, codewords):
         raise ValueError("phrase/codeword count mismatch")
     if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in codebook")
-    if len(set(codewords)) != len(codewords):
+    try:  # an unhashable codeword is named by the loop below
+        duplicate = len(set(codewords)) != len(codewords)
+    except TypeError:
+        duplicate = False
+    if duplicate:
         raise ValueError("duplicate codewords in codebook")
     for c in codewords:
         if not isinstance(c, str) or not c or any(b not in "01" for b in c):

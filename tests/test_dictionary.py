@@ -23,7 +23,7 @@ from vvcode import (
     tunstall_build,
 )
 from vvcode.dictionary import DEAD, INTERNAL, WORD, ExtendedDictionary
-from vvcode.errors import ImproperDictionaryError, UnsupportedOperationError
+from vvcode.errors import ImproperDictionaryError, SymbolTypeError, UnsupportedOperationError
 
 
 def test_properness_examples(complete_dict, run_length):
@@ -49,6 +49,13 @@ def test_construction_rejects_bad_words():
         FiniteDictionary(2, [(0,), (2,)])
     with pytest.raises(ValueError):
         FiniteDictionary(2, [(0,), (0,)])
+
+
+def test_word_that_is_not_a_sequence_is_refused():
+    with pytest.raises(SymbolTypeError, match=r"^word 0 is not a sequence of symbols$"):
+        FiniteDictionary(2, [0])
+    with pytest.raises(SymbolTypeError, match=r"^word 1 is not a sequence of symbols$"):
+        FiniteDictionary(2, iter([(0,), 1]))
 
 
 def test_lazy_constructions_reject_bad_arguments():

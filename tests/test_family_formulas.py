@@ -81,8 +81,8 @@ def old_tail_stats(d, depth, width, source):
             return 1.0, 1.0, source.entropy()
         if d.alphabet_size is not None:
             return 0.0, 0.0, 0.0
-        m = source.tail_mass(width)
-        return m, m, source.tail_surprisal_mass(width)
+        m = source.mass_between(width)
+        return m, m, source.surprisal_between(width)
     if isinstance(d, RunLengthDictionary):
         p0, q = old_params(source)
         s1 = q**depth / (1.0 - q)
@@ -102,8 +102,8 @@ def old_tail_stats(d, depth, width, source):
                 bh + pa * (source.entropy() + surprisal_a))
     if d.alphabet_size is not None:
         return bm, bl, bh
-    m = source.tail_mass(width)
-    s = source.tail_surprisal_mass(width)
+    m = source.mass_between(width)
+    s = source.surprisal_between(width)
     return bm + pa * m, bl + pa * (la + 1) * m, bh + pa * (s + surprisal_a * m)
 
 

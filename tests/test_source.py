@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vvcode import SourceModel
 from vvcode import rng
+from vvcode.dictionary import TO_WORD, _unlisted_runs
 from vvcode.rng import XorShift64Star, mix64, stream_seed
 
 
@@ -258,21 +259,63 @@ def test_sample_stream_geometric_mean(geometric_half):
 
 def test_geometric_tail_closed_forms():
     s = SourceModel.geometric(0.3)
-    assert s.tail_mass(0) == pytest.approx(1.0, abs=1e-15)
-    assert s.tail_surprisal_mass(0) == pytest.approx(s.entropy(), rel=1e-12)
+    assert s.mass_between(0) == pytest.approx(1.0, abs=1e-15)
+    assert s.surprisal_between(0) == pytest.approx(s.entropy(), rel=1e-12)
     # series oracle for the start-5 tails
     mass = math.fsum(s.symbol_prob(i) for i in range(5, 400))
     surp = -math.fsum(
         s.symbol_prob(i) * math.log2(s.symbol_prob(i)) for i in range(5, 400)
     )
-    assert s.tail_mass(5) == pytest.approx(mass, rel=1e-12)
-    assert s.tail_surprisal_mass(5) == pytest.approx(surp, rel=1e-12)
+    assert s.mass_between(5) == pytest.approx(mass, rel=1e-12)
+    assert s.surprisal_between(5) == pytest.approx(surp, rel=1e-12)
 
 
 def test_finite_tail_sums(biased):
-    assert biased.tail_mass(1) == pytest.approx(0.1)
-    assert biased.tail_mass(2) == 0.0
-    assert biased.tail_surprisal_mass(2) == 0.0
+    assert biased.mass_between(1) == pytest.approx(0.1)
+    assert biased.mass_between(2) == 0.0
+    assert biased.surprisal_between(2) == 0.0
+
+
+def reference_tail_mass(s, start):
+    """Reference: the sum of P(i) over i >= start, in the closed form kept."""
+    if s.kind == "finite":
+        return math.fsum(s.probs[start:]) if start < len(s.probs) else 0.0
+    return (1.0 - s.p) ** start
+
+
+def reference_tail_surprisal(s, start):
+    """Reference: the sum of -P(i)*log2 P(i) over i >= start, likewise."""
+    if s.kind == "finite":
+        return -math.fsum(q * math.log2(q) for q in s.probs[start:])
+    p, q = s.p, 1.0 - s.p
+    s1 = q**start / p
+    s2 = q**start * (start * p + q) / (p * p)
+    return p * (-math.log2(p) * s1 - math.log2(q) * s2)
+
+
+OPEN_RUNS = [
+    (SourceModel.finite(probs), start)
+    for probs in ([0.9, 0.1], [0.5, 0.3, 0.2], [1.0])
+    for start in (0, 1, 2, 3, 5)
+] + [
+    (SourceModel.geometric(p), start)
+    for p in (0.5, 0.1, 0.999, 1e-3)
+    for start in (0, 1, 5, 64, 1000)
+]
+
+
+@pytest.mark.parametrize("source, start", OPEN_RUNS, ids=repr)
+def test_open_run_sums_keep_the_tail_formulas(source, start):
+    # bit for bit, the sign of a zero included
+    assert repr(source.mass_between(start)) == repr(reference_tail_mass(source, start))
+    assert repr(source.surprisal_between(start)) == repr(
+        reference_tail_surprisal(source, start)
+    )
+
+
+def test_unlisted_runs_end_with_the_open_run():
+    t = {0: TO_WORD, 2: 1, 5: TO_WORD}
+    assert _unlisted_runs(t) == [(0, 0), (1, 2), (3, 5), (6, None)]
 
 
 def test_rng_reference_stream():

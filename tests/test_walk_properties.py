@@ -101,7 +101,8 @@ def reference_boundary(d, source, depth):
     for p in prefixes:
         if len(p) < depth:
             t = d.transitions[d.entry_after(p)]
-            terms.append(word_prob(source, p) * dictionary._unlisted_mass(t, source)[0])
+            dead = dictionary._run_sum(source.mass_between, dictionary._unlisted_runs(t))
+            terms.append(word_prob(source, p) * dead)
     return min(1.0, math.fsum(terms))
 
 
@@ -150,9 +151,9 @@ def test_extension_identities_keep_their_bits(case, pick):
 
 def count_dead_scans(monkeypatch):
     calls = []
-    unlisted = dictionary._unlisted_mass
-    monkeypatch.setattr(dictionary, "_unlisted_mass",
-                        lambda t, source: calls.append(t) or unlisted(t, source))
+    unlisted = dictionary._unlisted_runs
+    monkeypatch.setattr(dictionary, "_unlisted_runs",
+                        lambda t: calls.append(t) or unlisted(t))
     return calls
 
 
