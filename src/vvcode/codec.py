@@ -59,6 +59,7 @@ from .dictionary import (
     phrase_key,
     reiterable,
     walk,
+    word_tuple,
 )
 from .errors import (
     CodebookMismatchError,
@@ -106,8 +107,9 @@ class PhraseCodebook:
             raise ValueError("codebook needs at least one phrase")
         if len(self.phrases) != len(self.codewords):
             raise ValueError("phrase/codeword count mismatch")
-        try:  # symbols are stored as plain ints; checked in C first
-            plain = all(type(s) is int for s in set().union(*self.phrases))
+        try:  # phrases are stored as tuples of plain ints; checked in C first
+            plain = {tuple} == set(map(type, self.phrases)) and all(
+                type(s) is int for s in set().union(*self.phrases))
         except TypeError:
             plain = False
         if not plain:
@@ -282,7 +284,7 @@ def huffman_build(phrase_probs) -> PhraseCodebook:
     its (probability, canonical) order, and codewords run from the root,
     the last node, down.
     """
-    items = [(tuple(w), float(p)) for w, p in phrase_probs]
+    items = [(word_tuple(w), float(p)) for w, p in phrase_probs]
     if not items:
         raise ValueError("cannot build a codebook over zero phrases")
     if any(not p > 0.0 for _, p in items):  # NaN too
@@ -325,7 +327,7 @@ def fixed_codebook(phrases) -> PhraseCodebook:
 
     Mirrors a literal variable-to-fixed string encoder.
     """
-    ws = _canon_sorted([(tuple(w), None) for w in phrases])
+    ws = _canon_sorted([(word_tuple(w), None) for w in phrases])
     if not ws:
         raise ValueError("cannot build a codebook over zero phrases")
     width = max(1, (len(ws) - 1).bit_length())

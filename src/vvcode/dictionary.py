@@ -53,11 +53,13 @@ pattern _word_pattern compiles once the codebook has decoded enough bits.
 The measure sums read the automaton too. ``word_levels`` walks it one
 length at a time, starting from 1.0 at the start state, and yields each
 level as parallel lists: the probabilities of the members of that length
-as bare floats, and the probability and state of each live prefix. An
-edge costs one multiply, P(prefix)*p_s, and one append; a finite source
-that has every symbol of the dictionary's alphabet prices s as probs[s],
-and any other pair from one table built per walk, where a symbol that a
-finite source lacks has its probability under P, 0.0.
+as bare floats, and the probability and state of each live prefix. A
+member walk takes each state's listed edges, so its cost does not grow
+with the alphabet. An edge costs one multiply, P(prefix)*p_s, and one
+append; a finite source that has every symbol of the dictionary's
+alphabet prices s as probs[s], and any other pair from one table of the
+symbols the walk takes, built per walk, where a symbol that a finite
+source lacks has its probability under P, 0.0.
 SourceModel.word_prob multiplies a word's symbol probabilities in the same
 order from the same 1.0, so every P(w) the walk reaches is bit-identical
 to word_prob(w). ``measure_sums``, which exact_word_measures calls too,
@@ -214,7 +216,7 @@ def exact_word_measures(words, source: SourceModel):
 def word_levels(
     d: "Dictionary",
     source: SourceModel,
-    width: int,
+    width: int = 0,
     frontier: int | None = None,
     start: tuple | None = None,
 ):
@@ -229,12 +231,17 @@ def word_levels(
     P(prefix) and the automaton state of each live length-j prefix, in the
     same order. A child's P is its parent's P times the symbol's
     probability (see the module docstring), so an edge costs one multiply
-    and one append to the list it lands in. Symbols run over range(width),
-    and over a countable alphabet a state's listed symbols past it are
-    taken too. A finite source that has every symbol of d's finite
-    alphabet prices them from its probability tuple, indexed by symbol;
-    any other pair from one dict of those symbols, built per walk, where a
-    symbol that a finite source lacks has its probability under P, 0.0.
+    and one append to the list it lands in. Every walk takes each state's
+    listed entries, and a frontier walk also the symbols below width that
+    the state does not list, to its default. A finite source that has every
+    symbol of d's finite alphabet prices them from its probability tuple,
+    indexed by symbol; any other pair from one dict of the listed symbols
+    and those below width, built per walk, where a symbol that a finite
+    source lacks has its probability under P, 0.0. The callers give a
+    frontier walk the alphabet's width or a countable one's budget, and a
+    member walk none; at other widths a finite frontier walk also takes
+    listed symbols past the width, and a member walk skips those below it
+    that a TO_WORD default covers.
 
     dead is empty unless a frontier budget is given. It then maps P to the
     number of DEAD length-j prefixes of that probability, so that the live
@@ -253,71 +260,47 @@ def word_levels(
     """
     trans, defaults = d.transitions, d.defaults
     symbols = range(width)
-    finite = d.alphabet_size is not None
     n = source.alphabet_size
-    if finite and n is not None and d.alphabet_size <= n:
+    if d.alphabet_size is not None and n is not None and d.alphabet_size <= n:
         sp = source.probs
     else:
-        # range(width) and, over a countable alphabet, every listed symbol
-        taken = itertools.chain(symbols, *([] if finite else trans))
         sp = {s: 0.0 if n is not None and s >= n else source.symbol_prob(s)
-              for s in taken}
-
-    def edges(q):
-        """q's edges as (symbol, entry) pairs, TO_DEAD ones only in a
-        frontier walk. A finite alphabet's listed symbols all lie below
-        width, so the loops below take a state's transitions instead in a
-        member walk where every default is TO_DEAD, or where it lists every
-        symbol."""
-        t, default = trans[q], defaults[q]
-        pairs = [(s, t.get(s, default)) for s in symbols]
-        if not finite:
-            pairs += [(s, e) for s, e in t.items() if s >= width]
-        if frontier is None:
-            pairs = [(s, e) for s, e in pairs if e != TO_DEAD]
-        return pairs
-
-    # a member walk over a finite alphabet where no state's default ends a
-    # word takes each state's transitions
-    listed = frontier is None and finite and TO_WORD not in defaults
+              for s in itertools.chain(symbols, *trans)}
     j, rest_p, rest_q = start or (0, [1.0], [d.start])
     dead = {}
     while rest_p or dead:
         j += 1
         probs, nxt_p, nxt_q, nxt_dead = [], [], [], {}
         add_word, add_p, add_q = probs.append, nxt_p.append, nxt_q.append
-        if frontier is None:
-            for p, q in zip(rest_p, rest_q):
-                for s, e in trans[q].items() if listed else edges(q):
-                    x = p * sp[s]
-                    if e < 0:  # TO_WORD: a member walk takes no TO_DEAD edge
-                        add_word(x)
-                    else:
-                        add_p(x)
-                        add_q(e)
-        else:
+        if frontier is not None:
             # |T_j| so far: the dead prefixes counted, then the live ones
             size = width * sum(dead.values())
             if size > frontier:
                 raise frontier_budget_error(j, frontier)
-            for p, q in zip(rest_p, rest_q):
-                t = trans[q]
-                for s, e in t.items() if finite and len(t) == width else edges(q):
-                    x = p * sp[s]
-                    if e >= 0:
-                        add_p(x)
-                        add_q(e)
-                    elif e == TO_WORD:
-                        add_word(x)
-                    else:
-                        nxt_dead[x] = nxt_dead.get(x, 0) + 1
-                        size += 1
+        for p, q in zip(rest_p, rest_q):
+            t = trans[q]
+            for s, e in t.items():
+                x = p * sp[s]
+                if e < 0:  # a listed entry is a state or TO_WORD
+                    add_word(x)
+                else:
+                    add_p(x)
+                    add_q(e)
+            if frontier is not None:
+                for s in symbols:
+                    if s not in t:  # to q's default
+                        x = p * sp[s]
+                        if defaults[q] == TO_WORD:
+                            add_word(x)
+                        else:
+                            nxt_dead[x] = nxt_dead.get(x, 0) + 1
+                            size += 1
                 if size + len(nxt_p) > frontier:
                     raise frontier_budget_error(j, frontier)
-            for p, c in dead.items():
-                for s in symbols:
-                    x = p * sp[s]
-                    nxt_dead[x] = nxt_dead.get(x, 0) + c
+        for p, c in dead.items():
+            for s in symbols:
+                x = p * sp[s]
+                nxt_dead[x] = nxt_dead.get(x, 0) + c
         yield j, probs, nxt_p, nxt_q, nxt_dead
         rest_p, rest_q, dead = nxt_p, nxt_q, nxt_dead
 
@@ -424,11 +407,9 @@ def check_members(d: "Dictionary", source: SourceModel, max_len: int) -> None:
 
 
 def member_walk(d: "Dictionary", source: SourceModel, depth: int):
-    """(levels, more): the first `depth` levels of a word_levels walk of d
-    over a finite alphabet or a countable one's listed symbols, and the
-    walk on past them."""
-    width = 0 if d.alphabet_size is None else d.alphabet_size
-    more = word_levels(d, source, width)
+    """(levels, more): the first `depth` levels of a word_levels walk of d,
+    and the walk on past them."""
+    more = word_levels(d, source)
     return list(itertools.islice(more, depth)), more
 
 
@@ -935,8 +916,8 @@ def pattern_source(d: Dictionary) -> str | None:
                     return None
                 alts.append(c + inner)
         if d.defaults[q] == TO_WORD:
-            listed = "".join(chars.values())
-            alts.append(f"[^{listed}]" if listed else r"[\s\S]")
+            named = "".join(chars.values())
+            alts.append(f"[^{named}]" if named else r"[\s\S]")
         star = f"[{loop}]*" if loop else ""
         return f"{star}(?:{'|'.join(alts) or '(?!)'})"
 

@@ -370,7 +370,7 @@ def _truncation_series(d, source, m_max, max_symbol):
     rows += rows[-1:] * (m_max - m)
 
     def more():
-        yield from word_levels(d, source, width, start=live)
+        yield from word_levels(d, source, start=live)
 
     return rows, lambda: (math.fsum(mass), math.fsum(lbar), -math.fsum(h)), more()
 

@@ -258,6 +258,24 @@ def test_pair_whose_phrase_is_not_a_sequence_is_refused():
         PhraseCodebook.from_pairs(zip([(0,), 1], ["0", "1"]))
 
 
+def test_fixed_codebook_phrase_that_is_not_a_sequence_is_refused():
+    with pytest.raises(SymbolTypeError, match=r"^word 0 is not a sequence of symbols$"):
+        fixed_codebook([0])
+
+
+def test_huffman_phrase_that_is_not_a_sequence_is_refused():
+    with pytest.raises(SymbolTypeError, match=r"^word 0 is not a sequence of symbols$"):
+        huffman_build([(0, 1.0)])
+
+
+def test_list_phrases_are_stored_as_tuples():
+    # the constructor takes the phrases from_pairs takes, and stores them alike
+    cb = PhraseCodebook(phrases=([0], [1]), codewords=("0", "1"))
+    assert cb == PhraseCodebook.from_pairs([([0], "0"), ([1], "1")])
+    assert cb.phrases == ((0,), (1,))
+    assert cb.codeword_for((1,)) == "1"
+
+
 def test_constructor_keeps_the_given_phrase_order():
     cb = PhraseCodebook(phrases=((1,), (0,)), codewords=("0", "1"))
     assert cb.phrases == ((1,), (0,))

@@ -15,6 +15,8 @@ itself.
 import functools
 import itertools
 import math
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,12 +35,14 @@ from vvcode import (
     head_extension,
     is_asc,
     phrase_measures,
+    simulate,
     truncate,
     tunstall_build,
 )
 from vvcode import measures
 from vvcode import dictionary
-from vvcode.dictionary import DEAD, TO_DEAD, TO_WORD, Dictionary, member_walk
+from vvcode.algebra import MAX_FRONTIER_WORDS
+from vvcode.dictionary import DEAD, INTERNAL, TO_DEAD, TO_WORD, Dictionary, member_walk
 from vvcode.errors import ResourceBudgetError
 
 FAIR = SourceModel.fair_bit()
@@ -410,6 +414,17 @@ def test_unused_symbol_is_priced_only_when_a_word_takes_it(monkeypatch):
         check_truncation_identity(d, FAIR, 3)
 
 
+def test_member_walk_over_a_wide_alphabet():
+    # {0, 1} over 10^12 symbols: a member walk takes the listed edges only,
+    # so no table of the alphabet's symbols is built
+    d = FiniteDictionary(10**12, [(0,), (1,)])
+    r = check_conservation(d, FAIR)
+    assert r.verdict == "pass"
+    assert (r.h_d_low, r.h_d_high, r.lbar_low, r.lbar_high) == (1.0, 1.0, 1.0, 1.0)
+    assert is_asc(d, FAIR, 64).status == "certified_asc"
+    assert simulate(d, FAIR, 100).theory_lbar == 1.0
+
+
 WIDE = FiniteDictionary(3, [(0,), (1, 0), (1, 1), (1, 2, 0), (1, 2, 1), (1, 2, 2)])
 
 
@@ -584,6 +599,84 @@ def test_frontier_budget_at_the_depth_truncate_raises(monkeypatch, budget):
         assert repr(walk) == repr(reference)
         raised += isinstance(walk[0], tuple)
     assert raised  # the budget was reached
+
+
+# -- each level against truncate's sets ---------------------------------------
+
+
+def priced(source, w):
+    """P(w) as a walk reaches it: word_prob's, or 0.0 through a symbol that
+    a finite source lacks."""
+    n = source.alphabet_size
+    return 0.0 if n is not None and max(w) >= n else word_prob(source, w)
+
+
+def oracle_level(d, source, j, max_symbol, budget, frontier):
+    """Level j of a walk, word by word: the members of length j, the
+    INTERNAL words of truncate's T_j with their automaton states and, in a
+    frontier walk, the DEAD ones as P -> count."""
+    t_j = truncate(d, j, max_symbol, max_words=budget).t_n
+    members = [w for w in d.member_words(j, max_symbol) if len(w) == j]
+    live = [w for w in t_j if d.classify(w) == INTERNAL]
+    dead = [w for w in t_j if d.classify(w) == DEAD] if frontier else []
+    return (
+        sorted(priced(source, w) for w in members),
+        sorted((priced(source, w), d.entry_after(w)) for w in live),
+        Counter(priced(source, w) for w in dead),
+    )
+
+
+def assert_levels_match(walk, d, source, max_symbol, levels, budget, frontier):
+    """The walk's first `levels` levels equal the oracle's as multisets, an
+    ended walk's as empty ones; the walk raises the budget error at the
+    first length where truncate does."""
+    for j in range(1, levels + 1):
+        try:
+            want = oracle_level(d, source, j, max_symbol, budget, frontier)
+        except ResourceBudgetError as exc:
+            with pytest.raises(ResourceBudgetError, match=f"^{re.escape(str(exc))}$"):
+                next(walk)
+            return
+        got = next(walk, None)
+        if got is None:
+            assert want == ([], [], Counter())
+        else:
+            i, probs, live_probs, live_states, dead = got
+            assert (i, sorted(probs), sorted(zip(live_probs, live_states)), dead) == (j, *want)
+
+
+LEVEL_CASES = [
+    (tunstall_build(BIASED, 64), BIASED, None, 31),
+    (tunstall_build(TERNARY, 81), TERNARY, None, 8),
+    (RunLengthDictionary(), BIASED, None, 12),
+    (head_extension(0), GEOMETRIC, 4, 4),
+    (extend(head_extension(3), (3, 5)), GEOMETRIC, 8, 5),
+    (FiniteDictionary(5, [(0,), (4, 1)]), FAIR, None, 6),
+]
+
+
+def assert_walks_match(d, source, max_symbol, levels, budget):
+    """The frontier walk at d's width and, over a finite alphabet, the
+    member walk, each against the oracle."""
+    walk = dictionary.word_levels(d, source, d.member_width(max_symbol), budget)
+    assert_levels_match(walk, d, source, max_symbol, levels, budget, True)
+    if d.alphabet_size is not None:
+        walk = dictionary.word_levels(d, source)
+        assert_levels_match(walk, d, source, None, levels, MAX_FRONTIER_WORDS, False)
+
+
+@pytest.mark.parametrize("budget", [MAX_FRONTIER_WORDS, 40])
+@pytest.mark.parametrize("d, source, max_symbol, levels", LEVEL_CASES, ids=[
+    "tunstall-64", "ternary-tunstall-81", "run-length", "head-0-width-4",
+    "nested", "unpriced-symbols"])
+def test_levels_against_truncate(d, source, max_symbol, levels, budget):
+    assert_walks_match(d, source, max_symbol, levels, budget)
+
+
+@pytest.mark.parametrize("budget", [MAX_FRONTIER_WORDS, 40])
+def test_corpus_levels_against_truncate(corpus, budget):
+    for i, d in enumerate(corpus):
+        assert_walks_match(d, (FAIR, BIASED)[i % 2], None, d.max_word_length() + 2, budget)
 
 
 def copies(x, c):
