@@ -28,6 +28,7 @@ from .dictionary import (
     Dictionary,
     ExtendedDictionary,
     FiniteDictionary,
+    check_frontier_start,
     frontier_budget_error,
     subtree_walk,
 )
@@ -43,11 +44,14 @@ MAX_FRONTIER_WORDS = 1_000_000
 def _frontier_walk(d: Dictionary, depth: int, max_symbol: int | None, max_words: int):
     """(members of length <= depth, T_depth) in canonical order, from one
     frontier subtree_walk over the symbols below the width budget. A T_depth
-    of more than max_words words raises before any of it is built; then
-    each dead prefix the walk kept expands to all its completions."""
+    of more than max_words words raises before any of it is built, and
+    before the walk where the start state's DEAD symbols alone pass the
+    budget (check_frontier_start); then each dead prefix the walk kept
+    expands to all its completions."""
     if depth < 1:
         raise ValueError("frontier depth must be >= 1")
     symbols = range(d._width_for(max_symbol))
+    check_frontier_start(d, len(symbols), depth, max_words)
     words, rest = subtree_walk(d, (), d.start, depth, symbols, frontier=True)
     if rest and sum(len(symbols) ** (depth - len(w)) for w, _ in rest) > max_words:
         raise frontier_budget_error(depth, max_words)

@@ -94,9 +94,11 @@ def _canon_sorted(pairs: list) -> list:
 class PhraseCodebook:
     """Bijection between dictionary phrases and binary codewords.
 
-    Phrases keep their given order (canonical from from_pairs, huffman_build
-    and fixed_codebook), each symbol as a plain int; codewords are '0'/'1'
-    strings, verified prefix-free, which bounds their Kraft sum by 1.
+    Both fields are stored as tuples, whatever sequences are given, so ==
+    and hash see only the pairs. Phrases keep their given order (canonical
+    from from_pairs, huffman_build and fixed_codebook), each a tuple of
+    plain ints; codewords are '0'/'1' strings, verified prefix-free, which
+    bounds their Kraft sum by 1.
     """
 
     phrases: tuple
@@ -112,11 +114,12 @@ class PhraseCodebook:
                 type(s) is int for s in set().union(*self.phrases))
         except TypeError:
             plain = False
-        if not plain:
-            object.__setattr__(self, "phrases", tuple(map(index_word, self.phrases)))
-        if len(set(self.phrases)) != len(self.phrases):
+        phrases = tuple(self.phrases) if plain else tuple(map(index_word, self.phrases))
+        object.__setattr__(self, "phrases", phrases)
+        if len(set(phrases)) != len(phrases):
             raise ValueError("duplicate phrases in codebook")
-        cs = self.codewords
+        cs = tuple(self.codewords)
+        object.__setattr__(self, "codewords", cs)
         # checked in C; a failure, an unhashable codeword included, walks them to name one
         try:
             if len(set(cs)) != len(cs):

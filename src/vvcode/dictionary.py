@@ -25,8 +25,15 @@ TO_WORD or TO_DEAD, and a negative symbol is DEAD in every state. The
 only cycles are self-loops (a state listed as its own entry). The
 per-state default is what lets countable alphabets share the
 representation: "every symbol ends a word" needs no table of symbols.
-``subtree_walk`` is the one walk that turns the automaton into word
-tuples: members, cones, the frontier T_n and a Tunstall trie's words.
+``subtree_walk`` turns the automaton into word tuples: members, cones,
+the frontier T_n and a Tunstall trie's words. A member walk takes at each
+state the symbols ``member_symbols`` gives, only the listed ones where
+the default is TO_DEAD, so it costs what the states list, however wide
+the alphabet; a frontier walk whose start state alone sends more words to
+T_n than its budget allows is refused before it takes a symbol
+(``check_frontier_start``). The one other walk to word tuples is
+simulation's histogram bins, which prices each prefix as it goes and
+stops where its expected count falls below the bin floor.
 
 ``walk`` segments a stream in C once a dictionary has walked enough
 symbols: the automaton becomes one regular expression over the stream's
@@ -56,10 +63,10 @@ level as parallel lists: the probabilities of the members of that length
 as bare floats, and the probability and state of each live prefix. A
 member walk takes each state's listed edges, so its cost does not grow
 with the alphabet. An edge costs one multiply, P(prefix)*p_s, and one
-append; a finite source that has every symbol of the dictionary's
-alphabet prices s as probs[s], and any other pair from one table of the
-symbols the walk takes, built per walk, where a symbol that a finite
-source lacks has its probability under P, 0.0.
+append; ``symbol_prices`` gives p_s: a finite source that has every
+symbol of the dictionary's alphabet prices s as probs[s], and any other
+pair from one table of the symbols the walk takes, built per walk, where
+a symbol that a finite source lacks has its probability under P, 0.0.
 SourceModel.word_prob multiplies a word's symbol probabilities in the same
 order from the same 1.0, so every P(w) the walk reaches is bit-identical
 to word_prob(w). ``measure_sums``, which exact_word_measures calls too,
@@ -233,15 +240,11 @@ def word_levels(
     probability (see the module docstring), so an edge costs one multiply
     and one append to the list it lands in. Every walk takes each state's
     listed entries, and a frontier walk also the symbols below width that
-    the state does not list, to its default. A finite source that has every
-    symbol of d's finite alphabet prices them from its probability tuple,
-    indexed by symbol; any other pair from one dict of the listed symbols
-    and those below width, built per walk, where a symbol that a finite
-    source lacks has its probability under P, 0.0. The callers give a
-    frontier walk the alphabet's width or a countable one's budget, and a
-    member walk none; at other widths a finite frontier walk also takes
-    listed symbols past the width, and a member walk skips those below it
-    that a TO_WORD default covers.
+    the state does not list, to its default. symbol_prices prices them. The
+    callers give a frontier walk the alphabet's width or a countable one's
+    budget, and a member walk none; at other widths a finite frontier walk
+    also takes listed symbols past the width, and a member walk skips those
+    below it that a TO_WORD default covers.
 
     dead is empty unless a frontier budget is given. It then maps P to the
     number of DEAD length-j prefixes of that probability, so that the live
@@ -256,16 +259,14 @@ def word_levels(
     bounds |T_j|, the live prefixes plus the sum of the counts, not the
     entries walked, and a T_j larger than it raises ResourceBudgetError as
     soon as the prefixes counted so far exceed it, so at most one state's
-    edges past it.
+    edges past it. A T_1 over the budget is refused before the walk prices
+    or takes a symbol (check_frontier_start).
     """
     trans, defaults = d.transitions, d.defaults
     symbols = range(width)
-    n = source.alphabet_size
-    if d.alphabet_size is not None and n is not None and d.alphabet_size <= n:
-        sp = source.probs
-    else:
-        sp = {s: 0.0 if n is not None and s >= n else source.symbol_prob(s)
-              for s in itertools.chain(symbols, *trans)}
+    if frontier is not None and start is None:
+        check_frontier_start(d, width, 1, frontier)
+    sp = symbol_prices(d, source, width)
     j, rest_p, rest_q = start or (0, [1.0], [d.start])
     dead = {}
     while rest_p or dead:
@@ -305,17 +306,59 @@ def word_levels(
         rest_p, rest_q, dead = nxt_p, nxt_q, nxt_dead
 
 
+def symbol_prices(d: "Dictionary", source: SourceModel, width: int = 0):
+    """The table a walk of d prices its symbols from, indexed by symbol: a
+    finite source that has every symbol of d's finite alphabet gives its
+    probability tuple; any other pair a dict of the listed symbols and
+    those below width, built per walk, where a symbol that a finite source
+    lacks has its probability under P, 0.0."""
+    n = source.alphabet_size
+    if d.alphabet_size is not None and n is not None and d.alphabet_size <= n:
+        return source.probs
+    return {s: 0.0 if n is not None and s >= n else source.symbol_prob(s)
+            for s in itertools.chain(range(width), *d.transitions)}
+
+
+def member_symbols(t: dict, default: int, symbols: range):
+    """The symbols in `symbols`, ascending, that a member walk takes at a
+    state with transitions t: all of them, or where the default is TO_DEAD
+    and t lists fewer, only the listed ones, as every other is DEAD. So a
+    walk over a wide alphabet costs what its states list."""
+    if default == TO_DEAD and len(t) < len(symbols):
+        return sorted(s for s in t if s in symbols)
+    return symbols
+
+
+def check_frontier_start(d: "Dictionary", width: int, depth: int, max_words: int) -> None:
+    """Raise frontier_budget_error(depth, max_words) where the start state's
+    DEAD symbols below width put more than max_words words in T_depth on
+    their own: each heads width**(depth - 1) of them, and there are at
+    least width less the symbols the state lists. A frontier walk calls it
+    before it takes a symbol, so an alphabet far wider than the budget is
+    refused without a walk over it."""
+    dead = width - len(d.transitions[d.start])
+    # width**k exceeds max_words once k reaches its bit length
+    if d.defaults[d.start] == TO_DEAD and dead > 0 and (
+        dead * width ** min(depth - 1, max_words.bit_length()) > max_words
+    ):
+        raise frontier_budget_error(depth, max_words)
+
+
 def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbols,
                  frontier: bool = False):
     """(words, rest): the members of length <= max_len that extend prefix,
     whose automaton entry is `entry`, in canonical length-lex order, and
     the (word, state) of each length-max_len extension of prefix that leads
-    on. The walk goes level by level and takes the symbols in `symbols`.
-    A frontier walk keeps each DEAD extension in rest too, as its shortest
-    dead prefix with state TO_DEAD, so rest lists T_max_len's subtrees in
-    lexicographic order."""
+    on. The walk goes level by level and takes the symbols in `symbols`, a
+    range. A frontier walk takes them all and keeps each DEAD extension in
+    rest too, as its shortest dead prefix with state TO_DEAD, so rest lists
+    T_max_len's subtrees in lexicographic order. A member walk wider than
+    `entry` lists takes at each state the symbols member_symbols gives; a
+    narrower one tries every symbol at every state, at a cost per state of
+    at most what `entry` lists, and does no work to choose them."""
     words = [prefix] if entry == TO_WORD else []
     rest = [(prefix, entry)] if entry >= 0 or frontier and entry == TO_DEAD else []
+    sparse = not frontier and entry >= 0 and len(symbols) > len(d.transitions[entry])
     for _ in range(max_len - len(prefix)):
         if not rest:
             break
@@ -325,7 +368,7 @@ def subtree_walk(d: "Dictionary", prefix: Word, entry: int, max_len: int, symbol
                 nxt.append((w, q))
                 continue
             t, default = d.transitions[q], d.defaults[q]
-            for s in symbols:
+            for s in member_symbols(t, default, symbols) if sparse else symbols:
                 e = t.get(s, default)
                 if e == TO_WORD:
                     words.append(w + (s,))

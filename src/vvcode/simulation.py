@@ -20,7 +20,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .dictionary import DEFAULT_WIDTH, Dictionary, phrase_word, subtree_walk, walk
+from .dictionary import (
+    DEFAULT_WIDTH,
+    TO_WORD,
+    Dictionary,
+    check_members,
+    member_symbols,
+    phrase_word,
+    symbol_prices,
+    walk,
+)
 from .errors import SimulationAbortError
 from .measures import phrase_measures
 from .rng import XorShift64Star, float_block, stream_seed
@@ -28,6 +37,7 @@ from .source import SourceModel, canon_key
 
 CHUNK_PHRASES = 4096
 DEFAULT_STEP_CAP = 10**6
+MIN_EXPECTED = 5.0  # the least expected count a chi-square bin keeps (Cochran, 1954)
 
 
 def _step_cap_error(step_cap, prefix):
@@ -251,6 +261,43 @@ def _chi2_sf(x: float, dof: int) -> float:
     return math.fsum(terms)
 
 
+def _bins(d: Dictionary, source: SourceModel, n: int, depth: int, width: int) -> list:
+    """(word, n*P(word)) for each member of length <= depth with
+    n*P(word) >= MIN_EXPECTED, in canonical order; over a countable
+    alphabet only those through symbols below width and in a finite
+    source's alphabet. One walk, level by level, takes each state's
+    member_symbols, prices them from symbol_prices and drops each prefix u
+    with n*P(u) < MIN_EXPECTED. A finite alphabet's states all default to
+    TO_DEAD, so its walk prices listed symbols only.
+    """
+    if d.alphabet_size is None:
+        if source.alphabet_size is not None:
+            width = min(width, source.alphabet_size)
+        # a word through a symbol past width (an extension word, say) is pooled
+        symbols, prices = range(width), symbol_prices(d, source, width)
+    else:
+        symbols, prices = range(d.alphabet_size), symbol_prices(d, source)
+    trans, defaults = d.transitions, d.defaults
+    bins = []
+    rest = [((), 1.0, d.start)]
+    for _ in range(depth):
+        nxt = []
+        for w, p, q in rest:
+            t, default = trans[q], defaults[q]
+            for s in member_symbols(t, default, symbols):
+                x = p * prices[s]
+                if n * x >= MIN_EXPECTED:
+                    e = t.get(s, default)
+                    if e == TO_WORD:
+                        bins.append((w + (s,), n * x))
+                    elif e >= 0:
+                        nxt.append((w + (s,), x, e))
+        if not nxt:
+            break
+        rest = nxt
+    return bins
+
+
 def phrase_histogram(
     d: Dictionary,
     source: SourceModel,
@@ -265,11 +312,22 @@ def phrase_histogram(
 
     Bins are dictionary words up to depth, over a countable alphabet those
     through symbols below width (and in a finite source's alphabet), with
-    expected count >= 5; everything else pools into one bin. The p-value is
-    the closed-form chi-square tail for the integer dof (_chi2_sf). The
-    phrases are those simulate draws for the same arguments; `threads`
-    changes nothing. A countable alphabet's width below 1 is refused, as
-    n_phrases and depth below 1 are, before any sampling.
+    expected count n*P(w) >= MIN_EXPECTED; everything else pools into one
+    bin. The p-value is the closed-form chi-square tail for the integer
+    dof (_chi2_sf). The phrases are those simulate draws for the same
+    arguments; `threads` changes nothing. A countable alphabet's width
+    below 1 is refused, as n_phrases and depth below 1 are, before any
+    sampling; a member past a finite source's alphabet is refused after
+    it, with word_prob's error (check_members).
+
+    The bins come from _bins' walk, cut where a prefix's expected count
+    falls below the floor, so its cost follows the bins kept rather than
+    the dictionary. They are the bins of pricing every member with
+    word_prob, bit for bit: P only falls along a path (each p_s <= 1, and
+    rounding is monotone), so no dropped prefix has a member to bin; the
+    walk's product is word_prob's (see the dictionary module docstring);
+    and ascending symbols taken level by level give canonical order, so
+    the sums below add their terms as a per-member loop would.
     """
     if n_phrases < 1:
         raise ValueError("n_phrases must be >= 1")
@@ -279,18 +337,8 @@ def phrase_histogram(
         raise ValueError("width budget must be >= 1")
     counts = _sample_phrases(d, source, n_phrases, seed, step_cap)
     n = n_phrases
-    if d.alphabet_size is not None:
-        members = d.member_words(depth)
-    else:
-        if source.alphabet_size is not None:
-            width = min(width, source.alphabet_size)
-        # an extension word through a symbol past width is pooled, not binned
-        members = subtree_walk(d, (), d.start, depth, range(width))[0]
-    binned = []
-    for w in members:
-        expect = n * source.word_prob(w)
-        if expect >= 5.0:
-            binned.append((w, expect))
+    check_members(d, source, depth)
+    binned = _bins(d, source, n, depth, width)
     stat = 0.0
     binned_obs = 0
     binned_exp = 0.0

@@ -276,6 +276,17 @@ def test_list_phrases_are_stored_as_tuples():
     assert cb.codeword_for((1,)) == "1"
 
 
+def test_list_containers_are_stored_as_tuples():
+    # the fields are tuples whatever sequences are given, so the codebook
+    # equals and hashes like the from_pairs one of the same pairs
+    cb = PhraseCodebook(phrases=[(0,), (1,)], codewords=["0", "1"])
+    pairs = PhraseCodebook.from_pairs([((0,), "0"), ((1,), "1")])
+    assert (cb.phrases, cb.codewords) == (((0,), (1,)), ("0", "1"))
+    assert cb == pairs
+    assert hash(cb) == hash(pairs)
+    assert len({cb, pairs}) == 1
+
+
 def test_constructor_keeps_the_given_phrase_order():
     cb = PhraseCodebook(phrases=((1,), (0,)), codewords=("0", "1"))
     assert cb.phrases == ((1,), (0,))

@@ -30,10 +30,12 @@ from vvcode import (
     SourceModel,
     check_conservation,
     check_truncation_identity,
+    cone,
     convergence_scan,
     extend,
     head_extension,
     is_asc,
+    phrase_histogram,
     phrase_measures,
     simulate,
     truncate,
@@ -423,6 +425,37 @@ def test_member_walk_over_a_wide_alphabet():
     assert (r.h_d_low, r.h_d_high, r.lbar_low, r.lbar_high) == (1.0, 1.0, 1.0, 1.0)
     assert is_asc(d, FAIR, 64).status == "certified_asc"
     assert simulate(d, FAIR, 100).theory_lbar == 1.0
+
+
+def test_frontier_walks_over_a_wide_alphabet_are_refused_before_the_walk():
+    # T_1 holds the 10^12 - 2 unlisted symbols: the budget refuses it from
+    # the start state's entries, before a symbol below the width is taken
+    d = FiniteDictionary(10**12, [(0,), (1,)])
+    with pytest.raises(ResourceBudgetError, match=r"^frontier at depth 2 exceeds max_words=1000000$"):
+        truncate(d, 2)
+    with pytest.raises(ResourceBudgetError, match=r"^frontier at depth 1 exceeds max_words=1000000$"):
+        convergence_scan(d, FAIR, 12)
+
+
+def test_cone_and_histogram_over_a_wide_alphabet_take_the_listed_symbols():
+    d = FiniteDictionary(10**12, [(0,), (1,)])
+    res = cone(d, (), 3)
+    assert (res.words, res.exhaustive) == (((0,), (1,)), True)
+    hist = phrase_histogram(d, FAIR, 100)
+    assert hist.dof == 1 and sum(c for _, c in hist.entries) == 100
+
+
+def test_member_walks_from_a_complete_state_take_the_range(monkeypatch):
+    # a walk from a state that lists every symbol below the width tries the
+    # range itself at every state: no per-state choice of listed symbols
+    def refuse(*args):
+        raise AssertionError("member_symbols called for a complete state")
+
+    monkeypatch.setattr(dictionary, "member_symbols", refuse)
+    d = tunstall_build(TERNARY, 9)
+    assert cone(d, (), 64).words == tuple(d.words)
+    assert RunLengthDictionary().member_words(4) == [(0,), (1, 0), (1, 1, 0), (1, 1, 1, 0)]
+    assert truncate(FiniteDictionary(2, [(0,)]), 3).t_n == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
 
 WIDE = FiniteDictionary(3, [(0,), (1, 0), (1, 1), (1, 2, 0), (1, 2, 1), (1, 2, 2)])
